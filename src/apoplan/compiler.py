@@ -253,9 +253,6 @@ class CnfFormula:
     def variable_count(self) -> int:
         return len(self.atoms)
 
-    def var_of(self, atom: Atom) -> int:
-        return self.atoms.index(atom) + 1
-
     def to_dimacs(self) -> str:
         lines = [f"p cnf {self.variable_count} {len(self.clauses)}"]
         for clause in self.clauses:
@@ -304,10 +301,21 @@ def to_sat(program: NormalProgram) -> CnfFormula:
     """Clark completion of a tight normal program, clausified without auxiliary
     variables so CNF models correspond one-to-one to atom sets.
 
-    Atoms forced true by negation-free rules (facts and their closure) are
-    pinned by unit clauses and dropped from bodies first; without this the
-    product expansion of the only-if direction blows up on rules padded with
-    always-true guard atoms."""
+    Each rule gives the forward clause `body -> head`.  The only-if direction
+    `head -> body_1 v ... v body_k` is distributed into one clause per choice
+    of a literal from each body, so its size is the product of the body
+    lengths.  Two reductions keep that product small:
+
+    - Atoms forced true by negation-free rules (facts and their closure) are
+      pinned by unit clauses and dropped from bodies, which removes
+      always-true guard atoms.
+    - A body containing `not head` is false whenever the head is true, so it
+      is left out of the head's only-if clauses without changing the formula.
+      When every body is left out the product is empty and the head gets the
+      unit clause `-head`.  This keeps constraint rules such as
+      `inconsistent <- not inconsistent, holds(f, t), holds(-f, t)` from
+      multiplying into 3^(bodies) clauses; the CNF grows linearly with the
+      horizon."""
     check_tight(program)
     atoms = sorted(program.atoms(), key=render_atom)
     var = {a: i + 1 for i, a in enumerate(atoms)}
@@ -351,12 +359,12 @@ def to_sat(program: NormalProgram) -> CnfFormula:
         # body -> atom
         for pos, neg in defs:
             add([a] + [-var[p] for p in pos] + [var[n] for n in neg])
-        # atom -> some body: distribute over one literal per body
-        options = []
-        for pos, neg in defs:
-            options.append([var[p] for p in pos] + [-var[n] for n in neg])
+        # atom -> some body not containing `not atom`: distribute over one
+        # literal per body
+        options = [[var[p] for p in pos] + [-var[n] for n in neg]
+                   for pos, neg in defs if atom not in neg]
         if any(not o for o in options):
-            continue  # a fact: the forward direction is trivially true
+            continue  # a fact: the only-if direction is trivially true
         for combo in itertools.product(*options):
             add([-a] + list(combo))
 

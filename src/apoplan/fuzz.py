@@ -89,7 +89,7 @@ def generate_theory_text(seed: int, max_fluents: int = 3, max_actions: int = 3) 
             lines.append(f"action {name} causes\n    "
                          + " ;\n    ".join(clauses) + ".")
 
-    discount = rng.choice([Fraction(1, 2), Fraction(9, 10), Fraction(1)])
+    discount = rng.choice([Fraction(1, 2), Fraction(9, 10)])
     lines.append(f"discount {_render_prob(discount)}.")
     return "\n".join(lines) + "\n"
 

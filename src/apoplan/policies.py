@@ -17,7 +17,8 @@ from typing import Mapping, Sequence
 
 from . import oracle, sat
 from .compiler import (
-    compile_theory, decode_model, normal_answer_sets, normalize, to_sat,
+    NormalProgram, compile_theory, decode_model, normal_answer_sets, normalize,
+    to_sat,
 )
 from .nplp import Atom, PInterpretation, enumerate_answer_sets, render_atom
 from .oracle import State, Trajectory
@@ -289,14 +290,11 @@ def _occ_projection(atoms_true) -> frozenset:
     return frozenset(a for a in atoms_true if a[0] == "occ")
 
 
-def check_normal_projection(theory: ActionTheory, horizon: int,
-                            answer_sets: Sequence[PInterpretation]) -> CheckReport:
-    """Dropping the probability/reward/value rules must preserve the set of
-    occ-projections of the answer sets."""
-    program = compile_theory(theory, horizon)
+def _normal_projection_report(answer_sets: Sequence[PInterpretation],
+                              normal_sets: Sequence[frozenset]) -> CheckReport:
     annotated = {_occ_projection(a for a, v in h.items() if v >= 1)
                  for h in answer_sets}
-    normal = {_occ_projection(m) for m in normal_answer_sets(normalize(program))}
+    normal = {_occ_projection(m) for m in normal_sets}
     missing = annotated - normal
     extra = normal - annotated
     examples = [f"annotated-only: {sorted(map(render_atom, k))}" for k in list(missing)[:3]] \
@@ -308,15 +306,13 @@ def check_normal_projection(theory: ActionTheory, horizon: int,
         counterexamples=tuple(examples))
 
 
-def check_sat_models(theory: ActionTheory, horizon: int) -> CheckReport:
-    """Exhaustively enumerated CNF models must decode one-to-one to the normal
-    program's answer sets."""
-    normal = normalize(compile_theory(theory, horizon))
+def _sat_models_report(normal: NormalProgram,
+                       normal_sets: Sequence[frozenset]) -> CheckReport:
     cnf = to_sat(normal)
     decoded = set()
     for model in sat.enumerate_models(cnf.clauses, cnf.variable_count):
         decoded.add(decode_model(model, cnf))
-    expected = set(normal_answer_sets(normal))
+    expected = set(normal_sets)
     missing = expected - decoded
     extra = decoded - expected
     examples = [f"answer-set-only: {sorted(map(render_atom, k))[:6]}" for k in list(missing)[:2]] \
@@ -328,14 +324,31 @@ def check_sat_models(theory: ActionTheory, horizon: int) -> CheckReport:
         counterexamples=tuple(examples))
 
 
-def cross_check(theory: ActionTheory, horizon: int,
-                sat_check: bool = True) -> list[CheckReport]:
-    answer_sets = enumerate_answer_sets(compile_theory(theory, horizon))
-    checks = [
+def check_normal_projection(theory: ActionTheory, horizon: int,
+                            answer_sets: Sequence[PInterpretation]) -> CheckReport:
+    """Dropping the probability/reward/value rules must preserve the set of
+    occ-projections of the answer sets."""
+    normal = normalize(compile_theory(theory, horizon))
+    return _normal_projection_report(answer_sets, normal_answer_sets(normal))
+
+
+def check_sat_models(theory: ActionTheory, horizon: int) -> CheckReport:
+    """Exhaustively enumerated CNF models must decode one-to-one to the normal
+    program's answer sets."""
+    normal = normalize(compile_theory(theory, horizon))
+    return _sat_models_report(normal, normal_answer_sets(normal))
+
+
+def cross_check(theory: ActionTheory, horizon: int) -> list[CheckReport]:
+    """The four equivalence checks, compiling the theory and enumerating the
+    annotated and the normal program once each."""
+    program = compile_theory(theory, horizon)
+    answer_sets = enumerate_answer_sets(program)
+    normal = normalize(program)
+    normal_sets = normal_answer_sets(normal)
+    return [
         check_trajectories(theory, horizon, answer_sets),
         check_policy_values(theory, horizon, answer_sets),
-        check_normal_projection(theory, horizon, answer_sets),
+        _normal_projection_report(answer_sets, normal_sets),
+        _sat_models_report(normal, normal_sets),
     ]
-    if sat_check:
-        checks.append(check_sat_models(theory, horizon))
-    return checks

@@ -150,3 +150,41 @@ def test_normal_projections_match_annotated(tiger):
     normal = {frozenset(a for a in m if a[0] == "occ")
               for m in normal_answer_sets(normalize(prog))}
     assert annotated == normal
+
+
+def test_completion_omits_bodies_negating_their_head():
+    # `a <- not a, b` kills every model with b; `z <- not z, e` is z's only
+    # rule, so z gets the unit clause -z
+    a, b, c, d, e, z = (("a",), ("b",), ("c",), ("d",), ("e",), ("z",))
+    normal = NormalProgram(rules=(
+        (b, (), (c,)),
+        (c, (), (b,)),
+        (a, (b,), (a,)),
+        (a, (c,), ()),
+        (d, (a,), (e,)),
+        (e, (), (d,)),
+        (z, (e,), (z,)),
+    ))
+    cnf = to_sat(normal)
+    var = {atom: i + 1 for i, atom in enumerate(cnf.atoms)}
+    assert (-var[z],) in cnf.clauses
+    # the only-if clauses of a keep the body `c` and leave out `not a, b`
+    assert (-var[a], var[c]) in cnf.clauses
+    assert not any(-var[a] in clause and var[b] in clause for clause in cnf.clauses)
+    decoded = [decode_model(m, cnf)
+               for m in sat.enumerate_models(cnf.clauses, cnf.variable_count)]
+    assert sorted(decoded, key=sorted) == sorted(normal_answer_sets(normal), key=sorted)
+    assert decoded == [frozenset({a, c, d})]
+
+
+def test_tiger_cnf_grows_linearly(tiger):
+    sizes = [len(to_sat(normalize(compile_theory(tiger, n))).clauses)
+             for n in range(1, 7)]
+    steps = {later - earlier for earlier, later in zip(sizes, sizes[1:])}
+    assert len(steps) == 1, sizes
+    assert sizes[-1] < 1200, sizes
+
+
+def test_tiger_horizon4_model_count(tiger):
+    cnf = to_sat(normalize(compile_theory(tiger, 4)))
+    assert sat.count_models(cnf.clauses, cnf.variable_count) == 8192
