@@ -45,17 +45,17 @@ def main():
     print("\n== answer sets and cross-checks per horizon ==")
     for n in range(1, args.max_horizon + 1):
         t0 = time.time()
-        program = compiler.compile_theory(theory, n)
-        count = len(enumerate_answer_sets(program))
+        answer_sets = enumerate_answer_sets(compiler.compile_theory(theory, n))
         checks = policies.cross_check(theory, n)
         status = "all pass" if all(c.ok for c in checks) else "FAILURES"
-        print(f"  horizon {n}: {count} answer sets, checks {status} "
+        print(f"  horizon {n}: {len(answer_sets)} answer sets, checks {status} "
               f"({time.time() - t0:.1f}s)")
         for c in checks:
             print(f"    {c.name}: {'ok' if c.ok else 'FAIL'} — {c.detail}")
 
     print("\n== best policy by answer-set aggregation ==")
-    best = policies.best_policy(theory, args.max_horizon)
+    # the answer sets of the last horizon above
+    best = policies.best_policy(theory, args.max_horizon, answer_sets)
     print(f"  value {best.value} from {best.contributors} answer sets")
     for entry in oracle.policy_to_json(best.policy):
         print(f"  {','.join(entry['state'])} -> {entry['action']}")

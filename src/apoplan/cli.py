@@ -18,8 +18,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 from . import compiler, fuzz, oracle, policies, sat
-from .nplp import NplpError, render_atom
-from .nplp_text import format_program
+from .nplp import NplpError, format_program, render_atom
 from .theory import (
     ActionTheory, ApoError, ground_theory, parse_theory, serialize_theory,
     validate_theory,
@@ -29,8 +28,6 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_VALIDATION = 2
 EXIT_INTERNAL = 3
-
-_STRATEGIES = {"max": "max", "indep": "independence"}
 
 
 class _CliFailure(Exception):
@@ -93,8 +90,7 @@ def _emit_json(args, payload):
 
 def _compile(args):
     theory = _validated(args)
-    return theory, compiler.compile_theory(
-        theory, args.horizon, default_strategy=_STRATEGIES[args.strategy])
+    return theory, compiler.compile_theory(theory, args.horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +236,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     default_format = os.environ.get("APOPLAN_FORMAT", "text")
 
-    def common(p, horizon=False, strategy=False, discount=True):
+    def common(p, horizon=False, discount=True):
         p.add_argument("input", help="theory file (.apo)")
         if horizon:
             p.add_argument("--horizon", type=int, required=True,
@@ -248,9 +244,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if discount:
             p.add_argument("--discount", default=None,
                            help="override the theory's discount factor")
-        if strategy:
-            p.add_argument("--strategy", choices=sorted(_STRATEGIES),
-                           default="max", help="composition strategy")
         p.add_argument("--format", choices=["text", "json"],
                        default=default_format)
         p.add_argument("--out", default=None, help="write output to a file")
@@ -259,15 +252,15 @@ def _build_parser() -> argparse.ArgumentParser:
            discount=False)
     common(sub.add_parser("ground", help="expand variables over their domains"))
     common(sub.add_parser("compile", help="emit the annotated program"),
-           horizon=True, strategy=True)
+           horizon=True)
     common(sub.add_parser("normalize", help="emit the classical normal program"),
-           horizon=True, strategy=True)
+           horizon=True)
     common(sub.add_parser("sat", help="emit DIMACS CNF with an atom-map sidecar"),
-           horizon=True, strategy=True)
+           horizon=True)
     common(sub.add_parser("solve", help="enumerate probabilistic answer sets"),
-           horizon=True, strategy=True)
+           horizon=True)
     common(sub.add_parser("policy", help="best policy by answer-set aggregation"),
-           horizon=True, strategy=True)
+           horizon=True)
     common(sub.add_parser("oracle", help="optimal policy by brute-force search"),
            horizon=True)
     common(sub.add_parser("check", help="cross-check pipeline against the oracle"),

@@ -49,8 +49,7 @@ def _holds_all(formula: Iterable[str], t: int) -> tuple[BLit, ...]:
     return tuple(BLit(atom=_holds(l, t)) for l in sorted(formula))
 
 
-def compile_theory(theory: ActionTheory, horizon: int,
-                   default_strategy: str = "max") -> NpProgram:
+def compile_theory(theory: ActionTheory, horizon: int) -> NpProgram:
     """Emit the annotated program for `theory` with time grounded over
     0..horizon-1 (state atoms range up to `horizon`)."""
     if horizon < 1:
@@ -100,7 +99,10 @@ def compile_theory(theory: ActionTheory, horizon: int,
         if not gamma or (delta, gamma) in seen_pairs:
             continue
         seen_pairs.add((delta, gamma))
-        for l in sorted(gamma):
+        # a report literal that is also read would head a rule whose body
+        # holds it: such a rule changes no answer set, but it is a positive
+        # cycle that makes the normal program non-tight
+        for l in sorted(gamma - delta):
             emit("14", _holds(l, 0), body=_holds_all(delta, 0))
     for s, p in init:
         emit("15", ("state", 0), head_ann=Const(p), body=_holds_all(s, 0))
@@ -186,7 +188,7 @@ def compile_theory(theory: ActionTheory, horizon: int,
     emit("value-base", ("value", Fraction(0), 0))
     emit("factor", ("factor", lam))
 
-    return NpProgram(rules=tuple(rules), default_strategy=default_strategy)
+    return NpProgram(rules=tuple(rules))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,9 @@ from fractions import Fraction
 
 from .theory import ActionTheory, parse_theory, validate_theory
 
+MAX_FLUENTS = 3
+MAX_ACTIONS = 3
+
 
 def _weights_to_probs(rng: random.Random, k: int) -> list[Fraction]:
     weights = [rng.randint(1, 5) for _ in range(k)]
@@ -27,9 +30,9 @@ def _render_prob(p: Fraction) -> str:
     return str(p.numerator) if p.denominator == 1 else f"{p.numerator}/{p.denominator}"
 
 
-def generate_theory_text(seed: int, max_fluents: int = 3, max_actions: int = 3) -> str:
+def generate_theory_text(seed: int) -> str:
     rng = random.Random(seed)
-    nf = rng.randint(1, max_fluents)
+    nf = rng.randint(1, MAX_FLUENTS)
     fluents = [f"f{i}" for i in range(1, nf + 1)]
     lines = [f"fluent {', '.join(fluents)}."]
 
@@ -47,7 +50,7 @@ def generate_theory_text(seed: int, max_fluents: int = 3, max_actions: int = 3) 
     ]
     lines.append("initially " + " ; ".join(entries) + ".")
 
-    na = rng.randint(1, max_actions)
+    na = rng.randint(1, MAX_ACTIONS)
     names = [f"a{i}" for i in range(1, na + 1)]
     for name in names:
         lines.append(f"executable {name} if {{}}.")
@@ -94,15 +97,14 @@ def generate_theory_text(seed: int, max_fluents: int = 3, max_actions: int = 3) 
     return "\n".join(lines) + "\n"
 
 
-def generate_theory(seed: int, max_fluents: int = 3, max_actions: int = 3,
-                    ) -> ActionTheory:
+def generate_theory(seed: int) -> ActionTheory:
     """Deterministically derive a valid theory from `seed`.
 
     Most candidates validate directly; the rest (e.g. an initial state whose
     report literal contradicts what its sensing closure implies) are skipped by
     retrying with a derived sub-seed."""
     for attempt in range(100):
-        text = generate_theory_text(seed * 1009 + attempt, max_fluents, max_actions)
+        text = generate_theory_text(seed * 1009 + attempt)
         theory = parse_theory(text)
         if validate_theory(theory):
             return theory

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional
 
@@ -128,16 +128,6 @@ def simplify_expr(expr, binding: Mapping[str, Ground]):
     return expr
 
 
-def expr_variables(expr) -> set[str]:
-    if isinstance(expr, Ref):
-        return {expr.name}
-    if isinstance(expr, (Add, Mul)):
-        return set().union(*(expr_variables(p) for p in expr.parts))
-    if isinstance(expr, Pow):
-        return expr_variables(expr.base) | expr_variables(expr.exp)
-    return set()
-
-
 # annotations ---------------------------------------------------------------
 
 
@@ -173,14 +163,6 @@ def eval_annotation(ann: Annotation, env: Mapping[str, Fraction]) -> Fraction:
     for p in ann.parts:
         out *= eval_annotation(p, env)
     return out
-
-
-def annotation_variables(ann: Annotation) -> set[str]:
-    if isinstance(ann, AVar):
-        return {ann.name}
-    if isinstance(ann, AProd):
-        return set().union(*(annotation_variables(p) for p in ann.parts))
-    return set()
 
 
 # ---------------------------------------------------------------------------
@@ -237,27 +219,12 @@ class NpProgram:
                 return STRATEGIES[name]
         return STRATEGIES[self.default_strategy]
 
-    def with_default_strategy(self, name: str) -> "NpProgram":
-        if name not in STRATEGIES:
-            raise NplpError(f"unknown strategy {name}")
-        return replace(self, default_strategy=name)
-
 
 PInterpretation = dict  # ground atom -> Fraction; absent atoms are 0
 
 
 def atom_is_ground(atom: Atom) -> bool:
     return all(isinstance(a, (str, int, Fraction)) for a in atom[1:])
-
-
-def atom_variables(atom: Atom) -> set[str]:
-    vs: set[str] = set()
-    for a in atom[1:]:
-        if isinstance(a, Ref):
-            vs.add(a.name)
-        elif isinstance(a, (Add, Mul, Pow)):
-            vs |= expr_variables(a)
-    return vs
 
 
 def render_term(t) -> str:
@@ -294,40 +261,40 @@ def render_annotation(ann: Annotation) -> str:
     return "*".join(render_annotation(p) for p in ann.parts)
 
 
+def format_rule(rule: NpRule) -> str:
+    """One rule per line, e.g. `state(1) : 17/20*U <- state(0) : U, occ(a, 0).`;
+    annotations equal to 1 are omitted."""
+    head = render_atom(rule.head)
+    if rule.head_ann != ONE:
+        head += " : " + render_annotation(rule.head_ann)
+    if not rule.body:
+        text = head + "."
+    else:
+        parts = []
+        for lit in rule.body:
+            s = render_atom(lit.atom)
+            if lit.ann != ONE:
+                s += " : " + render_annotation(lit.ann)
+            if lit.neg:
+                s = "not " + s
+            parts.append(s)
+        text = head + " <- " + ", ".join(parts) + "."
+    if rule.schema is not None:
+        text += f"  % schema {rule.schema}"
+    return text
+
+
+def format_program(program: NpProgram) -> str:
+    lines = [format_rule(r) for r in program.rules]
+    for pred, name in program.strategies:
+        lines.append(f"#strategy {pred} {name}.")
+    if program.default_strategy != "max":
+        lines.append(f"#strategy default {program.default_strategy}.")
+    return "\n".join(lines) + "\n"
+
+
 def atom_sort_key(atom: Atom):
     return tuple((type(a).__name__, str(a)) for a in atom)
-
-
-# ---------------------------------------------------------------------------
-# grounding over term sorts
-
-
-def ground_program(program: NpProgram, domains: Mapping[str, Iterable[Ground]],
-                   ) -> NpProgram:
-    """Substitute every variable listed in `domains` by each of its constants.
-
-    Variables not mentioned in `domains` (annotation variables, value
-    placeholders) are left symbolic; constant sub-expressions are folded.
-    Grounding a ground program is the identity.
-    """
-    pools = {v: list(vals) for v, vals in domains.items()}
-    out: list[NpRule] = []
-    for rule in program.rules:
-        vs = sorted(v for v in _rule_variables(rule) if v in pools)
-        if not vs:
-            out.append(rule)
-            continue
-        for combo in itertools.product(*(pools[v] for v in vs)):
-            binding = dict(zip(vs, combo))
-            out.append(_substitute_rule(rule, binding))
-    return replace(program, rules=tuple(out))
-
-
-def _rule_variables(rule: NpRule) -> set[str]:
-    vs = atom_variables(rule.head)
-    for b in rule.body:
-        vs |= atom_variables(b.atom)
-    return vs
 
 
 def _substitute_atom(atom: Atom, binding: Mapping[str, Ground]) -> Atom:
@@ -341,15 +308,6 @@ def _substitute_atom(atom: Atom, binding: Mapping[str, Ground]) -> Atom:
         else:
             args.append(a)
     return (atom[0], *args)
-
-
-def _substitute_rule(rule: NpRule, binding: Mapping[str, Ground]) -> NpRule:
-    return replace(
-        rule,
-        head=_substitute_atom(rule.head, binding),
-        body=tuple(replace(b, atom=_substitute_atom(b.atom, binding))
-                   for b in rule.body),
-    )
 
 
 # ---------------------------------------------------------------------------

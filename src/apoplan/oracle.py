@@ -26,10 +26,6 @@ class OracleError(Exception):
 State = frozenset
 
 
-def render_state(state: State) -> str:
-    return ",".join(sorted(state))
-
-
 def state_key(state: State) -> tuple[str, ...]:
     return tuple(sorted(state))
 

@@ -198,12 +198,9 @@ def group_policies(theory: ActionTheory, reports: Sequence[AnswerSetReport],
 
 
 def best_policy(theory: ActionTheory, horizon: int,
-                answer_sets: Sequence[PInterpretation] | None = None,
-                ) -> PolicyValue:
+                answer_sets: Sequence[PInterpretation]) -> PolicyValue:
     """Optimal policy by answer-set value aggregation (ties broken
     lexicographically, matching the oracle's tie-break)."""
-    if answer_sets is None:
-        answer_sets = enumerate_answer_sets(compile_theory(theory, horizon))
     reports = valid_reports(theory, answer_sets, horizon)
     grouped = group_policies(theory, reports, horizon)
     if not grouped:
@@ -290,8 +287,11 @@ def _occ_projection(atoms_true) -> frozenset:
     return frozenset(a for a in atoms_true if a[0] == "occ")
 
 
-def _normal_projection_report(answer_sets: Sequence[PInterpretation],
-                              normal_sets: Sequence[frozenset]) -> CheckReport:
+def check_normal_projection(answer_sets: Sequence[PInterpretation],
+                            normal_sets: Sequence[frozenset]) -> CheckReport:
+    """Dropping the probability/reward/value rules must preserve the set of
+    occ-projections: `answer_sets` are the annotated program's answer sets,
+    `normal_sets` those of its normal program."""
     annotated = {_occ_projection(a for a, v in h.items() if v >= 1)
                  for h in answer_sets}
     normal = {_occ_projection(m) for m in normal_sets}
@@ -306,8 +306,10 @@ def _normal_projection_report(answer_sets: Sequence[PInterpretation],
         counterexamples=tuple(examples))
 
 
-def _sat_models_report(normal: NormalProgram,
-                       normal_sets: Sequence[frozenset]) -> CheckReport:
+def check_sat_models(normal: NormalProgram,
+                     normal_sets: Sequence[frozenset]) -> CheckReport:
+    """Exhaustively enumerated CNF models of `normal` must decode one-to-one
+    to its answer sets `normal_sets`."""
     cnf = to_sat(normal)
     decoded = set()
     for model in sat.enumerate_models(cnf.clauses, cnf.variable_count):
@@ -324,21 +326,6 @@ def _sat_models_report(normal: NormalProgram,
         counterexamples=tuple(examples))
 
 
-def check_normal_projection(theory: ActionTheory, horizon: int,
-                            answer_sets: Sequence[PInterpretation]) -> CheckReport:
-    """Dropping the probability/reward/value rules must preserve the set of
-    occ-projections of the answer sets."""
-    normal = normalize(compile_theory(theory, horizon))
-    return _normal_projection_report(answer_sets, normal_answer_sets(normal))
-
-
-def check_sat_models(theory: ActionTheory, horizon: int) -> CheckReport:
-    """Exhaustively enumerated CNF models must decode one-to-one to the normal
-    program's answer sets."""
-    normal = normalize(compile_theory(theory, horizon))
-    return _sat_models_report(normal, normal_answer_sets(normal))
-
-
 def cross_check(theory: ActionTheory, horizon: int) -> list[CheckReport]:
     """The four equivalence checks, compiling the theory and enumerating the
     annotated and the normal program once each."""
@@ -349,6 +336,6 @@ def cross_check(theory: ActionTheory, horizon: int) -> list[CheckReport]:
     return [
         check_trajectories(theory, horizon, answer_sets),
         check_policy_values(theory, horizon, answer_sets),
-        _normal_projection_report(answer_sets, normal_sets),
-        _sat_models_report(normal, normal_sets),
+        check_normal_projection(answer_sets, normal_sets),
+        check_sat_models(normal, normal_sets),
     ]

@@ -49,10 +49,6 @@ def fluent_of(lit: str) -> str:
     return lit[1:] if lit.startswith("-") else lit
 
 
-def is_positive(lit: str) -> bool:
-    return not lit.startswith("-")
-
-
 def is_consistent(formula: Iterable[str]) -> bool:
     formula = set(formula)
     return not any(negate(l) in formula for l in formula)

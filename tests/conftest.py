@@ -6,6 +6,7 @@ from apoplan.theory import ActionTheory, parse_theory
 
 REPO = Path(__file__).resolve().parent.parent
 TIGER_PATH = REPO / "domains" / "tiger.apo"
+CROSS_SENSING_PATH = REPO / "domains" / "cross_sensing.apo"
 
 
 @pytest.fixture(scope="session")
@@ -16,3 +17,8 @@ def tiger_text() -> str:
 @pytest.fixture(scope="session")
 def tiger(tiger_text) -> ActionTheory:
     return parse_theory(tiger_text)
+
+
+@pytest.fixture(scope="session")
+def cross_sensing() -> ActionTheory:
+    return parse_theory(CROSS_SENSING_PATH.read_text())

@@ -8,6 +8,7 @@ from apoplan.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
 TIGER = str(REPO / "domains" / "tiger.apo")
+CROSS_SENSING = str(REPO / "domains" / "cross_sensing.apo")
 SCHEMAS = REPO / "schemas"
 
 
@@ -169,3 +170,15 @@ def test_format_env_default(capsys, monkeypatch):
     code, out = run(capsys, "validate", TIGER)
     assert code == 0
     assert json.loads(out)["valid"] is True
+
+
+def test_cross_sensing_check_and_sat(capsys):
+    code, out = run(capsys, "check", CROSS_SENSING, "--horizon", "2")
+    assert code == 0
+    payload = json.loads(out)
+    check_schema(payload, "check")
+    assert [c["ok"] for c in payload["checks"]] == [True] * 4
+    assert payload["checks"][3]["detail"] == "64 models = 64 answer sets"
+    code, out = run(capsys, "sat", CROSS_SENSING, "--horizon", "2")
+    assert code == 0
+    assert out.startswith("p cnf ")

@@ -8,7 +8,8 @@ from apoplan.compiler import (
     CompileError, NonTightError, NormalProgram, check_tight, compile_theory,
     decode_model, encode_atom_set, normal_answer_sets, normalize, to_sat,
 )
-from apoplan.nplp import AProd, Const, ONE, enumerate_answer_sets
+from apoplan.fuzz import generate_theory
+from apoplan.nplp import AProd, Const, ONE, enumerate_answer_sets, format_rule
 from apoplan.theory import parse_theory
 
 DROPPED = {"15", "18", "21", "22", "23", "24", "value-base", "factor"}
@@ -188,3 +189,13 @@ def test_tiger_cnf_grows_linearly(tiger):
 def test_tiger_horizon4_model_count(tiger):
     cnf = to_sat(normalize(compile_theory(tiger, 4)))
     assert sat.count_models(cnf.clauses, cnf.variable_count) == 8192
+
+
+def test_no_rule_holds_its_own_head_in_its_body(tiger, cross_sensing):
+    # cross_sensing reads and reports both fluents, the case in which the
+    # initial-state sensing rules (schema 14) used to support themselves
+    theories = [tiger, cross_sensing] + [generate_theory(s) for s in range(12)]
+    for theory in theories:
+        for rule in compile_theory(theory, 2).rules:
+            assert all(b.neg or b.atom != rule.head for b in rule.body), \
+                format_rule(rule)

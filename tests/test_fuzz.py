@@ -3,6 +3,7 @@ from fractions import Fraction
 from apoplan import compiler, oracle
 from apoplan.fuzz import generate_theory, generate_theory_text
 from apoplan.nplp import enumerate_answer_sets
+from apoplan.policies import cross_check
 from apoplan.theory import parse_theory, validate_theory
 
 SEEDS = range(60)
@@ -65,3 +66,10 @@ def test_answer_set_structural_invariants():
                 for lit in holds:
                     comp = lit[1:] if lit.startswith("-") else "-" + lit
                     assert comp not in holds, (seed, t, lit)
+
+
+def test_cross_check_on_generated_theories():
+    for seed in range(12):
+        checks = cross_check(generate_theory(seed), 1)
+        assert all(c.ok for c in checks), \
+            (seed, [c.detail for c in checks if not c.ok])

@@ -1,5 +1,4 @@
 import itertools
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -7,10 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from apoplan.nplp import (
     AProd, AVar, BLit, Const, INDEPENDENCE, MAX, NplpError, NpProgram, NpRule,
-    ONE, enumerate_answer_sets, least_model, reduct, render_atom, satisfies,
-    satisfies_program,
+    ONE, enumerate_answer_sets, format_program, least_model, reduct,
+    render_atom, satisfies, satisfies_program,
 )
-from apoplan.nplp_text import NplpParseError, format_program, parse_program
 
 
 def rule(head, body=(), head_ann=ONE):
@@ -199,28 +197,6 @@ def test_strategies_commutative_associative_monotone(strategy, a, b, c):
 
 # ---------------------------------------------------------------------------
 # textual format
-
-
-def test_text_roundtrip_tiger_program(tiger):
-    from apoplan.compiler import compile_theory
-    prog = compile_theory(tiger, 2)
-    parsed = parse_program(format_program(prog))
-    assert parsed.rules == tuple(replace(r, schema=None) for r in prog.rules)
-    assert parsed.default_strategy == prog.default_strategy
-
-
-def test_text_roundtrip_strategies():
-    prog = NpProgram(rules=(rule(("a",)),),
-                     strategies=(("state", "independence"),),
-                     default_strategy="independence")
-    parsed = parse_program(format_program(prog))
-    assert parsed.strategies == prog.strategies
-    assert parsed.default_strategy == "independence"
-
-
-def test_text_parse_error_reports_line():
-    with pytest.raises(NplpParseError, match="line 2"):
-        parse_program("a.\nb <- c\n")
 
 
 def test_format_is_deterministic(tiger):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from apoplan import oracle
-from apoplan.compiler import compile_theory
+from apoplan.compiler import compile_theory, normal_answer_sets, normalize
 from apoplan.nplp import enumerate_answer_sets
 from apoplan.policies import (
     PolicyError, best_policy, check_normal_projection, check_policy_values,
@@ -109,12 +109,14 @@ def test_checks_catch_seeded_fault(tiger, tiger_sets_n1):
     broken = tiger_sets_n1[:-1]
     t1 = check_trajectories(tiger, 1, broken)
     t2 = check_policy_values(tiger, 1, broken)
-    t5 = check_normal_projection(tiger, 1, broken)
+    normal_sets = normal_answer_sets(normalize(compile_theory(tiger, 1)))
+    t5 = check_normal_projection(broken, normal_sets)
     assert not (t1.ok and t2.ok and t5.ok)
     assert any(c.counterexamples for c in (t1, t2, t5) if not c.ok)
 
 
 def test_check_report_json(tiger):
-    payload = check_sat_models(tiger, 1).to_json()
+    normal = normalize(compile_theory(tiger, 1))
+    payload = check_sat_models(normal, normal_answer_sets(normal)).to_json()
     assert set(payload) == {"check", "ok", "detail", "counterexamples"}
     assert payload["ok"] is True
