@@ -28,14 +28,14 @@ def main():
 
     print("== one-step policy values (three computations) ==")
     states = oracle.reachable_states(theory, 1)
+    program = compiler.compile_theory(theory, 1)
+    answer_sets = enumerate_answer_sets(program)
+    reports = policies.valid_reports(theory, answer_sets, 1)
     for name in ("listen", "openL", "openR"):
         policy = {s: name for s in states}
         v_sum = oracle.belief_value(theory, policy, 1, belief)
         v_rec = sum(p * oracle.recursive_value(theory, policy, 1, s)
                     for s, p in belief.items())
-        program = compiler.compile_theory(theory, 1)
-        reports = policies.valid_reports(
-            theory, enumerate_answer_sets(program), 1)
         v_asp = sum((r.value for r in reports
                      if policies.consistent_with(theory, r, policy)),
                     Fraction(0))
@@ -45,8 +45,10 @@ def main():
     print("\n== answer sets and cross-checks per horizon ==")
     for n in range(1, args.max_horizon + 1):
         t0 = time.time()
-        answer_sets = enumerate_answer_sets(compiler.compile_theory(theory, n))
-        checks = policies.cross_check(theory, n)
+        if n > 1:  # horizon 1 was enumerated for the one-step values
+            program = compiler.compile_theory(theory, n)
+            answer_sets = enumerate_answer_sets(program)
+        checks = policies.cross_check(theory, n, program, answer_sets)
         status = "all pass" if all(c.ok for c in checks) else "FAILURES"
         print(f"  horizon {n}: {len(answer_sets)} answer sets, checks {status} "
               f"({time.time() - t0:.1f}s)")

@@ -207,8 +207,10 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_check(args) -> int:
-    theory = _validated(args)
-    checks = policies.cross_check(theory, args.horizon)
+    theory, program = _compile(args)
+    from .nplp import enumerate_answer_sets
+    checks = policies.cross_check(theory, args.horizon, program,
+                                  enumerate_answer_sets(program))
     ok = all(c.ok for c in checks)
     _emit_json(args, {
         "horizon": args.horizon,

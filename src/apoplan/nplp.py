@@ -1,16 +1,19 @@
 """Ground annotated logic programs and their probabilistic answer sets.
 
-Rules attach probability annotations to atoms; multiple rules deriving the same
-atom are combined by a per-predicate disjunctive strategy (max or independence).
+Rules attach probability annotations to atoms; several firings deriving the
+same atom are combined by max, the one composition rule (in the programs that
+`compiler.compile_theory` emits each annotated atom fires at most once per
+answer set, so no other disjunctive strategy would change an answer set).
 Answer sets are computed guess-and-check: boolean guesses over negated atoms,
 least-model fixpoint of the corresponding reduct, and a consistency check of the
 guess against the fixpoint.
 
 Atoms are tuples `(pred, arg, ...)`; arguments are strings, ints, Fractions, or
-(in rule patterns) term variables and arithmetic expressions.  An annotation
-variable on a body atom binds to the atom's exact current probability, so
-product annotations like `p * U` propagate probabilities along rule chains, and
-arithmetic in head terms (value bookkeeping) is evaluated at firing time.
+(in rule patterns) term variables; a head may also carry `Add`/`Mul` terms over
+variables its body binds.  An annotation variable on a body atom binds to the
+atom's exact current probability, so product annotations like `p * U` propagate
+probabilities along rule chains, and arithmetic in head terms (value
+bookkeeping) is evaluated at firing time.
 """
 
 from __future__ import annotations
@@ -53,13 +56,6 @@ class Mul:
     parts: tuple
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: "Expr"
-    exp: "Expr"
-
-
-Expr = Ref | Num | Add | Mul | Pow
 Ground = str | int | Fraction
 
 
@@ -81,51 +77,7 @@ def eval_expr(expr, env: Mapping[str, Fraction]) -> Fraction:
         for p in expr.parts:
             out *= eval_expr(p, env)
         return out
-    if isinstance(expr, Pow):
-        return eval_expr(expr.base, env) ** int(eval_expr(expr.exp, env))
     raise NplpError(f"cannot evaluate {expr!r}")
-
-
-def simplify_expr(expr, binding: Mapping[str, Ground]):
-    """Substitute bound variables and fold constant sub-expressions."""
-    if isinstance(expr, Num):
-        return expr
-    if isinstance(expr, Ref):
-        if expr.name in binding:
-            v = binding[expr.name]
-            return Num(Fraction(v)) if isinstance(v, (int, Fraction)) else v
-        return expr
-    if isinstance(expr, (Add, Mul)):
-        flat: list = []
-        for p in expr.parts:
-            s = simplify_expr(p, binding)
-            if isinstance(s, type(expr)):
-                flat.extend(s.parts)
-            else:
-                flat.append(s)
-        nums = [p.value for p in flat if isinstance(p, Num)]
-        rest = [p for p in flat if not isinstance(p, Num)]
-        if isinstance(expr, Add):
-            folded = sum(nums, Fraction(0))
-            keep = folded != 0 or not rest
-        else:
-            folded = Fraction(1)
-            for v in nums:
-                folded *= v
-            if folded == 0:
-                return Num(Fraction(0))
-            keep = folded != 1 or not rest
-        parts = ([Num(folded)] if keep else []) + rest
-        if len(parts) == 1:
-            return parts[0]
-        return type(expr)(tuple(parts))
-    if isinstance(expr, Pow):
-        base = simplify_expr(expr.base, binding)
-        exp = simplify_expr(expr.exp, binding)
-        if isinstance(base, Num) and isinstance(exp, Num):
-            return Num(base.value ** int(exp.value))
-        return Pow(base, exp)
-    return expr
 
 
 # annotations ---------------------------------------------------------------
@@ -187,37 +139,9 @@ class NpRule:
         return replace(self, body=tuple(b for b in self.body if not b.neg))
 
 
-# disjunctive composition strategies
-
-
-@dataclass(frozen=True)
-class Strategy:
-    name: str
-
-    def compose(self, a: Fraction, b: Fraction) -> Fraction:
-        if self.name == "max":
-            return max(a, b)
-        if self.name == "independence":
-            return a + b - a * b
-        raise NplpError(f"unknown strategy {self.name}")
-
-
-MAX = Strategy("max")
-INDEPENDENCE = Strategy("independence")
-STRATEGIES = {"max": MAX, "independence": INDEPENDENCE}
-
-
 @dataclass(frozen=True)
 class NpProgram:
     rules: tuple[NpRule, ...]
-    strategies: tuple[tuple[str, str], ...] = ()  # predicate -> strategy name
-    default_strategy: str = "max"
-
-    def strategy_for(self, pred: str) -> Strategy:
-        for p, name in self.strategies:
-            if p == pred:
-                return STRATEGIES[name]
-        return STRATEGIES[self.default_strategy]
 
 
 PInterpretation = dict  # ground atom -> Fraction; absent atoms are 0
@@ -242,8 +166,6 @@ def render_term(t) -> str:
         return "*".join(
             f"({render_term(p)})" if isinstance(p, Add) else render_term(p)
             for p in t.parts)
-    if isinstance(t, Pow):
-        return f"{render_term(t.base)}^{render_term(t.exp)}"
     return str(t)
 
 
@@ -285,12 +207,7 @@ def format_rule(rule: NpRule) -> str:
 
 
 def format_program(program: NpProgram) -> str:
-    lines = [format_rule(r) for r in program.rules]
-    for pred, name in program.strategies:
-        lines.append(f"#strategy {pred} {name}.")
-    if program.default_strategy != "max":
-        lines.append(f"#strategy default {program.default_strategy}.")
-    return "\n".join(lines) + "\n"
+    return "\n".join(format_rule(r) for r in program.rules) + "\n"
 
 
 def atom_sort_key(atom: Atom):
@@ -298,16 +215,8 @@ def atom_sort_key(atom: Atom):
 
 
 def _substitute_atom(atom: Atom, binding: Mapping[str, Ground]) -> Atom:
-    args = []
-    for a in atom[1:]:
-        if isinstance(a, Ref) and a.name in binding:
-            args.append(binding[a.name])
-        elif isinstance(a, (Add, Mul, Pow, Ref)):
-            s = simplify_expr(a, binding)
-            args.append(s.value if isinstance(s, Num) else s)
-        else:
-            args.append(a)
-    return (atom[0], *args)
+    return (atom[0], *(binding.get(a.name, a) if isinstance(a, Ref) else a
+                       for a in atom[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +238,10 @@ def _iter_rule_firings(rule: NpRule, h: Mapping[Atom, Fraction],
 
     def step(i: int, env: dict, key: list):
         if i == len(rule.body):
-            head = _substitute_atom(rule.head, env)
-            head = tuple(eval_expr(a, env) if isinstance(a, (Add, Mul, Pow, Ref)) else a
-                         for a in head)
+            # bound Refs are substituted; a Ref left over is unbound and
+            # eval_expr reports it
+            head = tuple(eval_expr(a, env) if isinstance(a, (Add, Mul, Ref)) else a
+                         for a in _substitute_atom(rule.head, env))
             value = eval_annotation(rule.head_ann, env)
             if not (0 <= value <= 1):
                 raise NplpError(
@@ -389,34 +299,20 @@ def _bind(pattern: Atom, ground: Atom, env: dict) -> Optional[dict]:
                 if out is env:
                     out = dict(env)
                 out[p.name] = g
-        elif isinstance(p, (Add, Mul, Pow)):
-            if eval_expr(p, out) != g:
-                return None
         elif p != g:
             return None
     return out
 
 
 def satisfies_program(h: Mapping[Atom, Fraction], program: NpProgram) -> bool:
-    """h satisfies every rule, and for every atom the composed contribution of
-    rules with satisfied bodies stays below h."""
+    """h satisfies every rule: no firing's head value exceeds h of its head,
+    which under max composition bounds the composed contribution too."""
     atoms_by_pred: dict[str, list[Atom]] = {}
     for atom in h:
         atoms_by_pred.setdefault(atom[0], []).append(atom)
-    contribs: dict[Atom, list[Fraction]] = {}
-    for rule in program.rules:
-        for _, head, value in _iter_rule_firings(rule, h, atoms_by_pred):
-            if not satisfies(h, head, value):
-                return False
-            contribs.setdefault(head, []).append(value)
-    for atom, values in contribs.items():
-        strategy = program.strategy_for(atom[0])
-        composed = Fraction(0)
-        for v in sorted(values):
-            composed = strategy.compose(composed, v)
-        if not satisfies(h, atom, composed):
-            return False
-    return True
+    return all(satisfies(h, head, value)
+               for rule in program.rules
+               for _, head, value in _iter_rule_firings(rule, h, atoms_by_pred))
 
 
 # ---------------------------------------------------------------------------
@@ -459,8 +355,7 @@ class _Engine:
     `owned_*` key sets.
     """
 
-    def __init__(self, strategy_for):
-        self.strategy_for = strategy_for
+    def __init__(self):
         self.rules: list[NpRule] = []
         self.h: dict[Atom, Fraction] = {}
         self.atoms_by_pred: dict[str, set[Atom]] = {}
@@ -478,7 +373,6 @@ class _Engine:
 
     def clone(self) -> "_Engine":
         other = _Engine.__new__(_Engine)
-        other.strategy_for = self.strategy_for
         other.rules = list(self.rules)
         other.h = dict(self.h)
         other.atoms_by_pred = dict(self.atoms_by_pred)
@@ -575,14 +469,8 @@ class _Engine:
             self._mark(rid)
 
     def _recompute(self, atom: Atom) -> bool:
-        # composition strategies are commutative and associative, so the fold
-        # order over contributions is irrelevant
-        strategy = self.strategy_for(atom[0])
         entries = self.contribs.get(atom)
-        value = Fraction(0)
-        if entries:
-            for v in entries.values():
-                value = strategy.compose(value, v)
+        value = max(entries.values()) if entries else Fraction(0)
         old = self.h.get(atom, Fraction(0))
         if value == old:
             return False
@@ -642,7 +530,7 @@ class _Engine:
 
 def least_model(program: NpProgram) -> PInterpretation:
     """Least fixpoint of the one-step derivation operator, from all-zero."""
-    engine = _Engine(program.strategy_for)
+    engine = _Engine()
     for rule in program.rules:
         engine.add_rule(rule)
     engine.run()
@@ -793,7 +681,7 @@ def enumerate_answer_sets(program: NpProgram) -> list[PInterpretation]:
                 stage = max(stage, group_index[lit.atom])
         rules_by_stage.setdefault(stage, []).append(rule)
 
-    base = _Engine(program.strategy_for)
+    base = _Engine()
     for rule in rules_by_stage.get(-1, ()):
         base.add_rule(rule.positive())
     base.run()

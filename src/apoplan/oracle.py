@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterator, Mapping
 
 from .theory import (
-    ActionDecl, ActionTheory, SubOutcome, TOLERANCE,
+    ActionDecl, ActionTheory, SubOutcome,
     close_initial_formula, fluent_of, is_consistent, negate, render_formula,
 )
 
@@ -200,7 +200,7 @@ def belief_value(theory: ActionTheory, policy: Policy, horizon: int,
                  belief: Mapping[State, Fraction]) -> Fraction:
     """Belief-weighted trajectory-sum value."""
     mass = sum(belief.values(), Fraction(0))
-    if abs(mass - 1) > TOLERANCE:
+    if mass != 1:
         raise OracleError(f"belief is not normalized (mass {mass})")
     total = Fraction(0)
     for state, weight in belief.items():

@@ -17,10 +17,9 @@ from typing import Mapping, Sequence
 
 from . import oracle, sat
 from .compiler import (
-    NormalProgram, compile_theory, decode_model, normal_answer_sets, normalize,
-    to_sat,
+    NormalProgram, decode_model, normal_answer_sets, normalize, to_sat,
 )
-from .nplp import Atom, PInterpretation, enumerate_answer_sets, render_atom
+from .nplp import NpProgram, PInterpretation, render_atom
 from .oracle import State, Trajectory
 from .theory import ActionTheory, fluent_of, is_consistent, render_formula
 
@@ -38,16 +37,6 @@ class AnswerSetReport:
     value: Fraction | None               # value(v, n) at the horizon
     valid: bool
     reasons: tuple[str, ...] = ()
-
-    def to_json(self) -> dict:
-        return {
-            "states": [sorted(s) for s in self.states],
-            "occ": list(self.occ),
-            "state_probs": [None if p is None else float(p) for p in self.state_probs],
-            "value": None if self.value is None else float(self.value),
-            "valid": self.valid,
-            "reasons": list(self.reasons),
-        }
 
 
 def extract_report(theory: ActionTheory, h: PInterpretation, horizon: int,
@@ -326,11 +315,11 @@ def check_sat_models(normal: NormalProgram,
         counterexamples=tuple(examples))
 
 
-def cross_check(theory: ActionTheory, horizon: int) -> list[CheckReport]:
-    """The four equivalence checks, compiling the theory and enumerating the
-    annotated and the normal program once each."""
-    program = compile_theory(theory, horizon)
-    answer_sets = enumerate_answer_sets(program)
+def cross_check(theory: ActionTheory, horizon: int, program: NpProgram,
+                answer_sets: Sequence[PInterpretation]) -> list[CheckReport]:
+    """The four equivalence checks on `program` (the theory compiled at
+    `horizon`) and its `answer_sets`, normalizing the program and enumerating
+    the normal program once."""
     normal = normalize(program)
     normal_sets = normal_answer_sets(normal)
     return [

@@ -19,8 +19,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
-TOLERANCE = Fraction(1, 10**9)
-
 
 class ApoError(Exception):
     """Base error for theory handling."""
@@ -125,12 +123,6 @@ class ActionDecl:
     kind: str                  # "sensing" | "non-sensing"
     outcomes: tuple[SubOutcome, ...]
     executability: frozenset[str]
-
-    def outcome_by_id(self, sub_id: str) -> SubOutcome:
-        for o in self.outcomes:
-            if o.id == sub_id:
-                return o
-        raise KeyError(sub_id)
 
 
 @dataclass(frozen=True)
@@ -692,7 +684,7 @@ def validate_theory(theory: ActionTheory) -> ValidationReport:
         return ValidationReport(tuple(violations))
 
     total = sum((e.prob for e in ground.initial), Fraction(0))
-    if abs(total - 1) > TOLERANCE:
+    if total != 1:
         bad("initially", "initial-prob-sum", f"initial probabilities sum to {total}")
     for e in ground.initial:
         if not (0 <= e.prob <= 1):
@@ -727,7 +719,7 @@ def validate_theory(theory: ActionTheory) -> ValidationReport:
                 bad(o.id, "prob-range", f"probability {o.prob} out of [0,1]")
             per_cond[o.condition] = per_cond.get(o.condition, Fraction(0)) + o.prob
         for cond, s in per_cond.items():
-            if abs(s - 1) > TOLERANCE:
+            if s != 1:
                 bad(a.name, "condition-prob-sum",
                     f"probabilities for condition {render_formula(cond)} sum to {s}")
         conds = list(per_cond)

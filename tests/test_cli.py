@@ -46,6 +46,18 @@ def test_validate_reports_violations(capsys, tmp_path, tiger_text):
     assert payload["violations"]
 
 
+def test_validate_requires_exact_probability_sums(capsys, tmp_path, tiger_text):
+    # each sum falls short of 1 by 1e-10
+    near = tmp_path / "near.apo"
+    near.write_text(tiger_text
+                    .replace("{tl, htl}: 1/2", "{tl, htl}: 0.4999999999", 1)
+                    .replace("17/20", "0.8499999999", 1))
+    code, out = run(capsys, "validate", str(near), "--format", "json")
+    assert code == 2
+    rules = {v["rule"] for v in json.loads(out)["violations"]}
+    assert rules == {"initial-prob-sum", "condition-prob-sum"}
+
+
 def test_missing_file_exit_code(capsys):
     assert main(["validate", "/no/such/file.apo"]) == 1
     assert main(["compile", "/no/such/file.apo", "--horizon", "1"]) == 1

@@ -70,6 +70,8 @@ def test_answer_set_structural_invariants():
 
 def test_cross_check_on_generated_theories():
     for seed in range(12):
-        checks = cross_check(generate_theory(seed), 1)
+        theory = generate_theory(seed)
+        program = compiler.compile_theory(theory, 1)
+        checks = cross_check(theory, 1, program, enumerate_answer_sets(program))
         assert all(c.ok for c in checks), \
             (seed, [c.detail for c in checks if not c.ok])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from apoplan.nplp import (
-    AProd, AVar, BLit, Const, INDEPENDENCE, MAX, NplpError, NpProgram, NpRule,
+    AProd, AVar, BLit, Const, NplpError, NpProgram, NpRule,
     ONE, enumerate_answer_sets, format_program, least_model, reduct,
     render_atom, satisfies, satisfies_program,
 )
@@ -34,14 +34,6 @@ def test_least_model_max_strategy_combines():
         rule(("a",), head_ann=Const(Fraction(1, 4))),
     ))
     assert least_model(prog)[("a",)] == Fraction(1, 2)
-
-
-def test_independence_strategy():
-    prog = NpProgram(rules=(
-        rule(("a",), head_ann=Const(Fraction(1, 2))),
-        rule(("a",), head_ann=Const(Fraction(1, 2))),
-    ), strategies=(("a", "independence"),))
-    assert least_model(prog)[("a",)] == Fraction(3, 4)
 
 
 def test_annotation_variable_binds_exactly():
@@ -181,18 +173,6 @@ def test_reduct_identity_on_negation_free(prog):
     assert reduct(prog, {}) == prog
     h = least_model(prog)
     assert reduct(prog, h) == prog
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.sampled_from([MAX, INDEPENDENCE]),
-       st.sampled_from(_VALUES), st.sampled_from(_VALUES), st.sampled_from(_VALUES))
-def test_strategies_commutative_associative_monotone(strategy, a, b, c):
-    compose = strategy.compose
-    assert compose(a, b) == compose(b, a)
-    assert compose(a, compose(b, c)) == compose(compose(a, b), c)
-    assert compose(a, Fraction(0)) == a
-    assert 0 <= compose(a, b) <= 1
-    assert compose(a, b) >= max(a, b) if strategy is INDEPENDENCE else True
 
 
 # ---------------------------------------------------------------------------

@@ -97,7 +97,8 @@ def test_per_initial_breakdown_sums(tiger, tiger_sets_n1):
 
 def test_cross_check_all_pass(tiger):
     for n in (1, 2):
-        checks = cross_check(tiger, n)
+        program = compile_theory(tiger, n)
+        checks = cross_check(tiger, n, program, enumerate_answer_sets(program))
         assert [c.name for c in checks] == [
             "trajectory-equivalence", "policy-value-equivalence",
             "normal-projection-equivalence", "sat-model-equivalence"]
