@@ -3,8 +3,10 @@
 
 For every seed: the theory validates, transition/observation rows sum to one,
 closures give complete consistent states, belief updates stay normalized; for
-a subset of seeds the compiled program's answer sets are checked for exactly
-one occ atom per step and no complementary holds-literals.
+a subset of seeds the compiled program's answer sets, as the CLI computes
+them, are checked for exactly one occ atom per step and no complementary
+holds-literals, and must equal the ones the guess-and-check search in
+`apoplan.nplp` finds: same list, same order, exact values.
 """
 
 import argparse
@@ -35,7 +37,10 @@ def check_theory(theory) -> None:
 
 def check_answer_sets(theory, horizon: int) -> None:
     program = compiler.compile_theory(theory, horizon)
-    for h in enumerate_answer_sets(program):
+    answer_sets = compiler.annotated_answer_sets(program)
+    assert answer_sets == enumerate_answer_sets(program), \
+        "annotated_answer_sets differs from enumerate_answer_sets"
+    for h in answer_sets:
         for t in range(horizon):
             occ = [a for a, v in h.items()
                    if a[0] == "occ" and a[2] == t and v >= 1]

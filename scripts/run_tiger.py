@@ -12,7 +12,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from apoplan import compiler, oracle, policies
-from apoplan.nplp import enumerate_answer_sets
 from apoplan.theory import parse_theory
 
 TIGER = Path(__file__).resolve().parent.parent / "domains" / "tiger.apo"
@@ -29,7 +28,7 @@ def main():
     print("== one-step policy values (three computations) ==")
     states = oracle.reachable_states(theory, 1)
     program = compiler.compile_theory(theory, 1)
-    answer_sets = enumerate_answer_sets(program)
+    answer_sets = compiler.annotated_answer_sets(program)
     reports = policies.valid_reports(theory, answer_sets, 1)
     for name in ("listen", "openL", "openR"):
         policy = {s: name for s in states}
@@ -47,7 +46,7 @@ def main():
         t0 = time.time()
         if n > 1:  # horizon 1 was enumerated for the one-step values
             program = compiler.compile_theory(theory, n)
-            answer_sets = enumerate_answer_sets(program)
+            answer_sets = compiler.annotated_answer_sets(program)
         checks = policies.cross_check(theory, n, program, answer_sets)
         status = "all pass" if all(c.ok for c in checks) else "FAILURES"
         print(f"  horizon {n}: {len(answer_sets)} answer sets, checks {status} "

@@ -168,8 +168,7 @@ def cmd_sat(args) -> int:
 
 def cmd_solve(args) -> int:
     theory, program = _compile(args)
-    from .nplp import enumerate_answer_sets
-    models = enumerate_answer_sets(program)
+    models = compiler.annotated_answer_sets(program)
     payload = {
         "horizon": args.horizon,
         "discount": float(theory.discount),
@@ -185,9 +184,8 @@ def cmd_solve(args) -> int:
 
 def cmd_policy(args) -> int:
     theory, program = _compile(args)
-    from .nplp import enumerate_answer_sets
     best = policies.best_policy(theory, args.horizon,
-                                enumerate_answer_sets(program))
+                                compiler.annotated_answer_sets(program))
     payload = {"horizon": args.horizon, "discount": float(theory.discount)}
     payload.update(best.to_json())
     _emit_json(args, payload)
@@ -208,9 +206,8 @@ def cmd_oracle(args) -> int:
 
 def cmd_check(args) -> int:
     theory, program = _compile(args)
-    from .nplp import enumerate_answer_sets
     checks = policies.cross_check(theory, args.horizon, program,
-                                  enumerate_answer_sets(program))
+                                  compiler.annotated_answer_sets(program))
     ok = all(c.ok for c in checks)
     _emit_json(args, {
         "horizon": args.horizon,

@@ -1,4 +1,5 @@
-"""Three compilation stages for ground action theories.
+"""Three compilation stages for ground action theories, and the annotated
+answer sets decoded from the last one.
 
 1. `compile_theory` emits the annotated logic program whose answer sets encode
    trajectories, state probabilities, rewards, and running values.
@@ -6,6 +7,10 @@
    classical normal program over the same trajectory skeleton.
 3. `to_sat` Clark-completes the (tight) normal program into CNF; `decode_model`
    maps SAT models back to atom sets.
+
+`annotated_answer_sets` gets the answer sets of the annotated program from the
+completion models: each model is a normal answer set, and the deleted rule
+families add its probabilities, rewards and values as one least model.
 
 Every emitted rule carries a schema tag so later stages can delete exactly the
 right rule families.
@@ -18,10 +23,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from . import oracle
+from . import oracle, sat
 from .nplp import (
     Add, AProd, AVar, Atom, BLit, Const, Mul, NpProgram, NpRule, Num, ONE,
-    Ref, render_atom,
+    PInterpretation, Ref, answer_set_sort_key, atom_is_ground, least_model,
+    render_atom,
 )
 from .theory import (
     ActionTheory, ApoError, negate, reading_literals, report_literals,
@@ -383,3 +389,81 @@ def decode_model(model: Mapping[int, bool], cnf: CnfFormula) -> frozenset:
 
 def encode_atom_set(atoms: frozenset, cnf: CnfFormula) -> dict[int, bool]:
     return {i + 1: (a in atoms) for i, a in enumerate(cnf.atoms)}
+
+
+# ---------------------------------------------------------------------------
+# annotated answer sets from completion models
+
+
+def _split_probability_rules(program: NpProgram):
+    """Index the probability-family rules of a compiled program.
+
+    Returns the rules as `(guard, remainder)` pairs and the atoms that the
+    program negates.  The guard is the set of ground normal atoms a rule's
+    body requires (`holds`, `occ`, `exec`, `observed`); the remainder is the
+    rule over the atoms the probability families derive (`state`, `value`,
+    `factor`, `reward`)."""
+    def fail(message: str):
+        raise CompileError(f"annotated answer sets: {message}")
+
+    untagged = [r for r in program.rules if r.schema is None]
+    if untagged:
+        fail(f"rule for {render_atom(untagged[0].head)} has no schema tag")
+    family = [r for r in program.rules if r.schema in _PROBABILITY_SCHEMAS]
+    derived = {r.head[0] for r in family}
+    negated: set[Atom] = set()
+    for rule in program.rules:
+        if rule.schema in _PROBABILITY_SCHEMAS:
+            continue
+        negated.update(b.atom for b in rule.body if b.neg)
+        if rule.head[0] in derived or any(b.atom[0] in derived for b in rule.body):
+            fail(f"schema {rule.schema} rule for {render_atom(rule.head)} "
+                 f"uses atoms of the probability families")
+    indexed = []
+    for rule in family:
+        guard, rest = [], []
+        for lit in rule.body:
+            if lit.neg:
+                fail(f"schema {rule.schema} rule for {render_atom(rule.head)} "
+                     f"has the negated literal not {render_atom(lit.atom)}")
+            if lit.atom[0] in derived:
+                rest.append(lit)
+            elif atom_is_ground(lit.atom) and lit.ann == ONE:
+                guard.append(lit.atom)
+            else:
+                fail(f"schema {rule.schema} rule for {render_atom(rule.head)} "
+                     f"has the guard {render_atom(lit.atom)}, which is not a "
+                     f"ground atom annotated 1")
+        indexed.append((frozenset(guard),
+                        NpRule(head=rule.head, head_ann=rule.head_ann,
+                               body=tuple(rest), schema=rule.schema)))
+    return indexed, sorted(negated, key=render_atom)
+
+
+def annotated_answer_sets(program: NpProgram) -> list[PInterpretation]:
+    """All answer sets of a compiled annotated program, in the order of
+    `nplp.enumerate_answer_sets`.
+
+    The probability families have no negation and no other rule reads what
+    they derive, so the normal atoms split the program (Lifschitz and Turner
+    1994): an answer set is an answer set M of the normal program, its atoms
+    at 1, joined with the least model of the family rules whose guards M
+    holds.  The normal program is tight, so its answer sets are the models of
+    its completion (Fages 1994), which `sat.enumerate_models` lists."""
+    indexed, negated = _split_probability_rules(program)
+    cnf = to_sat(normalize(program))
+    one = Fraction(1)
+    out = []
+    for model in sat.enumerate_models(cnf.clauses, cnf.variable_count):
+        atoms = decode_model(model, cnf)
+        h = dict.fromkeys(atoms, one)
+        h.update(least_model(NpProgram(rules=tuple(
+            rest for guard, rest in indexed if guard <= atoms))))
+        for atom in negated:
+            if (h.get(atom, 0) >= 1) != (atom in atoms):
+                raise CompileError(
+                    f"annotated answer sets: the completion model and its "
+                    f"answer set disagree on not {render_atom(atom)}")
+        out.append(h)
+    out.sort(key=answer_set_sort_key)
+    return out

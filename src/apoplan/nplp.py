@@ -6,7 +6,11 @@ same atom are combined by max, the one composition rule (in the programs that
 answer set, so no other disjunctive strategy would change an answer set).
 Answer sets are computed guess-and-check: boolean guesses over negated atoms,
 least-model fixpoint of the corresponding reduct, and a consistency check of the
-guess against the fixpoint.
+guess against the fixpoint.  The CLI gets the answer sets of compiled programs
+from `compiler.annotated_answer_sets` instead, which decodes them from SAT
+models and calls `least_model` once per model; the search here serves
+`compiler.normal_answer_sets`, independently of the SAT path, and is the
+reference that `annotated_answer_sets` is tested against.
 
 Atoms are tuples `(pred, arg, ...)`; arguments are strings, ints, Fractions, or
 (in rule patterns) term variables; a head may also carry `Add`/`Mul` terms over
@@ -208,6 +212,12 @@ def format_rule(rule: NpRule) -> str:
 
 def format_program(program: NpProgram) -> str:
     return "\n".join(format_rule(r) for r in program.rules) + "\n"
+
+
+def answer_set_sort_key(h: PInterpretation) -> list[str]:
+    """The order in which answer sets are listed: by their sorted rendered
+    atoms."""
+    return sorted(render_atom(a) for a in h)
 
 
 def atom_sort_key(atom: Atom):
@@ -729,7 +739,4 @@ def enumerate_answer_sets(program: NpProgram) -> list[PInterpretation]:
         assign(0, engine, guess)
 
     dfs(0, base, {})
-    return sorted(
-        results.values(),
-        key=lambda h: sorted(render_atom(a) for a in h),
-    )
+    return sorted(results.values(), key=answer_set_sort_key)

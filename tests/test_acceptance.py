@@ -13,8 +13,7 @@ from fractions import Fraction
 from apoplan import compiler, oracle, policies, sat
 from apoplan.fuzz import generate_theory
 from apoplan.nplp import (
-    BLit, Const, NpProgram, NpRule, enumerate_answer_sets, least_model,
-    reduct, satisfies_program,
+    BLit, Const, NpProgram, NpRule, least_model, reduct, satisfies_program,
 )
 
 TOL = Fraction(1, 10**9)
@@ -28,7 +27,8 @@ def test_criterion_1_one_step_values_three_ways(tiger):
     t0 = time.monotonic()
     belief = oracle.initial_belief(tiger)
     program = compiler.compile_theory(tiger, 1)
-    reports = policies.valid_reports(tiger, enumerate_answer_sets(program), 1)
+    reports = policies.valid_reports(
+        tiger, compiler.annotated_answer_sets(program), 1)
 
     expected = {"listen": Fraction(-1), "openL": Fraction(-45),
                 "openR": Fraction(-45)}
@@ -57,7 +57,8 @@ def test_criterion_1_one_step_values_three_ways(tiger):
 def test_criterion_2_trajectory_equivalence(tiger):
     t0 = time.monotonic()
     for horizon in (1, 2):
-        answer_sets = enumerate_answer_sets(compiler.compile_theory(tiger, horizon))
+        answer_sets = compiler.annotated_answer_sets(
+            compiler.compile_theory(tiger, horizon))
         report = policies.check_trajectories(tiger, horizon, answer_sets)
         assert report.ok, report.counterexamples
     elapsed = time.monotonic() - t0
@@ -68,11 +69,13 @@ def test_criterion_2_trajectory_equivalence(tiger):
 
 def test_criterion_3_policy_value_equivalence(tiger):
     for horizon in (1, 2):
-        answer_sets = enumerate_answer_sets(compiler.compile_theory(tiger, horizon))
+        answer_sets = compiler.annotated_answer_sets(
+            compiler.compile_theory(tiger, horizon))
         report = policies.check_policy_values(tiger, horizon, answer_sets)
         assert report.ok, report.counterexamples
     t0 = time.monotonic()
-    answer_sets = enumerate_answer_sets(compiler.compile_theory(tiger, 3))
+    answer_sets = compiler.annotated_answer_sets(
+        compiler.compile_theory(tiger, 3))
     report = policies.check_policy_values(tiger, 3, answer_sets)
     assert report.ok, report.counterexamples
     elapsed = time.monotonic() - t0
@@ -82,12 +85,34 @@ def test_criterion_3_policy_value_equivalence(tiger):
           f"{elapsed:.1f}s < 60s)")
 
 
+def test_tiger_horizon_4_closed_form(tiger):
+    t0 = time.monotonic()
+    answer_sets = compiler.annotated_answer_sets(
+        compiler.compile_theory(tiger, 4))
+    reports = policies.valid_reports(tiger, answer_sets, 4)
+    best = policies.best_policy(tiger, 4, answer_sets)
+    policy, value = oracle.optimal_policy(tiger, 4)
+    elapsed = time.monotonic() - t0
+    # 2 initial states x 8 sub-outcomes per step; in each state 4 of the 8
+    # have a holding condition (2 of listen's 4, 1 each of openL and openR)
+    assert len(answer_sets) == 2 * 8 ** 4 == 8192
+    assert len(reports) == 2 * 4 ** 4 == 512
+    # the horizon probabilities of each of the 3^4 action sequences sum to 1
+    assert sum(r.state_probs[-1] for r in reports) == 3 ** 4 == 81
+    assert best.value == value == Fraction(3439, 100)
+    assert best.policy == policy
+    assert elapsed < 60.0, elapsed
+    print(f"\nPASS tiger horizon 4: 8192 answer sets, 512 valid, horizon "
+          f"probabilities sum to 81, best value 3439/100 = oracle "
+          f"({elapsed:.1f}s < 60s)")
+
+
 def test_criterion_4_normal_program_equivalence(tiger):
     for horizon in (1, 2):
         program = compiler.compile_theory(tiger, horizon)
         normal_sets = compiler.normal_answer_sets(compiler.normalize(program))
         report = policies.check_normal_projection(
-            enumerate_answer_sets(program), normal_sets)
+            compiler.annotated_answer_sets(program), normal_sets)
         assert report.ok, report.counterexamples
     print("\nPASS criterion-4: occ-projections of annotated and normal "
           "programs coincide at horizons 1-2")
@@ -157,7 +182,7 @@ def test_criterion_6_fuzzed_invariant_suites():
     for seed in range(deep_seeds):
         theory = generate_theory(seed)
         program = compiler.compile_theory(theory, horizon)
-        for h in enumerate_answer_sets(program):
+        for h in compiler.annotated_answer_sets(program):
             for t in range(horizon):
                 occ = [a for a, v in h.items()
                        if a[0] == "occ" and a[2] == t and v >= 1]

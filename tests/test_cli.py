@@ -194,3 +194,21 @@ def test_cross_sensing_check_and_sat(capsys):
     code, out = run(capsys, "sat", CROSS_SENSING, "--horizon", "2")
     assert code == 0
     assert out.startswith("p cnf ")
+
+
+def test_cross_sensing_solve(capsys):
+    code, out = run(capsys, "solve", CROSS_SENSING, "--horizon", "2")
+    assert code == 0
+    payload = json.loads(out)
+    check_schema(payload, "solve")
+    assert payload["count"] == len(payload["answer_sets"]) == 64
+
+
+def test_annotated_answer_set_failure_exits_3(capsys, monkeypatch):
+    from apoplan import compiler
+    from apoplan.nplp import NpProgram, NpRule
+    monkeypatch.setattr(compiler, "compile_theory", lambda theory, horizon:
+                        NpProgram(rules=(NpRule(head=("a",)),)))
+    assert main(["solve", TIGER, "--horizon", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: annotated answer sets: ")

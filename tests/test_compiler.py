@@ -5,11 +5,15 @@ import pytest
 
 from apoplan import sat
 from apoplan.compiler import (
-    CompileError, NonTightError, NormalProgram, check_tight, compile_theory,
-    decode_model, encode_atom_set, normal_answer_sets, normalize, to_sat,
+    CompileError, NonTightError, NormalProgram, annotated_answer_sets,
+    check_tight, compile_theory, decode_model, encode_atom_set,
+    normal_answer_sets, normalize, to_sat,
 )
 from apoplan.fuzz import generate_theory
-from apoplan.nplp import AProd, Const, ONE, enumerate_answer_sets, format_rule
+from apoplan.nplp import (
+    AProd, AVar, BLit, Const, NpProgram, NpRule, ONE, Ref,
+    enumerate_answer_sets, format_rule,
+)
 from apoplan.theory import parse_theory
 
 DROPPED = {"15", "18", "21", "22", "23", "24", "value-base", "factor"}
@@ -107,7 +111,6 @@ def test_normalize_drops_probability_schemas(tiger):
 
 
 def test_normalize_requires_provenance():
-    from apoplan.nplp import NpProgram, NpRule
     with pytest.raises(CompileError, match="provenance"):
         normalize(NpProgram(rules=(NpRule(head=("a",)),)))
 
@@ -120,6 +123,54 @@ def test_tightness_check(tiger):
     ))
     with pytest.raises(NonTightError, match="cycle"):
         to_sat(cyclic)
+
+
+def test_compiled_programs_are_tight(cross_sensing):
+    # solve and policy go through the completion, which needs tightness
+    theories = [cross_sensing] + [generate_theory(s) for s in range(200)]
+    for theory in theories:
+        check_tight(normalize(compile_theory(theory, 2)))
+
+
+def test_annotated_answer_sets_match_guess_and_check(tiger, cross_sensing):
+    cases = [(tiger, 1), (tiger, 2), (cross_sensing, 2)]
+    cases += [(generate_theory(s), n) for s in range(12) for n in (1, 2)]
+    for theory, horizon in cases:
+        program = compile_theory(theory, horizon)
+        got = annotated_answer_sets(program)
+        # same list in the same order, with equal exact values
+        assert got == enumerate_answer_sets(program), horizon
+        assert all(type(v) is Fraction for h in got for v in h.values())
+
+
+# a probability-family rule `state(1) : U <- state(0) : U, occ(a, 0)`
+_STATE_BODY = (BLit(atom=("state", 0), ann=AVar("U")),
+               BLit(atom=("occ", "a", 0)))
+
+
+def _program(*rules):
+    return NpProgram(rules=(
+        NpRule(head=("occ", "a", 0), schema="27"),
+        NpRule(head=("state", 0), head_ann=Const(Fraction(1, 2)), schema="15"),
+    ) + rules)
+
+
+@pytest.mark.parametrize("rule, message", [
+    (NpRule(head=("occ", "b", 0)), "has no schema tag"),
+    (NpRule(head=("state", 1), head_ann=AVar("U"), schema="18",
+            body=_STATE_BODY + (BLit(atom=("holds", "f", 0), neg=True),)),
+     "negated literal not holds[(]f, 0[)]"),
+    (NpRule(head=("state", 1), head_ann=AVar("U"), schema="18",
+            body=_STATE_BODY + (BLit(atom=("holds", Ref("L"), 0)),)),
+     "guard holds[(]L, 0[)]"),
+    (NpRule(head=("occ", "b", 0), schema="27",
+            body=(BLit(atom=("state", 0)),)),
+     "uses atoms of the probability families"),
+])
+def test_annotated_answer_sets_errors_name_the_stage(rule, message):
+    program = _program(rule)
+    with pytest.raises(CompileError, match="^annotated answer sets: .*" + message):
+        annotated_answer_sets(program)
 
 
 def test_dimacs_shape(tiger):
@@ -147,7 +198,7 @@ def test_models_biject_with_normal_answer_sets(tiger):
 def test_normal_projections_match_annotated(tiger):
     prog = compile_theory(tiger, 1)
     annotated = {frozenset(a for a, v in h.items() if a[0] == "occ" and v >= 1)
-                 for h in enumerate_answer_sets(prog)}
+                 for h in annotated_answer_sets(prog)}
     normal = {frozenset(a for a in m if a[0] == "occ")
               for m in normal_answer_sets(normalize(prog))}
     assert annotated == normal

@@ -2,7 +2,6 @@ from fractions import Fraction
 
 from apoplan import compiler, oracle
 from apoplan.fuzz import generate_theory, generate_theory_text
-from apoplan.nplp import enumerate_answer_sets
 from apoplan.policies import cross_check
 from apoplan.theory import parse_theory, validate_theory
 
@@ -55,7 +54,7 @@ def test_answer_set_structural_invariants():
     for seed in range(12):
         theory = generate_theory(seed)
         program = compiler.compile_theory(theory, horizon)
-        for h in enumerate_answer_sets(program):
+        for h in compiler.annotated_answer_sets(program):
             for t in range(horizon):
                 occ = [a for a, v in h.items()
                        if a[0] == "occ" and a[2] == t and v >= 1]
@@ -72,6 +71,7 @@ def test_cross_check_on_generated_theories():
     for seed in range(12):
         theory = generate_theory(seed)
         program = compiler.compile_theory(theory, 1)
-        checks = cross_check(theory, 1, program, enumerate_answer_sets(program))
+        checks = cross_check(theory, 1, program,
+                             compiler.annotated_answer_sets(program))
         assert all(c.ok for c in checks), \
             (seed, [c.detail for c in checks if not c.ok])

@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 
 from apoplan import oracle
-from apoplan.compiler import compile_theory, normal_answer_sets, normalize
-from apoplan.nplp import enumerate_answer_sets
+from apoplan.compiler import (
+    annotated_answer_sets, compile_theory, normal_answer_sets, normalize,
+)
 from apoplan.policies import (
     PolicyError, best_policy, check_normal_projection, check_policy_values,
     check_sat_models, check_trajectories, consistent_with, cross_check,
@@ -15,12 +16,12 @@ from apoplan.policies import (
 
 @pytest.fixture(scope="module")
 def tiger_sets_n1(tiger):
-    return enumerate_answer_sets(compile_theory(tiger, 1))
+    return annotated_answer_sets(compile_theory(tiger, 1))
 
 
 @pytest.fixture(scope="module")
 def tiger_sets_n2(tiger):
-    return enumerate_answer_sets(compile_theory(tiger, 2))
+    return annotated_answer_sets(compile_theory(tiger, 2))
 
 
 def test_answer_set_count(tiger_sets_n1, tiger_sets_n2):
@@ -98,7 +99,7 @@ def test_per_initial_breakdown_sums(tiger, tiger_sets_n1):
 def test_cross_check_all_pass(tiger):
     for n in (1, 2):
         program = compile_theory(tiger, n)
-        checks = cross_check(tiger, n, program, enumerate_answer_sets(program))
+        checks = cross_check(tiger, n, program, annotated_answer_sets(program))
         assert [c.name for c in checks] == [
             "trajectory-equivalence", "policy-value-equivalence",
             "normal-projection-equivalence", "sat-model-equivalence"]
