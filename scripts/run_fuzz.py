@@ -6,7 +6,9 @@ closures give complete consistent states, belief updates stay normalized; for
 a subset of seeds the compiled program's answer sets, as the CLI computes
 them, are checked for exactly one occ atom per step and no complementary
 holds-literals, and must equal the ones the guess-and-check search in
-`apoplan.nplp` finds: same list, same order, exact values.
+`apoplan.nplp` finds: same list, same order, exact values.  Their atoms
+outside the probability families must also be, one for one, the answer sets
+that `compiler.normal_answer_sets` finds for the normal program.
 """
 
 import argparse
@@ -15,8 +17,11 @@ from fractions import Fraction
 
 from apoplan import compiler, oracle
 from apoplan.fuzz import generate_theory
-from apoplan.nplp import enumerate_answer_sets
+from apoplan.nplp import answer_set_sort_key, enumerate_answer_sets
 from apoplan.theory import validate_theory
+
+# the predicates of the rule families that `compiler.normalize` deletes
+PROBABILITY_PREDICATES = {"state", "value", "factor", "reward"}
 
 
 def check_theory(theory) -> None:
@@ -40,6 +45,11 @@ def check_answer_sets(theory, horizon: int) -> None:
     answer_sets = compiler.annotated_answer_sets(program)
     assert answer_sets == enumerate_answer_sets(program), \
         "annotated_answer_sets differs from enumerate_answer_sets"
+    normal_atoms = sorted(
+        (frozenset(a for a in h if a[0] not in PROBABILITY_PREDICATES)
+         for h in answer_sets), key=answer_set_sort_key)
+    assert compiler.normal_answer_sets(compiler.normalize(program)) == normal_atoms, \
+        "normal_answer_sets differs from the normal atoms of the annotated answer sets"
     for h in answer_sets:
         for t in range(horizon):
             occ = [a for a, v in h.items()

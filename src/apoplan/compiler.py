@@ -8,6 +8,10 @@ answer sets decoded from the last one.
 3. `to_sat` Clark-completes the (tight) normal program into CNF; `decode_model`
    maps SAT models back to atom sets.
 
+`normal_answer_sets` lists the answer sets of the normal program by a search
+of its own, which uses neither the completion nor the annotated engine, so
+the checks can compare it with both.
+
 `annotated_answer_sets` gets the answer sets of the annotated program from the
 completion models: each model is a normal answer set, and the deleted rule
 families add its probabilities, rewards and values as one least model.
@@ -235,17 +239,133 @@ def normalize(program: NpProgram) -> NormalProgram:
 
 
 def normal_answer_sets(program: NormalProgram) -> list[frozenset]:
-    """Classical answer sets, via the probabilistic machinery on 1-annotations."""
-    from .nplp import enumerate_answer_sets
-    np_rules = tuple(
-        NpRule(head=head,
-               body=tuple(BLit(atom=a) for a in pos)
-               + tuple(BLit(atom=a, neg=True) for a in neg),
-               schema="normal")
-        for head, pos, neg in program.rules
-    )
-    models = enumerate_answer_sets(NpProgram(rules=np_rules))
-    return [frozenset(a for a, v in h.items() if v >= 1) for h in models]
+    """All answer sets of a tight normal program, in the order of
+    `nplp.answer_set_sort_key`.
+
+    A boolean search over the negated atoms that uses neither the completion
+    nor the annotated engine, so the checks that compare its result with
+    theirs compare independent computations.  Each node keeps two bounds on
+    the answer sets below it (Simons, Niemelä and Soininen 2002):
+
+    - the lower bound, the least model of the rules whose negated atoms are
+      all false, kept with a count per rule of the body literals it still
+      needs;
+    - the upper bound, the least model of the rules none of whose negated
+      atoms is true, kept with a count per atom of the rules that still
+      support it.  Dropping an atom whose count reaches 0 gives that least
+      model only because the program is tight: no positive loop can support
+      itself.
+
+    A negated atom that enters the lower bound is true and one that leaves
+    the upper bound is false; a true atom that leaves the upper bound, or a
+    false atom that enters the lower bound, ends the branch.  Once every
+    negated atom is assigned the two bounds are one set, the answer set."""
+    check_tight(program)
+    atoms = sorted(program.atoms(), key=render_atom)
+    index = {a: i for i, a in enumerate(atoms)}
+    n = len(atoms)
+    heads: list[int] = []
+    pos_occ: list[list[int]] = [[] for _ in atoms]
+    neg_occ: list[list[int]] = [[] for _ in atoms]
+    # per rule, what keeps it out of the lower bound: body atoms outside it,
+    # negated atoms not false, and 1 until the search starts
+    need: list[int] = []
+    # per rule, what keeps it out of the upper bound: body atoms outside it
+    # and negated atoms that are true
+    gone: list[int] = []
+    for r, (head, pos, neg) in enumerate(program.rules):
+        heads.append(index[head])
+        pos_ids = {index[a] for a in pos}
+        neg_ids = {index[a] for a in neg}
+        for i in pos_ids:
+            pos_occ[i].append(r)
+        for i in neg_ids:
+            neg_occ[i].append(r)
+        need.append(len(pos_ids) + len(neg_ids) + 1)
+        gone.append(len(pos_ids))
+    negated = [i for i in range(n) if neg_occ[i]]
+
+    # the upper bound with nothing assigned: the least model of the rules
+    # with their negated atoms ignored
+    support = [0] * n
+    queue = [r for r in range(len(heads)) if not gone[r]]
+    while queue:
+        h = heads[queue.pop()]
+        support[h] += 1
+        if support[h] == 1:
+            for r in pos_occ[h]:
+                gone[r] -= 1
+                if not gone[r]:
+                    queue.append(r)
+
+    def propagate(value, low, need, gone, support, fire, kill) -> bool:
+        """Settle the bounds after each rule in the lists on `fire` got one
+        more thing it needs for the lower bound and each rule in the lists on
+        `kill` lost one for the upper bound; False on a conflict.  `value` is
+        1 for a true atom, -1 for a false one and 0 for an unassigned one."""
+        while fire or kill:
+            if fire:
+                for r in fire.pop():
+                    need[r] -= 1
+                    h = heads[r]
+                    if need[r] or low[h]:
+                        continue
+                    low[h] = True
+                    if value[h] < 0:
+                        return False
+                    if not value[h] and neg_occ[h]:
+                        value[h] = 1
+                        kill.append(neg_occ[h])
+                    fire.append(pos_occ[h])
+            else:
+                for r in kill.pop():
+                    gone[r] += 1
+                    if gone[r] > 1:
+                        continue
+                    h = heads[r]
+                    support[h] -= 1
+                    if support[h]:
+                        continue
+                    if value[h] > 0:
+                        return False
+                    if not value[h] and neg_occ[h]:
+                        value[h] = -1
+                        fire.append(neg_occ[h])
+                    kill.append(pos_occ[h])
+        return True
+
+    value = [0] * n
+    fire = [range(len(heads))]
+    for a in negated:
+        if not support[a]:
+            value[a] = -1
+            fire.append(neg_occ[a])
+    state = (value, [False] * n, need, gone, support)
+    stack = [state] if propagate(*state, fire, []) else []
+    found: list[tuple[int, ...]] = []
+    while stack:
+        state = stack.pop()
+        branch = next((a for a in negated if not state[0][a]), None)
+        if branch is None:
+            found.append(tuple(itertools.compress(range(n), state[1])))
+            continue
+        # an unassigned atom is inside the upper bound and outside the lower
+        # one, so either value is consistent until propagation says otherwise
+        for v in (1, -1):
+            child = [s[:] for s in state]
+            child[0][branch] = v
+            # a true atom takes support from the rules that negate it, a
+            # false one gives them one thing they need
+            fire, kill = ([], [neg_occ[branch]]) if v > 0 else ([neg_occ[branch]], [])
+            if propagate(*child, fire, kill):
+                stack.append(child)
+
+    # atoms are indexed in rendered order, so comparing index tuples compares
+    # the sorted rendered atoms; atoms that render alike share a rank
+    first: dict[str, int] = {}
+    rank = [first.setdefault(render_atom(a), i) for i, a in enumerate(atoms)]
+    found.sort(key=lambda ids: tuple(map(rank.__getitem__, ids)))
+    return [frozenset(map(atoms.__getitem__, ids)) for ids in found]
 
 
 # ---------------------------------------------------------------------------

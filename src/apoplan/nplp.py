@@ -8,9 +8,9 @@ Answer sets are computed guess-and-check: boolean guesses over negated atoms,
 least-model fixpoint of the corresponding reduct, and a consistency check of the
 guess against the fixpoint.  The CLI gets the answer sets of compiled programs
 from `compiler.annotated_answer_sets` instead, which decodes them from SAT
-models and calls `least_model` once per model; the search here serves
-`compiler.normal_answer_sets`, independently of the SAT path, and is the
-reference that `annotated_answer_sets` is tested against.
+models and calls `least_model` once per model, and the normal answer sets
+from the boolean search in `compiler.normal_answer_sets`; the search here is
+the reference that `annotated_answer_sets` is tested against.
 
 Atoms are tuples `(pred, arg, ...)`; arguments are strings, ints, Fractions, or
 (in rule patterns) term variables; a head may also carry `Add`/`Mul` terms over

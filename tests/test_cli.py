@@ -196,6 +196,14 @@ def test_cross_sensing_check_and_sat(capsys):
     assert out.startswith("p cnf ")
 
 
+def test_tiger_check_horizon_3(capsys):
+    code, out = run(capsys, "check", TIGER, "--horizon", "3")
+    assert code == 0
+    payload = json.loads(out)
+    assert [c["ok"] for c in payload["checks"]] == [True] * 4
+    assert payload["checks"][3]["detail"] == "1024 models = 1024 answer sets"
+
+
 def test_cross_sensing_solve(capsys):
     code, out = run(capsys, "solve", CROSS_SENSING, "--horizon", "2")
     assert code == 0

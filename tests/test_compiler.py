@@ -1,7 +1,9 @@
+import itertools
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from apoplan import sat
 from apoplan.compiler import (
@@ -12,7 +14,7 @@ from apoplan.compiler import (
 from apoplan.fuzz import generate_theory
 from apoplan.nplp import (
     AProd, AVar, BLit, Const, NpProgram, NpRule, ONE, Ref,
-    enumerate_answer_sets, format_rule,
+    answer_set_sort_key, enumerate_answer_sets, format_rule, render_atom,
 )
 from apoplan.theory import parse_theory
 
@@ -123,6 +125,8 @@ def test_tightness_check(tiger):
     ))
     with pytest.raises(NonTightError, match="cycle"):
         to_sat(cyclic)
+    with pytest.raises(NonTightError, match="cycle"):
+        normal_answer_sets(cyclic)
 
 
 def test_compiled_programs_are_tight(cross_sensing):
@@ -193,6 +197,84 @@ def test_models_biject_with_normal_answer_sets(tiger):
     # encode/decode inverse on every answer set
     for atoms in answer_sets:
         assert decode_model(encode_atom_set(atoms, cnf), cnf) == atoms
+
+
+def _brute_force_answer_sets(program):
+    """Every atom set M that is the least model of the reduct of the program
+    by M, in listing order."""
+    atoms = sorted(program.atoms(), key=render_atom)
+    found = []
+    for bits in itertools.product((False, True), repeat=len(atoms)):
+        m = frozenset(a for a, bit in zip(atoms, bits) if bit)
+        kept = [(head, pos) for head, pos, neg in program.rules
+                if not m.intersection(neg)]
+        least: set = set()
+        while True:
+            new = {head for head, pos in kept if least.issuperset(pos)} - least
+            if not new:
+                break
+            least |= new
+        if least == m:
+            found.append(m)
+    return sorted(found, key=answer_set_sort_key)
+
+
+@st.composite
+def tight_normal_programs(draw):
+    """Up to 6 atoms; a rule's positive body holds only atoms earlier in a
+    drawn order than its head, so the program is tight.  Negated atoms may be
+    any atom, the head included, and bodies may repeat atoms."""
+    names = draw(st.permutations("abcdef"))[:draw(st.integers(1, 6))]
+    atoms = [(name,) for name in names]
+    rules = []
+    for _ in range(draw(st.integers(0, 8))):
+        h = draw(st.integers(0, len(atoms) - 1))
+        pos = draw(st.lists(st.sampled_from(atoms[:h]), max_size=3)) if h else []
+        neg = draw(st.lists(st.sampled_from(atoms), max_size=3))
+        rules.append((atoms[h], tuple(pos), tuple(neg)))
+    return NormalProgram(rules=tuple(rules))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tight_normal_programs())
+def test_normal_answer_sets_match_the_definition(program):
+    assert normal_answer_sets(program) == _brute_force_answer_sets(program)
+
+
+_A, _B, _C, _D, _E = (("a",), ("b",), ("c",), ("d",), ("e",))
+
+
+@pytest.mark.parametrize("rules, expected", [
+    # even loop
+    ([(_A, (), (_B,)), (_B, (), (_A,))], [{_A}, {_B}]),
+    # odd loop
+    ([(_A, (), (_A,))], []),
+    # stratified chain
+    ([(_A, (), ()), (_B, (_A,), (_C,)), (_C, (), (_A,)), (_D, (_B,), (_E,))],
+     [{_A, _B, _D}]),
+])
+def test_normal_answer_sets_small_programs(rules, expected):
+    program = NormalProgram(rules=tuple(rules))
+    assert normal_answer_sets(program) == [frozenset(m) for m in expected]
+
+
+def _all_annotations_one(normal):
+    return NpProgram(rules=tuple(
+        NpRule(head=head,
+               body=tuple(BLit(atom=a) for a in pos)
+               + tuple(BLit(atom=a, neg=True) for a in neg))
+        for head, pos, neg in normal.rules))
+
+
+def test_normal_answer_sets_match_guess_and_check(tiger, cross_sensing):
+    cases = [(tiger, n) for n in (1, 2, 3)] + [(cross_sensing, 2)]
+    cases += [(generate_theory(s), n) for s in range(12) for n in (1, 2)]
+    for theory, horizon in cases:
+        normal = normalize(compile_theory(theory, horizon))
+        expected = [frozenset(h) for h in
+                    enumerate_answer_sets(_all_annotations_one(normal))]
+        # same list in the same order
+        assert normal_answer_sets(normal) == expected, horizon
 
 
 def test_normal_projections_match_annotated(tiger):
