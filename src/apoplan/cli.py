@@ -6,6 +6,16 @@ flags produce byte-identical output.
 
 Exit codes: 0 success; 1 unusable input (missing file, parse error, bad
 flags); 2 validation or theorem-check failure; 3 internal invariant breach.
+
+Each run is a fresh process, so a command imports only the modules it runs:
+`validate` and `ground` load `theory`, `oracle` adds `oracle`, and `fuzz`
+adds `fuzz`.  The commands that compile (`compile`, `normalize`, `sat`,
+`solve`, `policy`, `check`) load the whole pipeline in `_compile`, `policies`
+included even where they do not call it, so that every compiling command
+loads the same modules: a tracer that wraps the pipeline's functions, such as
+`perfbench/spans.py`, finds them all after any of these commands has run.
+Every error the stages raise on purpose derives from `apoplan.ApoError`, so
+`main` maps them to exit 3 without importing the stage modules.
 """
 
 from __future__ import annotations
@@ -16,13 +26,15 @@ import os
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import compiler, fuzz, oracle, policies, sat
-from .nplp import NplpError, format_program, render_atom
 from .theory import (
     ActionTheory, ApoError, ground_theory, parse_theory, serialize_theory,
     validate_theory,
 )
+
+if TYPE_CHECKING:
+    from .compiler import NormalProgram
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -89,6 +101,7 @@ def _emit_json(args, payload):
 
 
 def _compile(args):
+    from . import compiler, policies  # noqa: F401  (the whole pipeline; see above)
     theory = _validated(args)
     return theory, compiler.compile_theory(theory, args.horizon)
 
@@ -126,12 +139,14 @@ def cmd_ground(args) -> int:
 
 
 def cmd_compile(args) -> int:
+    from .nplp import format_program
     _, program = _compile(args)
     _emit(args, format_program(program))
     return EXIT_OK
 
 
-def _format_normal(normal: compiler.NormalProgram) -> str:
+def _format_normal(normal: NormalProgram) -> str:
+    from .nplp import render_atom
     lines = []
     for head, pos, neg in normal.rules:
         body = [render_atom(a) for a in pos] + ["not " + render_atom(a) for a in neg]
@@ -143,12 +158,14 @@ def _format_normal(normal: compiler.NormalProgram) -> str:
 
 
 def cmd_normalize(args) -> int:
+    from . import compiler
     _, program = _compile(args)
     _emit(args, _format_normal(compiler.normalize(program)))
     return EXIT_OK
 
 
 def cmd_sat(args) -> int:
+    from . import compiler
     _, program = _compile(args)
     cnf = compiler.to_sat(compiler.normalize(program))
     dimacs = cnf.to_dimacs()
@@ -167,6 +184,8 @@ def cmd_sat(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    from . import compiler
+    from .nplp import render_atom
     theory, program = _compile(args)
     models = compiler.annotated_answer_sets(program)
     payload = {
@@ -174,7 +193,7 @@ def cmd_solve(args) -> int:
         "discount": float(theory.discount),
         "count": len(models),
         "answer_sets": [
-            {render_atom(a): float(v) for a, v in sorted(h.items(), key=lambda kv: render_atom(kv[0]))}
+            dict(sorted({render_atom(a): float(v) for a, v in h.items()}.items()))
             for h in models
         ],
     }
@@ -183,6 +202,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_policy(args) -> int:
+    from . import compiler, policies
     theory, program = _compile(args)
     best = policies.best_policy(theory, args.horizon,
                                 compiler.annotated_answer_sets(program))
@@ -193,6 +213,7 @@ def cmd_policy(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from . import oracle
     theory = _validated(args)
     policy, value = oracle.optimal_policy(theory, args.horizon)
     _emit_json(args, {
@@ -205,6 +226,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from . import compiler, policies
     theory, program = _compile(args)
     checks = policies.cross_check(theory, args.horizon, program,
                                   compiler.annotated_answer_sets(program))
@@ -219,6 +241,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
+    from . import fuzz
     theory = fuzz.generate_theory(args.seed)
     _emit(args, serialize_theory(theory))
     return EXIT_OK
@@ -286,8 +309,7 @@ def main(argv=None) -> int:
     except _CliFailure as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
-    except (ApoError, oracle.OracleError, policies.PolicyError,
-            compiler.CompileError, NplpError, sat.SatError) as e:
+    except ApoError as e:
         print(f"internal error: {e}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -14,7 +14,10 @@ the checks can compare it with both.
 
 `annotated_answer_sets` gets the answer sets of the annotated program from the
 completion models: each model is a normal answer set, and the deleted rule
-families add its probabilities, rewards and values as one least model.
+families add its probabilities, rewards and values as one least model.  The
+family rules are put in dependency order once, so that least model is one
+pass over the rules the model enables, and the answer sets are sorted by
+tuples of atom ranks, rendering each distinct atom once.
 
 Every emitted rule carries a schema tag so later stages can delete exactly the
 right rule families.
@@ -27,14 +30,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from . import oracle, sat
+from . import ApoError, oracle, sat
 from .nplp import (
     Add, AProd, AVar, Atom, BLit, Const, Mul, NpProgram, NpRule, Num, ONE,
-    PInterpretation, Ref, answer_set_sort_key, atom_is_ground, least_model,
-    render_atom,
+    PInterpretation, Ref, atom_is_ground, iter_rule_firings, render_atom,
 )
 from .theory import (
-    ActionTheory, ApoError, negate, reading_literals, report_literals,
+    ActionTheory, negate, reading_literals, report_literals,
     validate_theory,
 )
 
@@ -518,11 +520,11 @@ def encode_atom_set(atoms: frozenset, cnf: CnfFormula) -> dict[int, bool]:
 def _split_probability_rules(program: NpProgram):
     """Index the probability-family rules of a compiled program.
 
-    Returns the rules as `(guard, remainder)` pairs and the atoms that the
-    program negates.  The guard is the set of ground normal atoms a rule's
-    body requires (`holds`, `occ`, `exec`, `observed`); the remainder is the
-    rule over the atoms the probability families derive (`state`, `value`,
-    `factor`, `reward`)."""
+    Returns the rules as `(guard, remainder)` pairs, ordered so that a rule
+    comes after every rule whose head can match one of its body atoms.  The
+    guard is the set of ground normal atoms a rule's body requires (`holds`,
+    `occ`, `exec`, `observed`); the remainder is the rule over the atoms the
+    probability families derive (`state`, `value`, `factor`, `reward`)."""
     def fail(message: str):
         raise CompileError(f"annotated answer sets: {message}")
 
@@ -531,11 +533,9 @@ def _split_probability_rules(program: NpProgram):
         fail(f"rule for {render_atom(untagged[0].head)} has no schema tag")
     family = [r for r in program.rules if r.schema in _PROBABILITY_SCHEMAS]
     derived = {r.head[0] for r in family}
-    negated: set[Atom] = set()
     for rule in program.rules:
         if rule.schema in _PROBABILITY_SCHEMAS:
             continue
-        negated.update(b.atom for b in rule.body if b.neg)
         if rule.head[0] in derived or any(b.atom[0] in derived for b in rule.body):
             fail(f"schema {rule.schema} rule for {render_atom(rule.head)} "
                  f"uses atoms of the probability families")
@@ -557,7 +557,49 @@ def _split_probability_rules(program: NpProgram):
         indexed.append((frozenset(guard),
                         NpRule(head=rule.head, head_ann=rule.head_ann,
                                body=tuple(rest), schema=rule.schema)))
-    return indexed, sorted(negated, key=render_atom)
+
+    # rule i feeds rule j when i's head can match one of j's body atoms: same
+    # predicate and arity, equal arguments wherever both are ground
+    heads_by_pred: dict[str, list[int]] = {}
+    for i, (_, rule) in enumerate(indexed):
+        heads_by_pred.setdefault(rule.head[0], []).append(i)
+    feeders = [
+        sorted({i for lit in rule.body
+                for i in heads_by_pred.get(lit.atom[0], ())
+                if _can_match(lit.atom, indexed[i][1].head)})
+        for _, rule in indexed]
+    order: list[int] = []
+    state: dict[int, int] = {}  # 1 = on the path, 2 = placed
+    path: list[int] = []
+
+    def visit(j: int):
+        state[j] = 1
+        path.append(j)
+        for i in feeders[j]:
+            if state.get(i) == 1:
+                cycle = path[path.index(i):] + [i]
+                fail("the probability rules for "
+                     + " -> ".join(render_atom(indexed[k][1].head) for k in cycle)
+                     + " feed each other")
+            if i not in state:
+                visit(i)
+        path.pop()
+        state[j] = 2
+        order.append(j)
+
+    for j in range(len(indexed)):
+        if j not in state:
+            visit(j)
+    return [indexed[j] for j in order]
+
+
+_GROUND = (str, int, Fraction)
+
+
+def _can_match(pattern: Atom, head: Atom) -> bool:
+    return len(pattern) == len(head) and all(
+        p == h for p, h in zip(pattern[1:], head[1:])
+        if isinstance(p, _GROUND) and isinstance(h, _GROUND))
 
 
 def annotated_answer_sets(program: NpProgram) -> list[PInterpretation]:
@@ -569,21 +611,48 @@ def annotated_answer_sets(program: NpProgram) -> list[PInterpretation]:
     1994): an answer set is an answer set M of the normal program, its atoms
     at 1, joined with the least model of the family rules whose guards M
     holds.  The normal program is tight, so its answer sets are the models of
-    its completion (Fages 1994), which `sat.enumerate_models` lists."""
-    indexed, negated = _split_probability_rules(program)
+    its completion (Fages 1994), which `sat.enumerate_models` lists.
+
+    The family rules are put in dependency order once, so the least model of
+    each M is one pass over that order: every enabled rule fires against the
+    atoms derived so far, which are final for everything it can read, and
+    each head keeps the max of its firings.  The answer sets are sorted by
+    tuples of atom ranks, one rank per distinct rendered atom, which is the
+    `nplp.answer_set_sort_key` order with every atom rendered once."""
+    ordered = _split_probability_rules(program)
     cnf = to_sat(normalize(program))
     one = Fraction(1)
     out = []
     for model in sat.enumerate_models(cnf.clauses, cnf.variable_count):
         atoms = decode_model(model, cnf)
         h = dict.fromkeys(atoms, one)
-        h.update(least_model(NpProgram(rules=tuple(
-            rest for guard, rest in indexed if guard <= atoms))))
-        for atom in negated:
-            if (h.get(atom, 0) >= 1) != (atom in atoms):
-                raise CompileError(
-                    f"annotated answer sets: the completion model and its "
-                    f"answer set disagree on not {render_atom(atom)}")
+        # the remainders read only the atoms the families derive, which
+        # by_pred indexes, so they fire against h itself
+        by_pred: dict[str, list[Atom]] = {}
+        for guard, rule in ordered:
+            if not guard <= atoms:
+                continue
+            for _, head, value in list(iter_rule_firings(rule, h, by_pred)):
+                old = h.get(head)
+                if old is None:
+                    # an atom at 0 is absent, as in `nplp.least_model`
+                    if value:
+                        h[head] = value
+                        by_pred.setdefault(head[0], []).append(head)
+                elif value > old:
+                    h[head] = value
         out.append(h)
-    out.sort(key=answer_set_sort_key)
-    return out
+
+    names: dict[Atom, str] = {}
+    rendered = []
+    for h in out:
+        row = []
+        for atom in h:
+            name = names.get(atom)
+            if name is None:
+                name = names[atom] = render_atom(atom)
+            row.append(name)
+        rendered.append(row)
+    rank = {name: i for i, name in enumerate(sorted(set(names.values())))}
+    keys = [sorted(map(rank.__getitem__, row)) for row in rendered]
+    return [out[i] for i in sorted(range(len(out)), key=keys.__getitem__)]

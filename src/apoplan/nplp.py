@@ -8,9 +8,11 @@ Answer sets are computed guess-and-check: boolean guesses over negated atoms,
 least-model fixpoint of the corresponding reduct, and a consistency check of the
 guess against the fixpoint.  The CLI gets the answer sets of compiled programs
 from `compiler.annotated_answer_sets` instead, which decodes them from SAT
-models and calls `least_model` once per model, and the normal answer sets
-from the boolean search in `compiler.normal_answer_sets`; the search here is
-the reference that `annotated_answer_sets` is tested against.
+models and fires the probability rules through `iter_rule_firings` in one
+pass per model, and the normal answer sets from the boolean search in
+`compiler.normal_answer_sets`; neither builds an `_Engine`.  The search here
+and `least_model` are the references that `annotated_answer_sets` is tested
+against.
 
 Atoms are tuples `(pred, arg, ...)`; arguments are strings, ints, Fractions, or
 (in rule patterns) term variables; a head may also carry `Add`/`Mul` terms over
@@ -28,10 +30,12 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional
 
+from . import ApoError
+
 Atom = tuple
 
 
-class NplpError(Exception):
+class NplpError(ApoError):
     pass
 
 
@@ -240,7 +244,7 @@ def satisfies(h: Mapping[Atom, Fraction], atom: Atom, mu: Fraction,
     return (mu > value) if negated else (mu <= value)
 
 
-def _iter_rule_firings(rule: NpRule, h: Mapping[Atom, Fraction],
+def iter_rule_firings(rule: NpRule, h: Mapping[Atom, Fraction],
                        atoms_by_pred: Mapping[str, Iterable[Atom]],
                        ) -> Iterator[tuple[tuple, Atom, Fraction]]:
     """Yield (key, head_atom, head_value) for every maximal-binding match of the
@@ -322,7 +326,7 @@ def satisfies_program(h: Mapping[Atom, Fraction], program: NpProgram) -> bool:
         atoms_by_pred.setdefault(atom[0], []).append(atom)
     return all(satisfies(h, head, value)
                for rule in program.rules
-               for _, head, value in _iter_rule_firings(rule, h, atoms_by_pred))
+               for _, head, value in iter_rule_firings(rule, h, atoms_by_pred))
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +517,7 @@ class _Engine:
             else:
                 rule = self.rules[rid]
                 new = {}
-                for key, head, value in _iter_rule_firings(rule, self.h, self.atoms_by_pred):
+                for key, head, value in iter_rule_firings(rule, self.h, self.atoms_by_pred):
                     new[key] = (head, value)
             old = self.rule_firings[rid]
             if new == old:

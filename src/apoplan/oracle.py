@@ -13,13 +13,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping
 
+from . import ApoError
 from .theory import (
     ActionDecl, ActionTheory, SubOutcome,
     close_initial_formula, fluent_of, is_consistent, negate, render_formula,
 )
 
 
-class OracleError(Exception):
+class OracleError(ApoError):
     pass
 
 

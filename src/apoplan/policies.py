@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from . import oracle, sat
+from . import ApoError, oracle, sat
 from .compiler import (
     NormalProgram, decode_model, normal_answer_sets, normalize, to_sat,
 )
@@ -24,7 +24,7 @@ from .oracle import State, Trajectory
 from .theory import ActionTheory, fluent_of, is_consistent, render_formula
 
 
-class PolicyError(Exception):
+class PolicyError(ApoError):
     pass
 
 

@@ -14,8 +14,10 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
+from . import ApoError
 
-class SatError(Exception):
+
+class SatError(ApoError):
     pass
 
 

@@ -19,9 +19,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
-
-class ApoError(Exception):
-    """Base error for theory handling."""
+from . import ApoError
 
 
 class ParseError(ApoError):

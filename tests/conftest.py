@@ -1,3 +1,4 @@
+import types
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,7 @@ from apoplan.theory import ActionTheory, parse_theory
 REPO = Path(__file__).resolve().parent.parent
 TIGER_PATH = REPO / "domains" / "tiger.apo"
 CROSS_SENSING_PATH = REPO / "domains" / "cross_sensing.apo"
+SPANS_PATH = REPO / "perfbench" / "spans.py"
 
 
 @pytest.fixture(scope="session")
@@ -22,3 +24,12 @@ def tiger(tiger_text) -> ActionTheory:
 @pytest.fixture(scope="session")
 def cross_sensing() -> ActionTheory:
     return parse_theory(CROSS_SENSING_PATH.read_text())
+
+
+@pytest.fixture(scope="session")
+def spans() -> types.ModuleType:
+    """`perfbench/spans.py`, executed from its source so that nothing is
+    written under perfbench/."""
+    module = types.ModuleType("perfbench_spans")
+    exec(compile(SPANS_PATH.read_text(), str(SPANS_PATH), "exec"), module.__dict__)
+    return module

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+from apoplan import ApoError, compiler, nplp, oracle, policies, sat
 from apoplan.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -213,10 +217,69 @@ def test_cross_sensing_solve(capsys):
 
 
 def test_annotated_answer_set_failure_exits_3(capsys, monkeypatch):
-    from apoplan import compiler
-    from apoplan.nplp import NpProgram, NpRule
     monkeypatch.setattr(compiler, "compile_theory", lambda theory, horizon:
-                        NpProgram(rules=(NpRule(head=("a",)),)))
+                        nplp.NpProgram(rules=(nplp.NpRule(head=("a",)),)))
     assert main(["solve", TIGER, "--horizon", "1"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("internal error: annotated answer sets: ")
+
+
+def test_stage_errors_share_one_base():
+    for error in (oracle.OracleError, policies.PolicyError, nplp.NplpError,
+                  sat.SatError, compiler.CompileError):
+        assert issubclass(error, ApoError), error
+
+
+@pytest.mark.parametrize("command, module, name, error", [
+    ("oracle", oracle, "optimal_policy", oracle.OracleError),
+    ("solve", sat, "enumerate_models", sat.SatError),
+    ("policy", policies, "best_policy", policies.PolicyError),
+])
+def test_stage_errors_exit_3(capsys, monkeypatch, command, module, name, error):
+    def fail(*args, **kwargs):
+        raise error("seeded fault")
+    monkeypatch.setattr(module, name, fail)
+    assert main([command, TIGER, "--horizon", "1"]) == 3
+    assert capsys.readouterr().err == "internal error: seeded fault\n"
+
+
+def _loaded_modules(tmp_path, *argv) -> set[str]:
+    """The apoplan modules in `sys.modules` after `main(argv)` in a fresh
+    interpreter (this process has imported them all already)."""
+    script = ("import json, sys\n"
+              "from apoplan.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "print(json.dumps(sorted(m for m in sys.modules\n"
+              "    if m == 'apoplan' or m.startswith('apoplan.'))))\n"
+              "sys.exit(code)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout))
+
+
+def test_commands_import_only_what_they_run(tmp_path, spans):
+    base = {"apoplan", "apoplan.cli", "apoplan.theory"}
+    assert _loaded_modules(tmp_path, "validate", TIGER) == base
+    assert _loaded_modules(tmp_path, "oracle", TIGER, "--horizon", "1") \
+        == base | {"apoplan.oracle"}
+    # `perfbench/spans.py` looks up every module it wraps in sys.modules, and
+    # the tiger-sat workload runs nothing but `sat`, so `sat` must load them
+    # all, `policies` included
+    wrapped = {modname for modname, _, _, _ in spans.SPANS}
+    assert wrapped <= _loaded_modules(tmp_path, "sat", TIGER, "--horizon", "1")
+
+
+def test_planning_commands_build_no_least_model_engine(capsys, monkeypatch):
+    # the annotated answer sets come from one pass over the probability
+    # rules per completion model, not from the reference engine
+    def refuse(self):
+        raise AssertionError("engine built")
+    monkeypatch.setattr(nplp._Engine, "__init__", refuse)
+    for command in ("solve", "policy", "check"):
+        assert main([command, TIGER, "--horizon", "2"]) == 0, command
+    capsys.readouterr()

@@ -14,7 +14,8 @@ from apoplan.compiler import (
 from apoplan.fuzz import generate_theory
 from apoplan.nplp import (
     AProd, AVar, BLit, Const, NpProgram, NpRule, ONE, Ref,
-    answer_set_sort_key, enumerate_answer_sets, format_rule, render_atom,
+    answer_set_sort_key, enumerate_answer_sets, format_rule, least_model,
+    render_atom,
 )
 from apoplan.theory import parse_theory
 
@@ -147,6 +148,38 @@ def test_annotated_answer_sets_match_guess_and_check(tiger, cross_sensing):
         assert all(type(v) is Fraction for h in got for v in h.values())
 
 
+def _least_models_per_completion_model(program):
+    """The answer sets built with `nplp.least_model`: for each completion
+    model, the least model of the family rules whose other body atoms the
+    model holds, joined to the model at 1, sorted by `answer_set_sort_key`."""
+    family = [r for r in program.rules if r.schema in DROPPED]
+    derived = {r.head[0] for r in family}
+    cnf = to_sat(normalize(program))
+    out = []
+    for model in sat.enumerate_models(cnf.clauses, cnf.variable_count):
+        atoms = decode_model(model, cnf)
+        enabled = tuple(
+            NpRule(head=r.head, head_ann=r.head_ann,
+                   body=tuple(b for b in r.body if b.atom[0] in derived))
+            for r in family
+            if all(b.atom in atoms for b in r.body if b.atom[0] not in derived))
+        h = dict.fromkeys(atoms, Fraction(1))
+        h.update(least_model(NpProgram(rules=enabled)))
+        out.append(h)
+    return sorted(out, key=answer_set_sort_key)
+
+
+def test_annotated_answer_sets_match_least_models(tiger, cross_sensing):
+    cases = [(tiger, n) for n in (1, 2, 3)] + [(cross_sensing, 2)]
+    cases += [(generate_theory(s), n) for s in range(12) for n in (1, 2)]
+    for theory, horizon in cases:
+        program = compile_theory(theory, horizon)
+        got = annotated_answer_sets(program)
+        # same list in the same order, with equal exact values
+        assert got == _least_models_per_completion_model(program), horizon
+        assert all(type(v) is Fraction for h in got for v in h.values())
+
+
 # a probability-family rule `state(1) : U <- state(0) : U, occ(a, 0)`
 _STATE_BODY = (BLit(atom=("state", 0), ann=AVar("U")),
                BLit(atom=("occ", "a", 0)))
@@ -174,6 +207,29 @@ def _program(*rules):
 def test_annotated_answer_sets_errors_name_the_stage(rule, message):
     program = _program(rule)
     with pytest.raises(CompileError, match="^annotated answer sets: .*" + message):
+        annotated_answer_sets(program)
+
+
+def test_annotated_answer_sets_keep_the_max_of_several_firings():
+    program = _program(*(
+        NpRule(head=("state", 1), head_ann=AProd((Const(p), AVar("U"))),
+               body=_STATE_BODY, schema="18")
+        for p in (Fraction(3, 4), Fraction(1, 4))))
+    got = annotated_answer_sets(program)
+    assert got == _least_models_per_completion_model(program)
+    assert [h[("state", 1)] for h in got] == [Fraction(3, 8)]
+
+
+def test_annotated_answer_sets_refuse_probability_rules_that_feed_themselves():
+    # state(1) reads state(2), which reads state(T) for any T
+    program = _program(
+        NpRule(head=("state", 1), head_ann=AVar("U"), schema="18",
+               body=(BLit(atom=("state", 2), ann=AVar("U")),)),
+        NpRule(head=("state", 2), head_ann=AVar("U"), schema="18",
+               body=(BLit(atom=("state", Ref("T")), ann=AVar("U")),)
+               + _STATE_BODY[1:]))
+    with pytest.raises(CompileError, match="^annotated answer sets: .*"
+                       "state[(]1[)] -> state[(]2[)] -> state[(]1[)] feed each other"):
         annotated_answer_sets(program)
 
 
