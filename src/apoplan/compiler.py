@@ -245,7 +245,7 @@ def normal_answer_sets(program: NormalProgram) -> list[frozenset]:
     `nplp.answer_set_sort_key`.
 
     A boolean search over the negated atoms that uses neither the completion
-    nor the annotated engine, so the checks that compare its result with
+    nor the annotated least models, so the checks that compare its result with
     theirs compare independent computations.  Each node keeps two bounds on
     the answer sets below it (Simons, Niemelä and Soininen 2002):
 
@@ -604,7 +604,7 @@ def _can_match(pattern: Atom, head: Atom) -> bool:
 
 def annotated_answer_sets(program: NpProgram) -> list[PInterpretation]:
     """All answer sets of a compiled annotated program, in the order of
-    `nplp.enumerate_answer_sets`.
+    `nplp.answer_set_sort_key`.
 
     The probability families have no negation and no other rule reads what
     they derive, so the normal atoms split the program (Lifschitz and Turner
@@ -632,7 +632,7 @@ def annotated_answer_sets(program: NpProgram) -> list[PInterpretation]:
         for guard, rule in ordered:
             if not guard <= atoms:
                 continue
-            for _, head, value in list(iter_rule_firings(rule, h, by_pred)):
+            for head, value in list(iter_rule_firings(rule, h, by_pred)):
                 old = h.get(head)
                 if old is None:
                     # an atom at 0 is absent, as in `nplp.least_model`

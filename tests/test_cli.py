@@ -276,10 +276,11 @@ def test_commands_import_only_what_they_run(tmp_path, spans):
 
 def test_planning_commands_build_no_least_model_engine(capsys, monkeypatch):
     # the annotated answer sets come from one pass over the probability
-    # rules per completion model, not from the reference engine
-    def refuse(self):
-        raise AssertionError("engine built")
-    monkeypatch.setattr(nplp._Engine, "__init__", refuse)
+    # rules per completion model, not from the reference definitions
+    def refuse(program):
+        raise AssertionError("reference definition called")
+    monkeypatch.setattr(nplp, "least_model", refuse)
+    monkeypatch.setattr(nplp, "enumerate_answer_sets", refuse)
     for command in ("solve", "policy", "check"):
         assert main([command, TIGER, "--horizon", "2"]) == 0, command
     capsys.readouterr()

@@ -15,7 +15,7 @@ from apoplan.fuzz import generate_theory
 from apoplan.nplp import (
     AProd, AVar, BLit, Const, NpProgram, NpRule, ONE, Ref,
     answer_set_sort_key, enumerate_answer_sets, format_rule, least_model,
-    render_atom,
+    reduct, render_atom,
 )
 from apoplan.theory import parse_theory
 
@@ -137,15 +137,26 @@ def test_compiled_programs_are_tight(cross_sensing):
         check_tight(normalize(compile_theory(theory, 2)))
 
 
-def test_annotated_answer_sets_match_guess_and_check(tiger, cross_sensing):
+def _normal_projection(program, h):
+    """The atoms of h outside the predicates the probability families head."""
+    derived = {r.head[0] for r in program.rules if r.schema in DROPPED}
+    return frozenset(a for a in h if a[0] not in derived)
+
+
+def test_annotated_answer_sets_are_least_models_of_their_reducts(tiger, cross_sensing):
     cases = [(tiger, 1), (tiger, 2), (cross_sensing, 2)]
     cases += [(generate_theory(s), n) for s in range(12) for n in (1, 2)]
     for theory, horizon in cases:
         program = compile_theory(theory, horizon)
         got = annotated_answer_sets(program)
-        # same list in the same order, with equal exact values
-        assert got == enumerate_answer_sets(program), horizon
+        for h in got:
+            assert least_model(reduct(program, h)) == h, horizon
         assert all(type(v) is Fraction for h in got for v in h.values())
+        assert got == sorted(got, key=answer_set_sort_key)
+        # an answer set is fixed by its values on the negated atoms, which are
+        # normal atoms, so one answer set per normal answer set is all of them
+        assert [_normal_projection(program, h) for h in got] \
+            == normal_answer_sets(normalize(program)), horizon
 
 
 def _least_models_per_completion_model(program):
@@ -255,6 +266,18 @@ def test_models_biject_with_normal_answer_sets(tiger):
         assert decode_model(encode_atom_set(atoms, cnf), cnf) == atoms
 
 
+def _reduct_least_model(program, m):
+    """The least model of the reduct of a normal program by the atom set m."""
+    kept = [(head, pos) for head, pos, neg in program.rules
+            if not m.intersection(neg)]
+    least: set = set()
+    while True:
+        new = {head for head, pos in kept if least.issuperset(pos)} - least
+        if not new:
+            return frozenset(least)
+        least |= new
+
+
 def _brute_force_answer_sets(program):
     """Every atom set M that is the least model of the reduct of the program
     by M, in listing order."""
@@ -262,15 +285,7 @@ def _brute_force_answer_sets(program):
     found = []
     for bits in itertools.product((False, True), repeat=len(atoms)):
         m = frozenset(a for a, bit in zip(atoms, bits) if bit)
-        kept = [(head, pos) for head, pos, neg in program.rules
-                if not m.intersection(neg)]
-        least: set = set()
-        while True:
-            new = {head for head, pos in kept if least.issuperset(pos)} - least
-            if not new:
-                break
-            least |= new
-        if least == m:
+        if _reduct_least_model(program, m) == m:
             found.append(m)
     return sorted(found, key=answer_set_sort_key)
 
@@ -297,6 +312,46 @@ def test_normal_answer_sets_match_the_definition(program):
     assert normal_answer_sets(program) == _brute_force_answer_sets(program)
 
 
+_PROBABILITIES = st.sampled_from(
+    [Fraction(1, 2), Fraction(1, 3), Fraction(3, 4), Fraction(1)])
+
+
+@st.composite
+def compiled_shape_programs(draw):
+    """A tight normal part over at most 6 atoms, tagged as a non-probability
+    schema, plus `state` family rules: facts `state(0) : p` and steps
+    `state(t + 1) : p*U <- state(t) : U`, each with ground normal guards,
+    which need not be atoms of the normal part.  A head often has several
+    rules, so the max of their firings matters."""
+    rules = [NpRule(head=head,
+                    body=tuple(BLit(atom=a) for a in pos)
+                    + tuple(BLit(atom=a, neg=True) for a in neg),
+                    schema="25")
+             for head, pos, neg in draw(tight_normal_programs()).rules]
+    guards = st.lists(st.sampled_from([(name,) for name in "abcdef"]),
+                      max_size=2, unique=True)
+    for _ in range(draw(st.integers(0, 3))):
+        rules.append(NpRule(
+            head=("state", 0), head_ann=Const(draw(_PROBABILITIES)),
+            body=tuple(BLit(atom=a) for a in draw(guards)), schema="15"))
+    for _ in range(draw(st.integers(0, 6))):
+        t = draw(st.integers(0, 1))
+        rules.append(NpRule(
+            head=("state", t + 1),
+            head_ann=AProd((Const(draw(_PROBABILITIES)), AVar("U"))),
+            body=(BLit(atom=("state", t), ann=AVar("U")),)
+            + tuple(BLit(atom=a) for a in draw(guards)),
+            schema="18"))
+    return NpProgram(rules=tuple(draw(st.permutations(rules))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(compiled_shape_programs())
+def test_annotated_answer_sets_match_the_definition(program):
+    # same list in the same order, with equal exact values
+    assert annotated_answer_sets(program) == enumerate_answer_sets(program)
+
+
 _A, _B, _C, _D, _E = (("a",), ("b",), ("c",), ("d",), ("e",))
 
 
@@ -314,23 +369,19 @@ def test_normal_answer_sets_small_programs(rules, expected):
     assert normal_answer_sets(program) == [frozenset(m) for m in expected]
 
 
-def _all_annotations_one(normal):
-    return NpProgram(rules=tuple(
-        NpRule(head=head,
-               body=tuple(BLit(atom=a) for a in pos)
-               + tuple(BLit(atom=a, neg=True) for a in neg))
-        for head, pos, neg in normal.rules))
-
-
-def test_normal_answer_sets_match_guess_and_check(tiger, cross_sensing):
+def test_normal_answer_sets_are_least_models_of_their_reducts(tiger, cross_sensing):
     cases = [(tiger, n) for n in (1, 2, 3)] + [(cross_sensing, 2)]
     cases += [(generate_theory(s), n) for s in range(12) for n in (1, 2)]
     for theory, horizon in cases:
         normal = normalize(compile_theory(theory, horizon))
-        expected = [frozenset(h) for h in
-                    enumerate_answer_sets(_all_annotations_one(normal))]
-        # same list in the same order
-        assert normal_answer_sets(normal) == expected, horizon
+        got = normal_answer_sets(normal)
+        for m in got:
+            assert _reduct_least_model(normal, m) == m, horizon
+        # the completion models of a tight program are its answer sets
+        cnf = to_sat(normal)
+        decoded = [decode_model(model, cnf) for model in
+                   sat.enumerate_models(cnf.clauses, cnf.variable_count)]
+        assert got == sorted(decoded, key=answer_set_sort_key), horizon
 
 
 def test_normal_projections_match_annotated(tiger):

@@ -3,7 +3,7 @@ from fractions import Fraction
 from apoplan import compiler, oracle
 from apoplan.fuzz import generate_theory, generate_theory_text
 from apoplan.policies import cross_check
-from apoplan.theory import parse_theory, validate_theory
+from apoplan.theory import validate_theory
 
 SEEDS = range(60)
 

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from apoplan.nplp import (
-    AProd, AVar, BLit, Const, NplpError, NpProgram, NpRule,
-    ONE, enumerate_answer_sets, format_program, least_model, reduct,
+    Add, AProd, AVar, BLit, Const, NplpError, NpProgram, NpRule, Num,
+    ONE, Ref, enumerate_answer_sets, format_program, least_model, reduct,
     render_atom, satisfies, satisfies_program,
 )
 
@@ -59,6 +59,17 @@ def test_annotation_out_of_range_rejected():
         rule(("a",), head_ann=Const(Fraction(3, 2))),
     ))
     with pytest.raises(NplpError, match="outside"):
+        least_model(prog)
+
+
+def test_least_model_refuses_a_program_that_never_settles():
+    # n(N + 1) <- n(N) with the fact n(0) derives n(1), n(2), ... without end
+    prog = NpProgram(rules=(
+        rule(("n", 0)),
+        NpRule(head=("n", Add((Ref("N"), Num(Fraction(1))))),
+               body=(BLit(atom=("n", Ref("N"))),)),
+    ))
+    with pytest.raises(NplpError, match="non-terminating"):
         least_model(prog)
 
 
@@ -115,6 +126,14 @@ def test_non_boolean_negation_rejected():
                body=(BLit(atom=("b",), ann=Const(Fraction(1, 2)), neg=True),)),
     ))
     with pytest.raises(NplpError, match="boolean-negation"):
+        enumerate_answer_sets(prog)
+
+
+def test_enumerate_answer_sets_refuses_17_negated_atoms():
+    prog = NpProgram(rules=tuple(
+        NpRule(head=("a", i), body=(BLit(atom=("b", i), neg=True),))
+        for i in range(17)))
+    with pytest.raises(NplpError, match="^17 negated atoms"):
         enumerate_answer_sets(prog)
 
 

@@ -6,7 +6,7 @@ from apoplan import oracle
 from apoplan.oracle import (
     OracleError, belief_update, belief_value, enumerate_policies,
     enumerate_trajectories, initial_belief, initial_states, optimal_policy,
-    reachable_states, recursive_value, successors, trajectory_sum_value,
+    reachable_states, recursive_value, successors,
 )
 
 
