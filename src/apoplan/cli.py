@@ -188,12 +188,14 @@ def cmd_solve(args) -> int:
     from .nplp import render_atom
     theory, program = _compile(args)
     models = compiler.annotated_answer_sets(program)
+    # each distinct atom is rendered once over all answer sets
+    names = {a: render_atom(a) for a in {a for h in models for a in h}}
     payload = {
         "horizon": args.horizon,
         "discount": float(theory.discount),
         "count": len(models),
         "answer_sets": [
-            dict(sorted({render_atom(a): float(v) for a, v in h.items()}.items()))
+            dict(sorted({names[a]: float(v) for a, v in h.items()}.items()))
             for h in models
         ],
     }

@@ -32,8 +32,9 @@ from typing import Iterable, Mapping
 
 from . import ApoError, oracle, sat
 from .nplp import (
-    Add, AProd, AVar, Atom, BLit, Const, Mul, NpProgram, NpRule, Num, ONE,
-    PInterpretation, Ref, atom_is_ground, iter_rule_firings, render_atom,
+    Add, AProd, AVar, Atom, BLit, Const, Mul, NplpError, NpProgram, NpRule,
+    Num, ONE, PInterpretation, Ref, atom_is_ground, eval_annotation,
+    iter_rule_firings, render_atom,
 )
 from .theory import (
     ActionTheory, negate, reading_literals, report_literals,
@@ -520,11 +521,14 @@ def encode_atom_set(atoms: frozenset, cnf: CnfFormula) -> dict[int, bool]:
 def _split_probability_rules(program: NpProgram):
     """Index the probability-family rules of a compiled program.
 
-    Returns the rules as `(guard, remainder)` pairs, ordered so that a rule
-    comes after every rule whose head can match one of its body atoms.  The
-    guard is the set of ground normal atoms a rule's body requires (`holds`,
-    `occ`, `exec`, `observed`); the remainder is the rule over the atoms the
-    probability families derive (`state`, `value`, `factor`, `reward`)."""
+    Returns the rules as `(guard, remainder, ground)` triples, ordered so
+    that a rule comes after every rule whose head can match one of its body
+    atoms.  The guard is the set of ground normal atoms a rule's body
+    requires (`holds`, `occ`, `exec`, `observed`); the remainder is the rule
+    over the atoms the probability families derive (`state`, `value`,
+    `factor`, `reward`); `ground` tells whether every atom of the remainder
+    is ground, so that it fires at most once and `_ground_firing` can look
+    its atoms up directly."""
     def fail(message: str):
         raise CompileError(f"annotated answer sets: {message}")
 
@@ -556,18 +560,20 @@ def _split_probability_rules(program: NpProgram):
                      f"ground atom annotated 1")
         indexed.append((frozenset(guard),
                         NpRule(head=rule.head, head_ann=rule.head_ann,
-                               body=tuple(rest), schema=rule.schema)))
+                               body=tuple(rest), schema=rule.schema),
+                        atom_is_ground(rule.head)
+                        and all(atom_is_ground(lit.atom) for lit in rest)))
 
     # rule i feeds rule j when i's head can match one of j's body atoms: same
     # predicate and arity, equal arguments wherever both are ground
     heads_by_pred: dict[str, list[int]] = {}
-    for i, (_, rule) in enumerate(indexed):
+    for i, (_, rule, _) in enumerate(indexed):
         heads_by_pred.setdefault(rule.head[0], []).append(i)
     feeders = [
         sorted({i for lit in rule.body
                 for i in heads_by_pred.get(lit.atom[0], ())
                 if _can_match(lit.atom, indexed[i][1].head)})
-        for _, rule in indexed]
+        for _, rule, _ in indexed]
     order: list[int] = []
     state: dict[int, int] = {}  # 1 = on the path, 2 = placed
     path: list[int] = []
@@ -602,6 +608,29 @@ def _can_match(pattern: Atom, head: Atom) -> bool:
         if isinstance(p, _GROUND) and isinstance(h, _GROUND))
 
 
+_ZERO = Fraction(0)
+
+
+def _ground_firing(rule: NpRule, h: PInterpretation) -> Fraction | None:
+    """The head value of a rule whose atoms are all ground, as
+    `nplp.iter_rule_firings` would yield it, or None when the body fails: an
+    absent atom is 0, an annotation variable binds the atom's exact value and
+    any other annotation is a lower bound."""
+    env: dict[str, Fraction] = {}
+    for lit in rule.body:
+        value = h.get(lit.atom, _ZERO)
+        ann = lit.ann
+        if isinstance(ann, AVar) and ann.name not in env:
+            env[ann.name] = value
+        elif eval_annotation(ann, env) > value:
+            return None
+    value = eval_annotation(rule.head_ann, env)
+    if not 0 <= value <= 1:
+        raise NplpError(f"annotation of {render_atom(rule.head)} evaluates "
+                        f"to {value}, outside [0,1]")
+    return value
+
+
 def annotated_answer_sets(program: NpProgram) -> list[PInterpretation]:
     """All answer sets of a compiled annotated program, in the order of
     `nplp.answer_set_sort_key`.
@@ -629,10 +658,15 @@ def annotated_answer_sets(program: NpProgram) -> list[PInterpretation]:
         # the remainders read only the atoms the families derive, which
         # by_pred indexes, so they fire against h itself
         by_pred: dict[str, list[Atom]] = {}
-        for guard, rule in ordered:
+        for guard, rule, ground in ordered:
             if not guard <= atoms:
                 continue
-            for head, value in list(iter_rule_firings(rule, h, by_pred)):
+            if ground:
+                value = _ground_firing(rule, h)
+                firings = () if value is None else ((rule.head, value),)
+            else:
+                firings = list(iter_rule_firings(rule, h, by_pred))
+            for head, value in firings:
                 old = h.get(head)
                 if old is None:
                     # an atom at 0 is absent, as in `nplp.least_model`

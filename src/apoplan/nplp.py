@@ -9,8 +9,9 @@ An answer set is the least model of the program's reduct by that set; here
 `enumerate_answer_sets` tries every set of negated atoms, both written as the
 definitions, for tests.  The CLI gets the answer sets of compiled programs
 from `compiler.annotated_answer_sets`, which decodes them from SAT models and
-fires the probability rules through `iter_rule_firings` in one pass per
-model, and the normal answer sets from the boolean search in
+fires the probability rules in one pass per model (through
+`iter_rule_firings` where a rule has a pattern atom such as `value(V, t)`),
+and the normal answer sets from the boolean search in
 `compiler.normal_answer_sets`.
 
 Atoms are tuples `(pred, arg, ...)`; arguments are strings, ints, Fractions, or

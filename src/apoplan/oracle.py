@@ -171,6 +171,11 @@ def trajectory_sum_value(theory: ActionTheory, policy: Policy, horizon: int,
     probability, summed over all full-length trajectories from s0."""
     if s0 not in {s for s, _ in initial_states(theory)}:
         raise OracleError(f"{render_formula(s0)} is not an initial state")
+    return _trajectory_sum(theory, policy, horizon, s0)
+
+
+def _trajectory_sum(theory: ActionTheory, policy: Policy, horizon: int,
+                    s0: State) -> Fraction:
     total = Fraction(0)
     for traj in _extend(theory, policy, Trajectory((s0,), (), (), ()), horizon):
         prefix = Fraction(1)
@@ -203,11 +208,14 @@ def belief_value(theory: ActionTheory, policy: Policy, horizon: int,
     mass = sum(belief.values(), Fraction(0))
     if mass != 1:
         raise OracleError(f"belief is not normalized (mass {mass})")
+    initial = {s for s, _ in initial_states(theory)}
     total = Fraction(0)
     for state, weight in belief.items():
         if weight == 0:
             continue
-        total += weight * trajectory_sum_value(theory, policy, horizon, state)
+        if state not in initial:
+            raise OracleError(f"{render_formula(state)} is not an initial state")
+        total += weight * _trajectory_sum(theory, policy, horizon, state)
     return total
 
 

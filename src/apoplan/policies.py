@@ -15,10 +15,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from . import ApoError, oracle, sat
-from .compiler import (
-    NormalProgram, decode_model, normal_answer_sets, normalize, to_sat,
-)
+from . import ApoError, oracle
+from .compiler import normal_answer_sets, normalize
 from .nplp import NpProgram, PInterpretation, render_atom
 from .oracle import State, Trajectory
 from .theory import ActionTheory, fluent_of, is_consistent, render_formula
@@ -48,20 +46,35 @@ def extract_report(theory: ActionTheory, h: PInterpretation, horizon: int,
     probability and no horizon value."""
     reasons: list[str] = []
 
+    # one pass over h, bucketing the atoms at 1 by predicate and time
+    holds: dict[int, set] = {}
+    occ_at: dict[int, list] = {}
+    values = []
+    for atom, v in h.items():
+        pred = atom[0]
+        if pred == "holds":
+            if v >= 1:
+                holds.setdefault(atom[2], set()).add(atom[1])
+        elif pred == "occ":
+            if v >= 1:
+                occ_at.setdefault(atom[2], []).append(atom[1])
+        elif pred == "value":
+            if atom[2] == horizon and v >= 1:
+                values.append(atom[1])
+
+    fluents = set(theory.fluents)
     states = []
     for t in range(horizon + 1):
-        state = frozenset(atom[1] for atom, v in h.items()
-                          if atom[0] == "holds" and atom[2] == t and v >= 1)
+        state = frozenset(holds.get(t, ()))
         states.append(state)
         if not is_consistent(state):
             reasons.append(f"inconsistent holds-literals at time {t}")
-        elif {fluent_of(l) for l in state} != set(theory.fluents):
+        elif {fluent_of(l) for l in state} != fluents:
             reasons.append(f"incomplete holds-literals at time {t}")
 
     occ = []
     for t in range(horizon):
-        chosen = sorted(atom[1] for atom, v in h.items()
-                        if atom[0] == "occ" and atom[2] == t and v >= 1)
+        chosen = sorted(occ_at.get(t, ()))
         if len(chosen) != 1:
             raise PolicyError(
                 f"expected exactly one occ atom at time {t}, found {chosen}")
@@ -74,8 +87,7 @@ def extract_report(theory: ActionTheory, h: PInterpretation, horizon: int,
         if p is None or p <= 0:
             reasons.append(f"no positive state probability at time {t}")
 
-    values = sorted(atom[1] for atom, w in h.items()
-                    if atom[0] == "value" and atom[2] == horizon and w >= 1)
+    values.sort()
     if len(values) > 1:
         raise PolicyError(f"multiple horizon values {values}")
     value = values[0] if values else None
@@ -165,12 +177,12 @@ class PolicyValue:
 
 
 def group_policies(theory: ActionTheory, reports: Sequence[AnswerSetReport],
-                   horizon: int) -> list[PolicyValue]:
-    """Value of every enumerable policy, summed from its consistent answer
-    sets.  Each answer-set value already carries the initial-state weight, so
-    the sum is the belief-weighted policy value."""
+                   policies: Sequence[Mapping[State, str]]) -> list[PolicyValue]:
+    """Value of each of `policies`, summed from its consistent answer sets.
+    Each answer-set value already carries the initial-state weight, so the
+    sum is the belief-weighted policy value."""
     out = []
-    for policy in oracle.enumerate_policies(theory, horizon):
+    for policy in policies:
         total = Fraction(0)
         per_initial: dict[State, Fraction] = {}
         contributors = 0
@@ -191,7 +203,8 @@ def best_policy(theory: ActionTheory, horizon: int,
     """Optimal policy by answer-set value aggregation (ties broken
     lexicographically, matching the oracle's tie-break)."""
     reports = valid_reports(theory, answer_sets, horizon)
-    grouped = group_policies(theory, reports, horizon)
+    grouped = group_policies(theory, reports,
+                             oracle.enumerate_policies(theory, horizon))
     if not grouped:
         raise PolicyError("no policies to evaluate")
     return min(grouped,
@@ -219,20 +232,22 @@ class CheckReport:
 
 
 def check_trajectories(theory: ActionTheory, horizon: int,
-                       answer_sets: Sequence[PInterpretation]) -> CheckReport:
-    """Stationary trajectories reconstructed from valid answer sets must equal
-    the oracle trajectories taken over every enumerable policy.
+                       reports: Sequence[AnswerSetReport],
+                       policies: Sequence[Mapping[State, str]]) -> CheckReport:
+    """Stationary trajectories reconstructed from the valid `reports` must
+    equal the oracle trajectories taken over `policies`, every enumerable
+    policy.
 
     Answer sets also encode non-stationary action sequences (a revisited state
     may get a different action), which no stationary policy generates; those
     are filtered out before comparing."""
     oracle_keys = set()
-    for policy in oracle.enumerate_policies(theory, horizon):
+    for policy in policies:
         for traj in oracle.enumerate_trajectories(theory, policy, horizon):
             oracle_keys.add(_trajectory_key(traj))
 
     program_keys = set()
-    for report in valid_reports(theory, answer_sets, horizon):
+    for report in reports:
         if stationary_action_map(theory, report) is None:
             continue
         program_keys.add(_trajectory_key(reconstruct_trajectory(theory, report)))
@@ -249,18 +264,15 @@ def check_trajectories(theory: ActionTheory, horizon: int,
 
 
 def check_policy_values(theory: ActionTheory, horizon: int,
-                        answer_sets: Sequence[PInterpretation]) -> CheckReport:
-    """Summed answer-set values per policy must equal the oracle's
-    initial-weighted per-trajectory discounted sums, exactly."""
-    reports = valid_reports(theory, answer_sets, horizon)
-    grouped = group_policies(theory, reports, horizon)
+                        reports: Sequence[AnswerSetReport],
+                        policies: Sequence[Mapping[State, str]]) -> CheckReport:
+    """Summed values of the valid `reports` per policy must equal the oracle's
+    belief-weighted value of that policy, exactly."""
+    grouped = group_policies(theory, reports, policies)
+    belief = oracle.initial_belief(theory)
     bad = []
     for pv in grouped:
-        expected = Fraction(0)
-        for s0, p0 in oracle.initial_states(theory):
-            if p0 > 0:
-                expected += p0 * oracle.trajectory_sum_value(
-                    theory, pv.policy, horizon, s0)
+        expected = oracle.belief_value(theory, pv.policy, horizon, belief)
         if expected != pv.value:
             bad.append(
                 f"policy {oracle.policy_to_json(pv.policy)}: "
@@ -272,18 +284,14 @@ def check_policy_values(theory: ActionTheory, horizon: int,
         counterexamples=tuple(bad[:3]))
 
 
-def _occ_projection(atoms_true) -> frozenset:
-    return frozenset(a for a in atoms_true if a[0] == "occ")
-
-
 def check_normal_projection(answer_sets: Sequence[PInterpretation],
                             normal_sets: Sequence[frozenset]) -> CheckReport:
     """Dropping the probability/reward/value rules must preserve the set of
     occ-projections: `answer_sets` are the annotated program's answer sets,
     `normal_sets` those of its normal program."""
-    annotated = {_occ_projection(a for a, v in h.items() if v >= 1)
+    annotated = {frozenset(a for a, v in h.items() if a[0] == "occ" and v >= 1)
                  for h in answer_sets}
-    normal = {_occ_projection(m) for m in normal_sets}
+    normal = {frozenset(a for a in m if a[0] == "occ") for m in normal_sets}
     missing = annotated - normal
     extra = normal - annotated
     examples = [f"annotated-only: {sorted(map(render_atom, k))}" for k in list(missing)[:3]] \
@@ -295,36 +303,48 @@ def check_normal_projection(answer_sets: Sequence[PInterpretation],
         counterexamples=tuple(examples))
 
 
-def check_sat_models(normal: NormalProgram,
+def check_sat_models(models: Sequence[frozenset],
                      normal_sets: Sequence[frozenset]) -> CheckReport:
-    """Exhaustively enumerated CNF models of `normal` must decode one-to-one
-    to its answer sets `normal_sets`."""
-    cnf = to_sat(normal)
-    decoded = set()
-    for model in sat.enumerate_models(cnf.clauses, cnf.variable_count):
-        decoded.add(decode_model(model, cnf))
+    """The decoded CNF `models` of a normal program must be its answer sets
+    `normal_sets`, one-to-one: no model listed twice, none missing, none
+    extra."""
+    decoded = set(models)
     expected = set(normal_sets)
     missing = expected - decoded
     extra = decoded - expected
     examples = [f"answer-set-only: {sorted(map(render_atom, k))[:6]}" for k in list(missing)[:2]] \
         + [f"model-only: {sorted(map(render_atom, k))[:6]}" for k in list(extra)[:2]]
-    return CheckReport(
-        name="sat-model-equivalence", ok=not examples,
-        detail=f"{len(decoded)} models = {len(expected)} answer sets"
-        if not examples else f"{len(missing)} missing, {len(extra)} extra",
-        counterexamples=tuple(examples))
+    duplicated = len(models) - len(decoded)
+    ok = not examples and not duplicated
+    if ok:
+        detail = f"{len(decoded)} models = {len(expected)} answer sets"
+    else:
+        detail = f"{len(missing)} missing, {len(extra)} extra"
+        if duplicated:
+            detail += f", {duplicated} of {len(models)} models repeated"
+    return CheckReport(name="sat-model-equivalence", ok=ok, detail=detail,
+                       counterexamples=tuple(examples))
 
 
 def cross_check(theory: ActionTheory, horizon: int, program: NpProgram,
                 answer_sets: Sequence[PInterpretation]) -> list[CheckReport]:
     """The four equivalence checks on `program` (the theory compiled at
-    `horizon`) and its `answer_sets`, normalizing the program and enumerating
-    the normal program once."""
+    `horizon`) and its `answer_sets`, as `compiler.annotated_answer_sets`
+    returns them.  Each stage runs once: the normal program is normalized
+    and searched once, for checks 3 and 4; the oracle enumerates its
+    policies once and the answer sets are read into reports once, for checks
+    1 and 2.  The completion models that the answer sets were built from are
+    their atoms of the normal program, so check 4 compares those very models
+    with the normal answer sets, which a search without SAT finds."""
     normal = normalize(program)
     normal_sets = normal_answer_sets(normal)
+    policies = oracle.enumerate_policies(theory, horizon)
+    reports = valid_reports(theory, answer_sets, horizon)
+    normal_atoms = normal.atoms()
+    models = [frozenset(a for a in h if a in normal_atoms) for h in answer_sets]
     return [
-        check_trajectories(theory, horizon, answer_sets),
-        check_policy_values(theory, horizon, answer_sets),
+        check_trajectories(theory, horizon, reports, policies),
+        check_policy_values(theory, horizon, reports, policies),
         check_normal_projection(answer_sets, normal_sets),
-        check_sat_models(normal, normal_sets),
+        check_sat_models(models, normal_sets),
     ]

@@ -59,7 +59,9 @@ def test_criterion_2_trajectory_equivalence(tiger):
     for horizon in (1, 2):
         answer_sets = compiler.annotated_answer_sets(
             compiler.compile_theory(tiger, horizon))
-        report = policies.check_trajectories(tiger, horizon, answer_sets)
+        report = policies.check_trajectories(
+            tiger, horizon, policies.valid_reports(tiger, answer_sets, horizon),
+            oracle.enumerate_policies(tiger, horizon))
         assert report.ok, report.counterexamples
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0, elapsed
@@ -71,12 +73,16 @@ def test_criterion_3_policy_value_equivalence(tiger):
     for horizon in (1, 2):
         answer_sets = compiler.annotated_answer_sets(
             compiler.compile_theory(tiger, horizon))
-        report = policies.check_policy_values(tiger, horizon, answer_sets)
+        report = policies.check_policy_values(
+            tiger, horizon, policies.valid_reports(tiger, answer_sets, horizon),
+            oracle.enumerate_policies(tiger, horizon))
         assert report.ok, report.counterexamples
     t0 = time.monotonic()
     answer_sets = compiler.annotated_answer_sets(
         compiler.compile_theory(tiger, 3))
-    report = policies.check_policy_values(tiger, 3, answer_sets)
+    report = policies.check_policy_values(
+        tiger, 3, policies.valid_reports(tiger, answer_sets, 3),
+        oracle.enumerate_policies(tiger, 3))
     assert report.ok, report.counterexamples
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0, elapsed
@@ -128,8 +134,11 @@ def test_criterion_5_sat_equivalence(tiger):
     details = []
     for horizon in (1, 2, 3):
         normal = compiler.normalize(compiler.compile_theory(tiger, horizon))
+        cnf = compiler.to_sat(normal)
+        models = [compiler.decode_model(m, cnf) for m in
+                  sat.enumerate_models(cnf.clauses, cnf.variable_count)]
         report = policies.check_sat_models(
-            normal, compiler.normal_answer_sets(normal))
+            models, compiler.normal_answer_sets(normal))
         assert report.ok, report.counterexamples
         details.append(f"h{horizon}: {report.detail}")
     print(f"\nPASS criterion-5: exhaustive DIMACS models decode bijectively "

@@ -1,3 +1,4 @@
+import collections
 import json
 import os
 import subprocess
@@ -284,3 +285,30 @@ def test_planning_commands_build_no_least_model_engine(capsys, monkeypatch):
     for command in ("solve", "policy", "check"):
         assert main([command, TIGER, "--horizon", "2"]) == 0, command
     capsys.readouterr()
+
+
+def test_check_runs_each_stage_once(capsys, monkeypatch):
+    # each counter wraps the module attribute that its callers look up
+    counts = collections.Counter()
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    count(compiler, "to_sat")
+    count(sat, "enumerate_models")
+    count(policies, "extract_report")
+    count(oracle, "enumerate_policies")
+    count(oracle, "initial_states")
+    code, out = run(capsys, "check", TIGER, "--horizon", "2")
+    assert code == 0 and json.loads(out)["ok"] is True
+    assert counts["to_sat"] == 1
+    assert counts["enumerate_models"] == 1
+    assert counts["extract_report"] == 128
+    assert counts["enumerate_policies"] == 1
+    # once per policy in check 1's trajectories and in check 2's belief value
+    assert counts["initial_states"] < 170, counts

@@ -13,7 +13,7 @@ from apoplan.compiler import (
 )
 from apoplan.fuzz import generate_theory
 from apoplan.nplp import (
-    AProd, AVar, BLit, Const, NpProgram, NpRule, ONE, Ref,
+    AProd, AVar, BLit, Const, NplpError, NpProgram, NpRule, ONE, Ref,
     answer_set_sort_key, enumerate_answer_sets, format_rule, least_model,
     reduct, render_atom,
 )
@@ -229,6 +229,15 @@ def test_annotated_answer_sets_keep_the_max_of_several_firings():
     got = annotated_answer_sets(program)
     assert got == _least_models_per_completion_model(program)
     assert [h[("state", 1)] for h in got] == [Fraction(3, 8)]
+
+
+def test_annotated_answer_sets_refuse_annotations_outside_the_unit_interval():
+    # state(0) is 1/2, so the ground rule gives state(1) the value 3/2
+    program = _program(NpRule(head=("state", 1),
+                              head_ann=AProd((Const(Fraction(3)), AVar("U"))),
+                              body=_STATE_BODY, schema="18"))
+    with pytest.raises(NplpError, match="state[(]1[)] evaluates to 3/2, outside"):
+        annotated_answer_sets(program)
 
 
 def test_annotated_answer_sets_refuse_probability_rules_that_feed_themselves():

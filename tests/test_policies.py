@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from apoplan import oracle
+from apoplan import oracle, sat
 from apoplan.compiler import (
-    annotated_answer_sets, compile_theory, normal_answer_sets, normalize,
+    annotated_answer_sets, compile_theory, decode_model, normal_answer_sets,
+    normalize, to_sat,
 )
 from apoplan.policies import (
     PolicyError, best_policy, check_normal_projection, check_policy_values,
@@ -75,7 +76,7 @@ def test_non_stationary_reports_exist_at_horizon2(tiger, tiger_sets_n2):
 
 def test_group_policies_one_step_values(tiger, tiger_sets_n1):
     reports = valid_reports(tiger, tiger_sets_n1, 1)
-    grouped = group_policies(tiger, reports, 1)
+    grouped = group_policies(tiger, reports, oracle.enumerate_policies(tiger, 1))
     assert len(grouped) == 9
     by_actions = {tuple(sorted(pv.policy.values())): pv for pv in grouped}
     assert by_actions[("listen", "listen")].value == -1
@@ -109,16 +110,36 @@ def test_cross_check_all_pass(tiger):
 def test_checks_catch_seeded_fault(tiger, tiger_sets_n1):
     # drop one answer set: the trajectory and value comparisons must notice
     broken = tiger_sets_n1[:-1]
-    t1 = check_trajectories(tiger, 1, broken)
-    t2 = check_policy_values(tiger, 1, broken)
+    reports = valid_reports(tiger, broken, 1)
+    policies = oracle.enumerate_policies(tiger, 1)
+    t1 = check_trajectories(tiger, 1, reports, policies)
+    t2 = check_policy_values(tiger, 1, reports, policies)
     normal_sets = normal_answer_sets(normalize(compile_theory(tiger, 1)))
     t5 = check_normal_projection(broken, normal_sets)
     assert not (t1.ok and t2.ok and t5.ok)
     assert any(c.counterexamples for c in (t1, t2, t5) if not c.ok)
 
 
+def _completion_models(normal):
+    cnf = to_sat(normal)
+    return [decode_model(m, cnf)
+            for m in sat.enumerate_models(cnf.clauses, cnf.variable_count)]
+
+
 def test_check_report_json(tiger):
     normal = normalize(compile_theory(tiger, 1))
-    payload = check_sat_models(normal, normal_answer_sets(normal)).to_json()
+    payload = check_sat_models(_completion_models(normal),
+                               normal_answer_sets(normal)).to_json()
     assert set(payload) == {"check", "ok", "detail", "counterexamples"}
     assert payload["ok"] is True
+
+
+def test_sat_check_catches_a_repeated_model(tiger):
+    normal = normalize(compile_theory(tiger, 1))
+    models = _completion_models(normal)
+    normal_sets = normal_answer_sets(normal)
+    assert check_sat_models(models, normal_sets).detail == "16 models = 16 answer sets"
+    report = check_sat_models(models + models[:1], normal_sets)
+    assert not report.ok
+    assert report.detail == "0 missing, 0 extra, 1 of 17 models repeated"
+
