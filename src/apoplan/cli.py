@@ -24,7 +24,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -70,7 +69,7 @@ def _load_theory(args) -> ActionTheory:
         override = _parse_fraction(discount)
         if not 0 <= override < 1:
             raise _CliFailure(EXIT_INPUT, f"discount override {discount} outside [0, 1)")
-        theory = replace(theory, discount=override)
+        theory = theory.replace(discount=override)
     return theory
 
 

@@ -26,11 +26,10 @@ right rule families.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from . import ApoError, oracle, sat
+from . import ApoError, Record, oracle, sat, set_field
 from .nplp import (
     Add, AProd, AVar, Atom, BLit, Const, Mul, NplpError, NpProgram, NpRule,
     Num, ONE, PInterpretation, Ref, atom_is_ground, eval_annotation,
@@ -208,9 +207,12 @@ def compile_theory(theory: ActionTheory, horizon: int) -> NpProgram:
 # stage 2: classical normal program
 
 
-@dataclass(frozen=True)
-class NormalProgram:
-    rules: tuple[tuple[Atom, tuple[Atom, ...], tuple[Atom, ...]], ...]
+class NormalProgram(Record):
+    __slots__ = ("rules",)
+
+    def __init__(self,
+                 rules: tuple[tuple[Atom, tuple[Atom, ...], tuple[Atom, ...]], ...]):
+        set_field(self, "rules", rules)
 
     def atoms(self) -> set[Atom]:
         out: set[Atom] = set()
@@ -375,10 +377,12 @@ def normal_answer_sets(program: NormalProgram) -> list[frozenset]:
 # stage 3: SAT via Clark completion
 
 
-@dataclass(frozen=True)
-class CnfFormula:
-    clauses: tuple[tuple[int, ...], ...]
-    atoms: tuple[Atom, ...]          # atoms[i] <-> variable i+1
+class CnfFormula(Record):
+    __slots__ = ("clauses", "atoms")
+
+    def __init__(self, clauses: tuple[tuple[int, ...], ...], atoms: tuple[Atom, ...]):
+        set_field(self, "clauses", clauses)
+        set_field(self, "atoms", atoms)  # atoms[i] <-> variable i+1
 
     @property
     def variable_count(self) -> int:
@@ -508,10 +512,6 @@ def decode_model(model: Mapping[int, bool], cnf: CnfFormula) -> frozenset:
     if missing:
         raise CompileError(f"model leaves variables unassigned: {missing[:5]}")
     return frozenset(a for i, a in enumerate(cnf.atoms) if model[i + 1])
-
-
-def encode_atom_set(atoms: frozenset, cnf: CnfFormula) -> dict[int, bool]:
-    return {i + 1: (a in atoms) for i, a in enumerate(cnf.atoms)}
 
 
 # ---------------------------------------------------------------------------

@@ -24,11 +24,10 @@ bookkeeping) is evaluated at firing time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional
 
-from . import ApoError
+from . import ApoError, Record, set_field
 
 Atom = tuple
 
@@ -41,25 +40,33 @@ class NplpError(ApoError):
 # terms and annotations
 
 
-@dataclass(frozen=True)
-class Ref:
+class Ref(Record):
     """Variable reference (term or annotation variable, by name)."""
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        set_field(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Num:
-    value: Fraction
+class Num(Record):
+    __slots__ = ("value",)
+
+    def __init__(self, value: Fraction):
+        set_field(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Add:
-    parts: tuple
+class Add(Record):
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple):
+        set_field(self, "parts", parts)
 
 
-@dataclass(frozen=True)
-class Mul:
-    parts: tuple
+class Mul(Record):
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple):
+        set_field(self, "parts", parts)
 
 
 Ground = str | int | Fraction
@@ -89,19 +96,25 @@ def eval_expr(expr, env: Mapping[str, Fraction]) -> Fraction:
 # annotations ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Const:
-    value: Fraction
+class Const(Record):
+    __slots__ = ("value",)
+
+    def __init__(self, value: Fraction):
+        set_field(self, "value", value)
 
 
-@dataclass(frozen=True)
-class AVar:
-    name: str
+class AVar(Record):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        set_field(self, "name", name)
 
 
-@dataclass(frozen=True)
-class AProd:
-    parts: tuple  # of annotations
+class AProd(Record):
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple):  # of annotations
+        set_field(self, "parts", parts)
 
 
 Annotation = Const | AVar | AProd
@@ -127,27 +140,34 @@ def eval_annotation(ann: Annotation, env: Mapping[str, Fraction]) -> Fraction:
 # rules and programs
 
 
-@dataclass(frozen=True)
-class BLit:
-    atom: Atom
-    ann: Annotation = ONE
-    neg: bool = False
+class BLit(Record):
+    __slots__ = ("atom", "ann", "neg")
+
+    def __init__(self, atom: Atom, ann: Annotation = ONE, neg: bool = False):
+        set_field(self, "atom", atom)
+        set_field(self, "ann", ann)
+        set_field(self, "neg", neg)
 
 
-@dataclass(frozen=True)
-class NpRule:
-    head: Atom
-    head_ann: Annotation = ONE
-    body: tuple[BLit, ...] = ()
-    schema: Optional[str] = None  # compiler provenance tag
+class NpRule(Record):
+    __slots__ = ("head", "head_ann", "body", "schema")
+
+    def __init__(self, head: Atom, head_ann: Annotation = ONE,
+                 body: tuple[BLit, ...] = (), schema: Optional[str] = None):
+        set_field(self, "head", head)
+        set_field(self, "head_ann", head_ann)
+        set_field(self, "body", body)
+        set_field(self, "schema", schema)  # compiler provenance tag
 
     def positive(self) -> "NpRule":
-        return replace(self, body=tuple(b for b in self.body if not b.neg))
+        return self.replace(body=tuple(b for b in self.body if not b.neg))
 
 
-@dataclass(frozen=True)
-class NpProgram:
-    rules: tuple[NpRule, ...]
+class NpProgram(Record):
+    __slots__ = ("rules",)
+
+    def __init__(self, rules: tuple[NpRule, ...]):
+        set_field(self, "rules", rules)
 
 
 PInterpretation = dict  # ground atom -> Fraction; absent atoms are 0
@@ -340,7 +360,7 @@ def reduct(program: NpProgram, h: Mapping[Atom, Fraction]) -> NpProgram:
                     break
         if ok:
             kept.append(rule.positive())
-    return replace(program, rules=tuple(kept))
+    return program.replace(rules=tuple(kept))
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,10 @@ checked against.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Optional, Sequence
 
-from . import ApoError
+from . import ApoError, Record, set_field
 from .theory import (
     ActionDecl, ActionTheory, SubOutcome,
     close_initial_formula, fluent_of, is_consistent, negate, render_formula,
@@ -38,18 +37,19 @@ def check_state(theory: ActionTheory, state: State):
         raise OracleError(f"incomplete state {render_formula(state)}")
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(Record):
     """Alternating state / sub-outcome sequence with per-step probs and rewards."""
-    states: tuple[State, ...]
-    subs: tuple[str, ...]
-    probs: tuple[Fraction, ...]
-    rewards: tuple[Fraction, ...]
+    __slots__ = ("states", "subs", "probs", "rewards")
 
-    def __post_init__(self):
-        n = len(self.subs)
-        if not (len(self.states) == n + 1 == len(self.probs) + 1 == len(self.rewards) + 1):
+    def __init__(self, states: tuple[State, ...], subs: tuple[str, ...],
+                 probs: tuple[Fraction, ...], rewards: tuple[Fraction, ...]):
+        n = len(subs)
+        if not (len(states) == n + 1 == len(probs) + 1 == len(rewards) + 1):
             raise OracleError("inconsistent trajectory lengths")
+        set_field(self, "states", states)
+        set_field(self, "subs", subs)
+        set_field(self, "probs", probs)
+        set_field(self, "rewards", rewards)
 
     def to_json(self) -> dict:
         steps: list = [sorted(self.states[0])]
@@ -81,8 +81,16 @@ def policy_sort_key(policy: Policy) -> tuple:
 # initial states and transitions
 
 
+Initial = Sequence[tuple[State, Fraction]]
+
+
 def initial_states(theory: ActionTheory) -> list[tuple[State, Fraction]]:
-    """One closed complete state per initial-belief entry, with its probability."""
+    """One closed complete state per initial-belief entry, with its probability.
+
+    The functions below that start from the initial states take them as an
+    optional `initial` argument, so that a caller that evaluates many
+    policies closes the initial formulas once; they call this when it is
+    omitted."""
     out = []
     for entry in theory.initial:
         closed = close_initial_formula(theory, entry.formula)
@@ -153,29 +161,24 @@ def _extend(theory: ActionTheory, policy: Policy, traj: Trajectory, depth: int,
 
 
 def enumerate_trajectories(theory: ActionTheory, policy: Policy, horizon: int,
-                           ) -> list[Trajectory]:
+                           initial: Optional[Initial] = None) -> list[Trajectory]:
     """All horizon-step trajectories from every positive-probability initial state."""
     if horizon < 0:
         raise OracleError("horizon must be non-negative")
+    if initial is None:
+        initial = initial_states(theory)
     out = []
-    for s0, p0 in initial_states(theory):
+    for s0, p0 in initial:
         if p0 == 0:
             continue
         out.extend(_extend(theory, policy, Trajectory((s0,), (), (), ()), horizon))
     return out
 
 
-def trajectory_sum_value(theory: ActionTheory, policy: Policy, horizon: int,
-                         s0: State) -> Fraction:
-    """Per-trajectory discounted sum: each time-t term weighted by its prefix
-    probability, summed over all full-length trajectories from s0."""
-    if s0 not in {s for s, _ in initial_states(theory)}:
-        raise OracleError(f"{render_formula(s0)} is not an initial state")
-    return _trajectory_sum(theory, policy, horizon, s0)
-
-
 def _trajectory_sum(theory: ActionTheory, policy: Policy, horizon: int,
                     s0: State) -> Fraction:
+    """Per-trajectory discounted sum: each time-t term weighted by its prefix
+    probability, summed over all full-length trajectories from s0."""
     total = Fraction(0)
     for traj in _extend(theory, policy, Trajectory((s0,), (), (), ()), horizon):
         prefix = Fraction(1)
@@ -203,25 +206,31 @@ def recursive_value(theory: ActionTheory, policy: Policy, horizon: int,
 
 
 def belief_value(theory: ActionTheory, policy: Policy, horizon: int,
-                 belief: Mapping[State, Fraction]) -> Fraction:
+                 belief: Mapping[State, Fraction],
+                 initial: Optional[Initial] = None) -> Fraction:
     """Belief-weighted trajectory-sum value."""
     mass = sum(belief.values(), Fraction(0))
     if mass != 1:
         raise OracleError(f"belief is not normalized (mass {mass})")
-    initial = {s for s, _ in initial_states(theory)}
+    if initial is None:
+        initial = initial_states(theory)
+    initial_set = {s for s, _ in initial}
     total = Fraction(0)
     for state, weight in belief.items():
         if weight == 0:
             continue
-        if state not in initial:
+        if state not in initial_set:
             raise OracleError(f"{render_formula(state)} is not an initial state")
         total += weight * _trajectory_sum(theory, policy, horizon, state)
     return total
 
 
-def initial_belief(theory: ActionTheory) -> dict[State, Fraction]:
+def initial_belief(theory: ActionTheory, initial: Optional[Initial] = None,
+                   ) -> dict[State, Fraction]:
+    if initial is None:
+        initial = initial_states(theory)
     belief: dict[State, Fraction] = {}
-    for s, p in initial_states(theory):
+    for s, p in initial:
         belief[s] = belief.get(s, Fraction(0)) + p
     return belief
 
@@ -246,9 +255,12 @@ def belief_update(theory: ActionTheory, belief: Mapping[State, Fraction],
 # policy space
 
 
-def reachable_states(theory: ActionTheory, horizon: int) -> list[State]:
+def reachable_states(theory: ActionTheory, horizon: int,
+                     initial: Optional[Initial] = None) -> list[State]:
     """States reachable at decision times 0..horizon-1 under any action choice."""
-    frontier = {s for s, p in initial_states(theory) if p > 0}
+    if initial is None:
+        initial = initial_states(theory)
+    frontier = {s for s, p in initial if p > 0}
     seen = set(frontier)
     for _ in range(max(horizon - 1, 0)):
         nxt = set()
@@ -266,9 +278,10 @@ def reachable_states(theory: ActionTheory, horizon: int) -> list[State]:
     return sorted(seen, key=state_key)
 
 
-def enumerate_policies(theory: ActionTheory, horizon: int) -> list[dict[State, str]]:
+def enumerate_policies(theory: ActionTheory, horizon: int,
+                       initial: Optional[Initial] = None) -> list[dict[State, str]]:
     """All maps from reachable states to executable actions, in lexicographic order."""
-    states = reachable_states(theory, horizon)
+    states = reachable_states(theory, horizon, initial)
     choices = []
     for state in states:
         names = [a.name for a in theory.actions if is_executable(theory, state, a)]
@@ -280,10 +293,11 @@ def enumerate_policies(theory: ActionTheory, horizon: int) -> list[dict[State, s
 
 def optimal_policy(theory: ActionTheory, horizon: int) -> tuple[dict[State, str], Fraction]:
     """Argmax of the belief-weighted value; ties broken lexicographically."""
-    belief = initial_belief(theory)
+    initial = initial_states(theory)
+    belief = initial_belief(theory, initial)
     best: tuple[dict, Fraction] | None = None
-    for policy in enumerate_policies(theory, horizon):
-        value = belief_value(theory, policy, horizon, belief)
+    for policy in enumerate_policies(theory, horizon, initial):
+        value = belief_value(theory, policy, horizon, belief, initial)
         if best is None or value > best[1] or (
                 value == best[1] and policy_sort_key(policy) < policy_sort_key(best[0])):
             best = (policy, value)

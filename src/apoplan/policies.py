@@ -11,14 +11,13 @@ the belief-weighted oracle value of that policy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, Optional, Sequence
 
-from . import ApoError, oracle
+from . import ApoError, Record, oracle, set_field
 from .compiler import normal_answer_sets, normalize
 from .nplp import NpProgram, PInterpretation, render_atom
-from .oracle import State, Trajectory
+from .oracle import Initial, State, Trajectory
 from .theory import ActionTheory, fluent_of, is_consistent, render_formula
 
 
@@ -26,15 +25,22 @@ class PolicyError(ApoError):
     pass
 
 
-@dataclass(frozen=True)
-class AnswerSetReport:
-    """Trajectory-shaped reading of one answer set."""
-    states: tuple[State, ...]            # holds-literals per time 0..n
-    occ: tuple[str, ...]                 # chosen sub-outcome id per time 0..n-1
-    state_probs: tuple[Fraction | None, ...]   # state(t) annotation per time
-    value: Fraction | None               # value(v, n) at the horizon
-    valid: bool
-    reasons: tuple[str, ...] = ()
+class AnswerSetReport(Record):
+    """Trajectory-shaped reading of one answer set: `states` holds the
+    holds-literals per time 0..n, `occ` the chosen sub-outcome id per time
+    0..n-1, `state_probs` the state(t) annotation per time and `value` the
+    value(v, n) at the horizon."""
+    __slots__ = ("states", "occ", "state_probs", "value", "valid", "reasons")
+
+    def __init__(self, states: tuple[State, ...], occ: tuple[str, ...],
+                 state_probs: tuple[Fraction | None, ...], value: Fraction | None,
+                 valid: bool, reasons: tuple[str, ...] = ()):
+        set_field(self, "states", states)
+        set_field(self, "occ", occ)
+        set_field(self, "state_probs", state_probs)
+        set_field(self, "value", value)
+        set_field(self, "valid", valid)
+        set_field(self, "reasons", reasons)
 
 
 def extract_report(theory: ActionTheory, h: PInterpretation, horizon: int,
@@ -156,12 +162,15 @@ def consistent_with(theory: ActionTheory, report: AnswerSetReport,
     return True
 
 
-@dataclass(frozen=True)
-class PolicyValue:
-    policy: dict[State, str]
-    value: Fraction
-    contributors: int            # number of answer sets summed
-    per_initial: dict[State, Fraction] = field(default_factory=dict)
+class PolicyValue(Record):
+    __slots__ = ("policy", "value", "contributors", "per_initial")
+
+    def __init__(self, policy: dict[State, str], value: Fraction, contributors: int,
+                 per_initial: dict[State, Fraction] | None = None):
+        set_field(self, "policy", policy)
+        set_field(self, "value", value)
+        set_field(self, "contributors", contributors)  # number of answer sets summed
+        set_field(self, "per_initial", {} if per_initial is None else per_initial)
 
     def to_json(self) -> dict:
         return {
@@ -219,12 +228,15 @@ def _trajectory_key(traj: Trajectory) -> tuple:
     return (tuple(oracle.state_key(s) for s in traj.states), traj.subs)
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    name: str
-    ok: bool
-    detail: str = ""
-    counterexamples: tuple[str, ...] = ()
+class CheckReport(Record):
+    __slots__ = ("name", "ok", "detail", "counterexamples")
+
+    def __init__(self, name: str, ok: bool, detail: str = "",
+                 counterexamples: tuple[str, ...] = ()):
+        set_field(self, "name", name)
+        set_field(self, "ok", ok)
+        set_field(self, "detail", detail)
+        set_field(self, "counterexamples", counterexamples)
 
     def to_json(self) -> dict:
         return {"check": self.name, "ok": self.ok, "detail": self.detail,
@@ -233,17 +245,18 @@ class CheckReport:
 
 def check_trajectories(theory: ActionTheory, horizon: int,
                        reports: Sequence[AnswerSetReport],
-                       policies: Sequence[Mapping[State, str]]) -> CheckReport:
+                       policies: Sequence[Mapping[State, str]],
+                       initial: Optional[Initial] = None) -> CheckReport:
     """Stationary trajectories reconstructed from the valid `reports` must
     equal the oracle trajectories taken over `policies`, every enumerable
-    policy.
+    policy.  `initial`, if given, is `oracle.initial_states(theory)`.
 
     Answer sets also encode non-stationary action sequences (a revisited state
     may get a different action), which no stationary policy generates; those
     are filtered out before comparing."""
     oracle_keys = set()
     for policy in policies:
-        for traj in oracle.enumerate_trajectories(theory, policy, horizon):
+        for traj in oracle.enumerate_trajectories(theory, policy, horizon, initial):
             oracle_keys.add(_trajectory_key(traj))
 
     program_keys = set()
@@ -265,14 +278,16 @@ def check_trajectories(theory: ActionTheory, horizon: int,
 
 def check_policy_values(theory: ActionTheory, horizon: int,
                         reports: Sequence[AnswerSetReport],
-                        policies: Sequence[Mapping[State, str]]) -> CheckReport:
+                        policies: Sequence[Mapping[State, str]],
+                        initial: Optional[Initial] = None) -> CheckReport:
     """Summed values of the valid `reports` per policy must equal the oracle's
-    belief-weighted value of that policy, exactly."""
+    belief-weighted value of that policy, exactly.  `initial`, if given, is
+    `oracle.initial_states(theory)`."""
     grouped = group_policies(theory, reports, policies)
-    belief = oracle.initial_belief(theory)
+    belief = oracle.initial_belief(theory, initial)
     bad = []
     for pv in grouped:
-        expected = oracle.belief_value(theory, pv.policy, horizon, belief)
+        expected = oracle.belief_value(theory, pv.policy, horizon, belief, initial)
         if expected != pv.value:
             bad.append(
                 f"policy {oracle.policy_to_json(pv.policy)}: "
@@ -331,20 +346,22 @@ def cross_check(theory: ActionTheory, horizon: int, program: NpProgram,
     """The four equivalence checks on `program` (the theory compiled at
     `horizon`) and its `answer_sets`, as `compiler.annotated_answer_sets`
     returns them.  Each stage runs once: the normal program is normalized
-    and searched once, for checks 3 and 4; the oracle enumerates its
-    policies once and the answer sets are read into reports once, for checks
-    1 and 2.  The completion models that the answer sets were built from are
-    their atoms of the normal program, so check 4 compares those very models
-    with the normal answer sets, which a search without SAT finds."""
+    and searched once, for checks 3 and 4; the oracle closes the initial
+    states and enumerates its policies once and the answer sets are read
+    into reports once, for checks 1 and 2.  The completion models that the
+    answer sets were built from are their atoms of the normal program, so
+    check 4 compares those very models with the normal answer sets, which a
+    search without SAT finds."""
     normal = normalize(program)
     normal_sets = normal_answer_sets(normal)
-    policies = oracle.enumerate_policies(theory, horizon)
+    initial = oracle.initial_states(theory)
+    policies = oracle.enumerate_policies(theory, horizon, initial)
     reports = valid_reports(theory, answer_sets, horizon)
     normal_atoms = normal.atoms()
     models = [frozenset(a for a in h if a in normal_atoms) for h in answer_sets]
     return [
-        check_trajectories(theory, horizon, reports, policies),
-        check_policy_values(theory, horizon, reports, policies),
+        check_trajectories(theory, horizon, reports, policies, initial),
+        check_policy_values(theory, horizon, reports, policies, initial),
         check_normal_projection(answer_sets, normal_sets),
         check_sat_models(models, normal_sets),
     ]

@@ -118,10 +118,6 @@ def enumerate_models(clauses: Iterable[tuple[int, ...]], nvars: int,
         var = abs(lit)
 
 
-def count_models(clauses: Iterable[tuple[int, ...]], nvars: int) -> int:
-    return sum(1 for _ in enumerate_models(clauses, nvars))
-
-
 def parse_dimacs(text: str) -> tuple[list[tuple[int, ...]], int]:
     nvars = None
     clauses: list[tuple[int, ...]] = []

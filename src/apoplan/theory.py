@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
-from . import ApoError
+from . import ApoError, Record, set_field
 
 
 class ParseError(ApoError):
@@ -99,38 +98,55 @@ def render_prob(p: Fraction) -> str:
 # domain types
 
 
-@dataclass(frozen=True)
-class InitialEntry:
-    formula: frozenset[str]
-    prob: Fraction
+class InitialEntry(Record):
+    __slots__ = ("formula", "prob")
+
+    def __init__(self, formula: frozenset[str], prob: Fraction):
+        set_field(self, "formula", formula)
+        set_field(self, "prob", prob)
 
 
-@dataclass(frozen=True)
-class SubOutcome:
-    id: str                    # action name + 1-based index, e.g. "listen_1"
-    kind: str                  # "causes" | "observes"
-    effect: frozenset[str]     # caused literals, or the sensor-report literals
-    prob: Fraction
-    reward: Fraction
-    condition: frozenset[str]  # "if" formula, or the sensed correlate
+class SubOutcome(Record):
+    """`id` is the action name and a 1-based index, e.g. "listen_1"; `kind`
+    is "causes" or "observes"; `effect` holds the caused literals, or the
+    sensor-report literals; `condition` is the "if" formula, or the sensed
+    correlate."""
+    __slots__ = ("id", "kind", "effect", "prob", "reward", "condition")
+
+    def __init__(self, id: str, kind: str, effect: frozenset[str],
+                 prob: Fraction, reward: Fraction, condition: frozenset[str]):
+        set_field(self, "id", id)
+        set_field(self, "kind", kind)
+        set_field(self, "effect", effect)
+        set_field(self, "prob", prob)
+        set_field(self, "reward", reward)
+        set_field(self, "condition", condition)
 
 
-@dataclass(frozen=True)
-class ActionDecl:
-    name: str
-    kind: str                  # "sensing" | "non-sensing"
-    outcomes: tuple[SubOutcome, ...]
-    executability: frozenset[str]
+class ActionDecl(Record):
+    __slots__ = ("name", "kind", "outcomes", "executability")
+
+    def __init__(self, name: str, kind: str, outcomes: tuple[SubOutcome, ...],
+                 executability: frozenset[str]):
+        set_field(self, "name", name)
+        set_field(self, "kind", kind)            # "sensing" | "non-sensing"
+        set_field(self, "outcomes", outcomes)
+        set_field(self, "executability", executability)
 
 
-@dataclass(frozen=True)
-class ActionTheory:
-    fluents: tuple[str, ...]
-    domains: tuple[tuple[str, tuple[str, ...]], ...]
-    initial: tuple[InitialEntry, ...]
-    actions: tuple[ActionDecl, ...]
-    discount: Fraction
-    goal: Optional[frozenset[str]] = None
+class ActionTheory(Record):
+    __slots__ = ("fluents", "domains", "initial", "actions", "discount", "goal")
+
+    def __init__(self, fluents: tuple[str, ...],
+                 domains: tuple[tuple[str, tuple[str, ...]], ...],
+                 initial: tuple[InitialEntry, ...], actions: tuple[ActionDecl, ...],
+                 discount: Fraction, goal: Optional[frozenset[str]] = None):
+        set_field(self, "fluents", fluents)
+        set_field(self, "domains", domains)
+        set_field(self, "initial", initial)
+        set_field(self, "actions", actions)
+        set_field(self, "discount", discount)
+        set_field(self, "goal", goal)
 
     def action(self, name: str) -> ActionDecl:
         for a in self.actions:
@@ -158,19 +174,23 @@ class ActionTheory:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class Violation:
-    decl: str
-    rule: str
-    message: str
+class Violation(Record):
+    __slots__ = ("decl", "rule", "message")
+
+    def __init__(self, decl: str, rule: str, message: str):
+        set_field(self, "decl", decl)
+        set_field(self, "rule", rule)
+        set_field(self, "message", message)
 
     def to_json(self) -> dict:
         return {"decl": self.decl, "rule": self.rule, "message": self.message}
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[Violation, ...]
+class ValidationReport(Record):
+    __slots__ = ("violations",)
+
+    def __init__(self, violations: tuple[Violation, ...]):
+        set_field(self, "violations", violations)
 
     def __bool__(self) -> bool:  # truthy when valid
         return not self.violations
@@ -199,12 +219,14 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str   # "number" | "ident" | punct char | "eof"
-    text: str
-    line: int
-    column: int
+class _Token(Record):
+    __slots__ = ("kind", "text", "line", "column")
+
+    def __init__(self, kind: str, text: str, line: int, column: int):
+        set_field(self, "kind", kind)    # "number" | "ident" | punct char | "eof"
+        set_field(self, "text", text)
+        set_field(self, "line", line)
+        set_field(self, "column", column)
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -569,8 +591,8 @@ def ground_theory(theory: ActionTheory) -> ActionTheory:
         if vs:
             raise GroundingError("variables are not supported in the goal formula")
 
-    return replace(theory, fluents=tuple(fluents), initial=tuple(initial),
-                   actions=tuple(actions), goal=goal)
+    return theory.replace(fluents=tuple(fluents), initial=tuple(initial),
+                          actions=tuple(actions), goal=goal)
 
 
 # ---------------------------------------------------------------------------

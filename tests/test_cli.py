@@ -162,7 +162,8 @@ def test_sat_model_count_matches_solve(capsys):
     _, dimacs = run(capsys, "sat", TIGER, "--horizon", "1")
     clauses, nvars = satmod.parse_dimacs(dimacs)
     _, solve_out = run(capsys, "solve", TIGER, "--horizon", "1")
-    assert satmod.count_models(clauses, nvars) == json.loads(solve_out)["count"]
+    count = sum(1 for _ in satmod.enumerate_models(clauses, nvars))
+    assert count == json.loads(solve_out)["count"]
 
 
 def test_fuzz_deterministic_and_valid(capsys, tmp_path):
@@ -244,23 +245,28 @@ def test_stage_errors_exit_3(capsys, monkeypatch, command, module, name, error):
     assert capsys.readouterr().err == "internal error: seeded fault\n"
 
 
+def _fresh_python(script: str, *argv) -> str:
+    """Standard output of `python -c script argv...` in a fresh interpreter
+    with `src` on the path (this process has imported every module already)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script, *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def _loaded_modules(tmp_path, *argv) -> set[str]:
-    """The apoplan modules in `sys.modules` after `main(argv)` in a fresh
-    interpreter (this process has imported them all already)."""
+    """The apoplan modules in `sys.modules` after `main(argv)`."""
     script = ("import json, sys\n"
               "from apoplan.cli import main\n"
               "code = main(sys.argv[1:])\n"
               "print(json.dumps(sorted(m for m in sys.modules\n"
               "    if m == 'apoplan' or m.startswith('apoplan.'))))\n"
               "sys.exit(code)\n")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", script, *argv, "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stdout))
+    return set(json.loads(
+        _fresh_python(script, *argv, "--out", str(tmp_path / "out"))))
 
 
 def test_commands_import_only_what_they_run(tmp_path, spans):
@@ -273,6 +279,16 @@ def test_commands_import_only_what_they_run(tmp_path, spans):
     # all, `policies` included
     wrapped = {modname for modname, _, _, _ in spans.SPANS}
     assert wrapped <= _loaded_modules(tmp_path, "sat", TIGER, "--horizon", "1")
+
+
+def test_package_imports_neither_dataclasses_nor_inspect():
+    # every command runs in a fresh process, and importing `dataclasses`,
+    # which imports `inspect`, would add to the start-up of each one
+    script = ("import sys\n"
+              "import apoplan.cli, apoplan.compiler, apoplan.policies\n"
+              "import apoplan.oracle, apoplan.sat, apoplan.fuzz\n"
+              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
+    assert _fresh_python(script) == "[]\n"
 
 
 def test_planning_commands_build_no_least_model_engine(capsys, monkeypatch):
@@ -310,5 +326,5 @@ def test_check_runs_each_stage_once(capsys, monkeypatch):
     assert counts["enumerate_models"] == 1
     assert counts["extract_report"] == 128
     assert counts["enumerate_policies"] == 1
-    # once per policy in check 1's trajectories and in check 2's belief value
-    assert counts["initial_states"] < 170, counts
+    # once for the compiled program's initial-state rules, once for the oracle
+    assert counts["initial_states"] == 2, counts

@@ -4,7 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apoplan.sat import SatError, count_models, enumerate_models
+from apoplan.sat import SatError, enumerate_models
+
+
+def count_models(clauses, nvars):
+    return sum(1 for _ in enumerate_models(clauses, nvars))
 
 
 def truth_table_models(clauses, nvars):
