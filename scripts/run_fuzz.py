@@ -22,9 +22,6 @@ from apoplan.fuzz import generate_theory
 from apoplan.nplp import answer_set_sort_key, least_model, reduct
 from apoplan.theory import validate_theory
 
-# the predicates of the rule families that `compiler.normalize` deletes
-PROBABILITY_PREDICATES = {"state", "value", "factor", "reward"}
-
 
 def check_theory(theory) -> None:
     assert validate_theory(theory)
@@ -51,10 +48,11 @@ def check_answer_sets(theory, horizon: int) -> None:
         assert all(type(v) is Fraction for v in h.values())
     assert answer_sets == sorted(answer_sets, key=answer_set_sort_key), \
         "annotated answer sets out of order"
-    normal_atoms = sorted(
-        (frozenset(a for a in h if a[0] not in PROBABILITY_PREDICATES)
-         for h in answer_sets), key=answer_set_sort_key)
-    assert compiler.normal_answer_sets(compiler.normalize(program)) == normal_atoms, \
+    normal = compiler.normalize(program)
+    atoms = normal.atoms()
+    normal_atoms = sorted((frozenset(a for a in h if a in atoms) for h in answer_sets),
+                          key=answer_set_sort_key)
+    assert compiler.normal_answer_sets(normal) == normal_atoms, \
         "normal_answer_sets differs from the normal atoms of the annotated answer sets"
     for h in answer_sets:
         for t in range(horizon):

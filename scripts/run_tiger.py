@@ -8,7 +8,6 @@ between the two value definitions at horizon 2.
 
 import argparse
 import time
-from fractions import Fraction
 from pathlib import Path
 
 from apoplan import compiler, oracle, policies
@@ -35,9 +34,7 @@ def main():
         v_sum = oracle.belief_value(theory, policy, 1, belief)
         v_rec = sum(p * oracle.recursive_value(theory, policy, 1, s)
                     for s, p in belief.items())
-        v_asp = sum((r.value for r in reports
-                     if policies.consistent_with(theory, r, policy)),
-                    Fraction(0))
+        v_asp = policies.group_policies(theory, reports, [policy])[0].value
         print(f"  {name:7s} trajectory-sum={v_sum}  recursive={v_rec}  "
               f"answer-sets={v_asp}")
 

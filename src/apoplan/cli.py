@@ -54,14 +54,17 @@ def _parse_fraction(text: str) -> Fraction:
         raise _CliFailure(EXIT_INPUT, f"not a number: {text!r}") from None
 
 
-def _load_theory(args) -> ActionTheory:
+def _read_input(args) -> str:
     try:
         with open(args.input, encoding="utf-8") as f:
-            text = f.read()
+            return f.read()
     except OSError as e:
         raise _CliFailure(EXIT_INPUT, f"cannot read {args.input}: {e}") from None
+
+
+def _load_theory(args) -> ActionTheory:
     try:
-        theory = parse_theory(text)
+        theory = parse_theory(_read_input(args))
     except ApoError as e:
         raise _CliFailure(EXIT_INPUT, f"parse error: {e}") from None
     discount = getattr(args, "discount", None)
@@ -110,11 +113,7 @@ def _compile(args):
 
 
 def cmd_validate(args) -> int:
-    try:
-        with open(args.input, encoding="utf-8") as f:
-            text = f.read()
-    except OSError as e:
-        raise _CliFailure(EXIT_INPUT, f"cannot read {args.input}: {e}") from None
+    text = _read_input(args)
     try:
         grounded = ground_theory(parse_theory(text))
         violations = validate_theory(grounded).to_json()

@@ -16,8 +16,9 @@ the checks can compare it with both.
 completion models: each model is a normal answer set, and the deleted rule
 families add its probabilities, rewards and values as one least model.  The
 family rules are put in dependency order once, so that least model is one
-pass over the rules the model enables, and the answer sets are sorted by
-tuples of atom ranks, rendering each distinct atom once.
+pass over the rules the model enables.  Both enumerators list their answer
+sets through `nplp.sort_answer_sets`, and `check_tight` and that dependency
+order share one depth-first search, `_depth_first_order`.
 
 Every emitted rule carries a schema tag so later stages can delete exactly the
 right rule families.
@@ -29,15 +30,15 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from . import ApoError, Record, oracle, sat, set_field
+from . import ApoError, Record, sat, set_field
 from .nplp import (
     Add, AProd, AVar, Atom, BLit, Const, Mul, NplpError, NpProgram, NpRule,
-    Num, ONE, PInterpretation, Ref, atom_is_ground, eval_annotation,
-    iter_rule_firings, render_atom,
+    Num, ONE, PInterpretation, Ref, atom_is_ground, can_match,
+    eval_annotation, iter_rule_firings, render_atom, sort_answer_sets,
 )
 from .theory import (
-    ActionTheory, negate, reading_literals, report_literals,
-    validate_theory,
+    ActionTheory, close_initial_formula, ground_theory, negate,
+    reading_literals, report_literals, validate_theory,
 )
 
 
@@ -62,14 +63,16 @@ def _holds_all(formula: Iterable[str], t: int) -> tuple[BLit, ...]:
 
 
 def compile_theory(theory: ActionTheory, horizon: int) -> NpProgram:
-    """Emit the annotated program for `theory` with time grounded over
-    0..horizon-1 (state atoms range up to `horizon`)."""
+    """Emit the annotated program for `theory`, grounded over its domains,
+    with time grounded over 0..horizon-1 (state atoms range up to
+    `horizon`)."""
     if horizon < 1:
         raise CompileError("horizon must be at least 1")
     report = validate_theory(theory)
     if not report:
         msgs = "; ".join(v.message for v in report.violations)
         raise CompileError(f"invalid theory: {msgs}")
+    theory = ground_theory(theory)  # validated, so it grounds
 
     rules: list[NpRule] = []
 
@@ -89,8 +92,9 @@ def compile_theory(theory: ActionTheory, horizon: int) -> NpProgram:
         emit("9", ("contrary", f, "-" + f), body=_body(("fluent", f)))
         emit("10", ("contrary", "-" + f, f), body=_body(("fluent", f)))
 
-    # initial states (11)-(15)
-    init = oracle.initial_states(theory)
+    # initial states (11)-(15); the theory is valid, so each closure is a
+    # complete consistent state
+    init = [(close_initial_formula(theory, e.formula), e.prob) for e in theory.initial]
     states = [s for s, _ in init]
     inter = frozenset.intersection(*states) if states else frozenset()
     union = frozenset.union(*states) if states else frozenset()
@@ -365,12 +369,7 @@ def normal_answer_sets(program: NormalProgram) -> list[frozenset]:
             if propagate(*child, fire, kill):
                 stack.append(child)
 
-    # atoms are indexed in rendered order, so comparing index tuples compares
-    # the sorted rendered atoms; atoms that render alike share a rank
-    first: dict[str, int] = {}
-    rank = [first.setdefault(render_atom(a), i) for i, a in enumerate(atoms)]
-    found.sort(key=lambda ids: tuple(map(rank.__getitem__, ids)))
-    return [frozenset(map(atoms.__getitem__, ids)) for ids in found]
+    return sort_answer_sets([frozenset(map(atoms.__getitem__, ids)) for ids in found])
 
 
 # ---------------------------------------------------------------------------
@@ -406,30 +405,45 @@ class NonTightError(CompileError):
         self.cycle = cycle
 
 
+def _depth_first_order(nodes: Iterable, successors, on_cycle) -> list:
+    """The nodes in the post-order of a depth-first search that starts from
+    each of `nodes` in turn and visits `successors(node)` in the order given.
+    Reaching a node again while it is on the search path calls `on_cycle`
+    with that cycle (its first node repeated at the end), which must raise."""
+    state: dict = {}  # 1 = on the path, 2 = done
+    path: list = []
+    order: list = []
+
+    def visit(node):
+        state[node] = 1
+        path.append(node)
+        for nxt in successors(node):
+            mark = state.get(nxt)
+            if mark == 1:
+                on_cycle(path[path.index(nxt):] + [nxt])
+            if mark is None:
+                visit(nxt)
+        path.pop()
+        state[node] = 2
+        order.append(node)
+
+    for node in nodes:
+        if node not in state:
+            visit(node)
+    return order
+
+
 def check_tight(program: NormalProgram):
     """Reject programs whose positive dependency graph has a cycle."""
     edges: dict[Atom, set[Atom]] = {}
     for head, pos, _ in program.rules:
         edges.setdefault(head, set()).update(pos)
-    state: dict[Atom, int] = {}  # 1 = on stack, 2 = done
-    path: list[Atom] = []
 
-    def visit(atom: Atom):
-        state[atom] = 1
-        path.append(atom)
-        for nxt in sorted(edges.get(atom, ()), key=repr):
-            mark = state.get(nxt)
-            if mark == 1:
-                cycle = path[path.index(nxt):] + [nxt]
-                raise NonTightError(tuple(cycle))
-            if mark is None:
-                visit(nxt)
-        path.pop()
-        state[atom] = 2
+    def cycle(atoms: list[Atom]):
+        raise NonTightError(tuple(atoms))
 
-    for atom in sorted(edges, key=repr):
-        if atom not in state:
-            visit(atom)
+    _depth_first_order(sorted(edges, key=repr),
+                       lambda atom: sorted(edges.get(atom, ()), key=repr), cycle)
 
 
 def to_sat(program: NormalProgram) -> CnfFormula:
@@ -564,48 +578,21 @@ def _split_probability_rules(program: NpProgram):
                         atom_is_ground(rule.head)
                         and all(atom_is_ground(lit.atom) for lit in rest)))
 
-    # rule i feeds rule j when i's head can match one of j's body atoms: same
-    # predicate and arity, equal arguments wherever both are ground
+    # rule i feeds rule j when i's head can match one of j's body atoms
     heads_by_pred: dict[str, list[int]] = {}
     for i, (_, rule, _) in enumerate(indexed):
         heads_by_pred.setdefault(rule.head[0], []).append(i)
     feeders = [
         sorted({i for lit in rule.body
                 for i in heads_by_pred.get(lit.atom[0], ())
-                if _can_match(lit.atom, indexed[i][1].head)})
+                if can_match(lit.atom, indexed[i][1].head)})
         for _, rule, _ in indexed]
-    order: list[int] = []
-    state: dict[int, int] = {}  # 1 = on the path, 2 = placed
-    path: list[int] = []
-
-    def visit(j: int):
-        state[j] = 1
-        path.append(j)
-        for i in feeders[j]:
-            if state.get(i) == 1:
-                cycle = path[path.index(i):] + [i]
-                fail("the probability rules for "
-                     + " -> ".join(render_atom(indexed[k][1].head) for k in cycle)
-                     + " feed each other")
-            if i not in state:
-                visit(i)
-        path.pop()
-        state[j] = 2
-        order.append(j)
-
-    for j in range(len(indexed)):
-        if j not in state:
-            visit(j)
+    order = _depth_first_order(
+        range(len(indexed)), feeders.__getitem__,
+        lambda cycle: fail("the probability rules for "
+                           + " -> ".join(render_atom(indexed[k][1].head) for k in cycle)
+                           + " feed each other"))
     return [indexed[j] for j in order]
-
-
-_GROUND = (str, int, Fraction)
-
-
-def _can_match(pattern: Atom, head: Atom) -> bool:
-    return len(pattern) == len(head) and all(
-        p == h for p, h in zip(pattern[1:], head[1:])
-        if isinstance(p, _GROUND) and isinstance(h, _GROUND))
 
 
 _ZERO = Fraction(0)
@@ -645,9 +632,7 @@ def annotated_answer_sets(program: NpProgram) -> list[PInterpretation]:
     The family rules are put in dependency order once, so the least model of
     each M is one pass over that order: every enabled rule fires against the
     atoms derived so far, which are final for everything it can read, and
-    each head keeps the max of its firings.  The answer sets are sorted by
-    tuples of atom ranks, one rank per distinct rendered atom, which is the
-    `nplp.answer_set_sort_key` order with every atom rendered once."""
+    each head keeps the max of its firings."""
     ordered = _split_probability_rules(program)
     cnf = to_sat(normalize(program))
     one = Fraction(1)
@@ -676,17 +661,4 @@ def annotated_answer_sets(program: NpProgram) -> list[PInterpretation]:
                 elif value > old:
                     h[head] = value
         out.append(h)
-
-    names: dict[Atom, str] = {}
-    rendered = []
-    for h in out:
-        row = []
-        for atom in h:
-            name = names.get(atom)
-            if name is None:
-                name = names[atom] = render_atom(atom)
-            row.append(name)
-        rendered.append(row)
-    rank = {name: i for i, name in enumerate(sorted(set(names.values())))}
-    keys = [sorted(map(rank.__getitem__, row)) for row in rendered]
-    return [out[i] for i in sorted(range(len(out)), key=keys.__getitem__)]
+    return sort_answer_sets(out)

@@ -14,7 +14,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from .theory import ActionTheory, parse_theory, validate_theory
+from .theory import ActionTheory, parse_theory, render_prob, validate_theory
 
 MAX_FLUENTS = 3
 MAX_ACTIONS = 3
@@ -24,10 +24,6 @@ def _weights_to_probs(rng: random.Random, k: int) -> list[Fraction]:
     weights = [rng.randint(1, 5) for _ in range(k)]
     total = sum(weights)
     return [Fraction(w, total) for w in weights]
-
-
-def _render_prob(p: Fraction) -> str:
-    return str(p.numerator) if p.denominator == 1 else f"{p.numerator}/{p.denominator}"
 
 
 def generate_theory_text(seed: int) -> str:
@@ -45,7 +41,7 @@ def generate_theory_text(seed: int) -> str:
     chosen = rng.sample(all_states, k)
     probs = _weights_to_probs(rng, k)
     entries = [
-        "{" + ", ".join(sorted(s)) + "}: " + _render_prob(p)
+        "{" + ", ".join(sorted(s)) + "}: " + render_prob(p)
         for s, p in zip(chosen, probs)
     ]
     lines.append("initially " + " ; ".join(entries) + ".")
@@ -73,9 +69,9 @@ def generate_theory_text(seed: int) -> str:
                 p = Fraction(rng.randint(1, 9), 10)
                 r = rng.randint(-5, 5)
                 clauses.append(
-                    f"{{{report}}}: {_render_prob(p)}: {r} sensing {{{cond_lit}}}")
+                    f"{{{report}}}: {render_prob(p)}: {r} sensing {{{cond_lit}}}")
                 clauses.append(
-                    f"{{-{report}}}: {_render_prob(1 - p)}: {r} sensing {{{cond_lit}}}")
+                    f"{{-{report}}}: {render_prob(1 - p)}: {r} sensing {{{cond_lit}}}")
             lines.append(f"action {name} observes\n    "
                          + " ;\n    ".join(clauses) + ".")
         else:
@@ -87,13 +83,13 @@ def generate_theory_text(seed: int) -> str:
                 for p in out_probs:
                     r = rng.randint(-5, 5)
                     clauses.append(
-                        f"{random_effect(set())}: {_render_prob(p)}: {r} "
+                        f"{random_effect(set())}: {render_prob(p)}: {r} "
                         f"if {{{cond_lit}}}")
             lines.append(f"action {name} causes\n    "
                          + " ;\n    ".join(clauses) + ".")
 
     discount = rng.choice([Fraction(1, 2), Fraction(9, 10)])
-    lines.append(f"discount {_render_prob(discount)}.")
+    lines.append(f"discount {render_prob(discount)}.")
     return "\n".join(lines) + "\n"
 
 

@@ -69,7 +69,7 @@ class Mul(Record):
         set_field(self, "parts", parts)
 
 
-Ground = str | int | Fraction
+GROUND_TERMS = (str, int, Fraction)  # the argument types of a ground atom
 
 
 def eval_expr(expr, env: Mapping[str, Fraction]) -> Fraction:
@@ -174,7 +174,18 @@ PInterpretation = dict  # ground atom -> Fraction; absent atoms are 0
 
 
 def atom_is_ground(atom: Atom) -> bool:
-    return all(isinstance(a, (str, int, Fraction)) for a in atom[1:])
+    return all(isinstance(a, GROUND_TERMS) for a in atom[1:])
+
+
+def can_match(pattern: Atom, atom: Atom) -> bool:
+    """Whether two atoms of one predicate can unify: the same arity, and equal
+    arguments wherever both are ground."""
+    if len(pattern) != len(atom):
+        return False
+    for p, a in zip(pattern[1:], atom[1:]):
+        if isinstance(p, GROUND_TERMS) and isinstance(a, GROUND_TERMS) and p != a:
+            return False
+    return True
 
 
 def render_term(t) -> str:
@@ -242,7 +253,23 @@ def answer_set_sort_key(h: PInterpretation) -> list[str]:
     return sorted(render_atom(a) for a in h)
 
 
-def _substitute_atom(atom: Atom, binding: Mapping[str, Ground]) -> Atom:
+def sort_answer_sets(sets: list) -> list:
+    """`sets` (frozensets or dicts of atoms) sorted by `answer_set_sort_key`,
+    rendering each distinct atom once: an atom's rank is the place of its
+    rendering among all of them, so atoms that render alike share a rank and
+    sorted rank lists compare as the sorted rendered lists do."""
+    names: dict[Atom, str] = {}
+    for h in sets:
+        for atom in h:
+            if atom not in names:
+                names[atom] = render_atom(atom)
+    place = {name: i for i, name in enumerate(sorted(set(names.values())))}
+    rank = {atom: place[name] for atom, name in names.items()}
+    keys = [sorted(map(rank.__getitem__, h)) for h in sets]
+    return [sets[i] for i in sorted(range(len(sets)), key=keys.__getitem__)]
+
+
+def _substitute_atom(atom: Atom, binding: Mapping) -> Atom:
     return (atom[0], *(binding.get(a.name, a) if isinstance(a, Ref) else a
                        for a in atom[1:]))
 
@@ -290,7 +317,7 @@ def iter_rule_firings(rule: NpRule, h: Mapping[Atom, Fraction],
             candidates = (atom,)
         else:
             candidates = [c for c in atoms_by_pred.get(atom[0], ())
-                          if len(c) == len(atom) and _matches(atom, c)]
+                          if can_match(atom, c)]
         for cand in candidates:
             env2 = _bind(atom, cand, env)
             if env2 is None:
@@ -307,13 +334,6 @@ def iter_rule_firings(rule: NpRule, h: Mapping[Atom, Fraction],
     yield from step(0, {})
 
 
-def _matches(pattern: Atom, ground: Atom) -> bool:
-    for p, g in zip(pattern[1:], ground[1:]):
-        if isinstance(p, (str, int, Fraction)) and p != g:
-            return False
-    return True
-
-
 def _bind(pattern: Atom, ground: Atom, env: dict) -> Optional[dict]:
     out = env
     for p, g in zip(pattern[1:], ground[1:]):
@@ -328,17 +348,6 @@ def _bind(pattern: Atom, ground: Atom, env: dict) -> Optional[dict]:
         elif p != g:
             return None
     return out
-
-
-def satisfies_program(h: Mapping[Atom, Fraction], program: NpProgram) -> bool:
-    """h satisfies every rule: no firing's head value exceeds h of its head,
-    which under max composition bounds the composed contribution too."""
-    atoms_by_pred: dict[str, list[Atom]] = {}
-    for atom in h:
-        atoms_by_pred.setdefault(atom[0], []).append(atom)
-    return all(satisfies(h, head, value)
-               for rule in program.rules
-               for head, value in iter_rule_firings(rule, h, atoms_by_pred))
 
 
 # ---------------------------------------------------------------------------

@@ -153,15 +153,6 @@ def stationary_action_map(theory: ActionTheory, report: AnswerSetReport,
     return out
 
 
-def consistent_with(theory: ActionTheory, report: AnswerSetReport,
-                    policy: Mapping[State, str]) -> bool:
-    for t, sub_id in enumerate(report.occ):
-        action, _ = theory.sub_outcome(sub_id)
-        if policy.get(report.states[t]) != action.name:
-            return False
-    return True
-
-
 class PolicyValue(Record):
     __slots__ = ("policy", "value", "contributors", "per_initial")
 
@@ -188,15 +179,18 @@ class PolicyValue(Record):
 def group_policies(theory: ActionTheory, reports: Sequence[AnswerSetReport],
                    policies: Sequence[Mapping[State, str]]) -> list[PolicyValue]:
     """Value of each of `policies`, summed from its consistent answer sets.
-    Each answer-set value already carries the initial-state weight, so the
-    sum is the belief-weighted policy value."""
+    A report is consistent with a policy when its trajectory is stationary
+    and the policy agrees with every action it takes.  Each answer-set value
+    already carries the initial-state weight, so the sum is the
+    belief-weighted policy value."""
+    choices = [(report, stationary_action_map(theory, report)) for report in reports]
     out = []
     for policy in policies:
         total = Fraction(0)
         per_initial: dict[State, Fraction] = {}
         contributors = 0
-        for report in reports:
-            if not consistent_with(theory, report, policy):
+        for report, chosen in choices:
+            if chosen is None or any(policy.get(s) != a for s, a in chosen.items()):
                 continue
             contributors += 1
             total += report.value

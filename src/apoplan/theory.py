@@ -107,20 +107,27 @@ class InitialEntry(Record):
 
 
 class SubOutcome(Record):
-    """`id` is the action name and a 1-based index, e.g. "listen_1"; `kind`
-    is "causes" or "observes"; `effect` holds the caused literals, or the
-    sensor-report literals; `condition` is the "if" formula, or the sensed
-    correlate."""
-    __slots__ = ("id", "kind", "effect", "prob", "reward", "condition")
+    """`id` is the action name and a 1-based index, e.g. "listen_1";
+    `effect` holds the caused literals, or the sensor-report literals;
+    `condition` is the "if" formula, or the sensed correlate.  Whether the
+    outcome is caused or observed is its action's `kind`."""
+    __slots__ = ("id", "effect", "prob", "reward", "condition")
 
-    def __init__(self, id: str, kind: str, effect: frozenset[str],
+    def __init__(self, id: str, effect: frozenset[str],
                  prob: Fraction, reward: Fraction, condition: frozenset[str]):
         set_field(self, "id", id)
-        set_field(self, "kind", kind)
         set_field(self, "effect", effect)
         set_field(self, "prob", prob)
         set_field(self, "reward", reward)
         set_field(self, "condition", condition)
+
+
+def _sub_outcomes(action: str, outcomes: Iterable[tuple]) -> tuple[SubOutcome, ...]:
+    """The sub-outcomes of `action`, numbered from 1, from (effect, prob,
+    reward, condition) tuples."""
+    return tuple(SubOutcome(id=f"{action}_{i}", effect=eff, prob=p, reward=r,
+                            condition=cond)
+                 for i, (eff, p, r, cond) in enumerate(outcomes, start=1))
 
 
 class ActionDecl(Record):
@@ -364,13 +371,8 @@ class _Parser:
         actions = []
         for name, mode, outcomes in raw_actions:
             kind = "sensing" if mode == "observes" else "non-sensing"
-            subs = tuple(
-                SubOutcome(id=f"{name}_{i}", kind=mode, effect=eff, prob=p,
-                           reward=r, condition=cond)
-                for i, (eff, p, r, cond) in enumerate(outcomes, start=1)
-            )
             actions.append(ActionDecl(
-                name=name, kind=kind, outcomes=subs,
+                name=name, kind=kind, outcomes=_sub_outcomes(name, outcomes),
                 executability=exec_conds.get(name, frozenset()),
             ))
         return ActionTheory(
@@ -496,23 +498,20 @@ def serialize_theory(theory: ActionTheory) -> str:
 # grounding
 
 
+def formula_variables(formula: Iterable[str]) -> set[str]:
+    return set().union(*map(lit_variables, formula))
+
+
 def theory_variables(theory: ActionTheory) -> set[str]:
-    vs: set[str] = set()
-    for f in theory.fluents:
-        vs |= lit_variables(f)
+    vs = formula_variables(theory.fluents)
     for e in theory.initial:
-        for l in e.formula:
-            vs |= lit_variables(l)
+        vs |= formula_variables(e.formula)
     for a in theory.actions:
-        vs |= lit_variables(a.name)
-        for l in a.executability:
-            vs |= lit_variables(l)
+        vs |= lit_variables(a.name) | formula_variables(a.executability)
         for o in a.outcomes:
-            for l in o.effect | o.condition:
-                vs |= lit_variables(l)
+            vs |= formula_variables(o.effect | o.condition)
     if theory.goal:
-        for l in theory.goal:
-            vs |= lit_variables(l)
+        vs |= formula_variables(theory.goal)
     return vs
 
 
@@ -548,8 +547,7 @@ def ground_theory(theory: ActionTheory) -> ActionTheory:
 
     initial = []
     for e in theory.initial:
-        vs = set().union(*(lit_variables(l) for l in e.formula)) if e.formula else set()
-        if vs:
+        if formula_variables(e.formula):
             raise GroundingError("variables are not supported in initial-belief formulas")
         initial.append(e)
 
@@ -560,15 +558,12 @@ def ground_theory(theory: ActionTheory) -> ActionTheory:
         for nb in name_bindings:
             name = substitute_lit(a.name, nb)
             execu = substitute_formula(a.executability, nb)
-            exec_vars = set().union(*(lit_variables(l) for l in execu)) if execu else set()
-            if exec_vars:
+            if formula_variables(execu):
                 raise GroundingError(
                     f"executability of {name} has variables not bound by the action name")
             ground_outcomes: list[tuple] = []
             for o in a.outcomes:
-                vs = set()
-                for l in o.effect | o.condition:
-                    vs |= lit_variables(substitute_lit(l, nb))
+                vs = formula_variables(substitute_formula(o.effect | o.condition, nb))
                 for b in _bindings(vs, domains) if vs else [{}]:
                     full = dict(nb, **b)
                     ground_outcomes.append((
@@ -576,53 +571,43 @@ def ground_theory(theory: ActionTheory) -> ActionTheory:
                         o.prob, o.reward,
                         substitute_formula(o.condition, full),
                     ))
-            mode = "causes" if a.kind == "non-sensing" else "observes"
-            subs = tuple(
-                SubOutcome(id=f"{name}_{i}", kind=mode, effect=eff, prob=p,
-                           reward=r, condition=cond)
-                for i, (eff, p, r, cond) in enumerate(ground_outcomes, start=1)
-            )
-            actions.append(ActionDecl(name=name, kind=a.kind, outcomes=subs,
+            actions.append(ActionDecl(name=name, kind=a.kind,
+                                      outcomes=_sub_outcomes(name, ground_outcomes),
                                       executability=execu))
 
-    goal = theory.goal
-    if goal:
-        vs = set().union(*(lit_variables(l) for l in goal))
-        if vs:
-            raise GroundingError("variables are not supported in the goal formula")
+    if formula_variables(theory.goal or ()):
+        raise GroundingError("variables are not supported in the goal formula")
 
     return theory.replace(fluents=tuple(fluents), initial=tuple(initial),
-                          actions=tuple(actions), goal=goal)
+                          actions=tuple(actions))
 
 
 # ---------------------------------------------------------------------------
 # sensing correlations and initial-state closure
 
 
-def report_literals(theory: ActionTheory) -> frozenset[str]:
-    """Literals that (or whose complement) appear in some sensing-outcome effect."""
+def _sensing_literals(theory: ActionTheory, formula_of) -> frozenset[str]:
+    """Literals that (or whose complement) appear in `formula_of(o)` for some
+    sensing outcome o."""
     lits: set[str] = set()
     for a in theory.actions:
         if a.kind != "sensing":
             continue
         for o in a.outcomes:
-            for l in o.effect:
+            for l in formula_of(o):
                 lits.add(l)
                 lits.add(negate(l))
     return frozenset(lits)
+
+
+def report_literals(theory: ActionTheory) -> frozenset[str]:
+    """Literals that (or whose complement) appear in some sensing-outcome effect."""
+    return _sensing_literals(theory, lambda o: o.effect)
 
 
 def reading_literals(theory: ActionTheory) -> frozenset[str]:
     """Literals that (or whose complement) appear in some sensing condition."""
-    lits: set[str] = set()
-    for a in theory.actions:
-        if a.kind != "sensing":
-            continue
-        for o in a.outcomes:
-            for l in o.condition:
-                lits.add(l)
-                lits.add(negate(l))
-    return frozenset(lits)
+    return _sensing_literals(theory, lambda o: o.condition)
 
 
 def sensing_groups(theory: ActionTheory) -> list[tuple[frozenset[str], tuple[SubOutcome, ...]]]:

@@ -12,9 +12,9 @@ from fractions import Fraction
 
 from apoplan import compiler, oracle, policies, sat
 from apoplan.fuzz import generate_theory
-from apoplan.nplp import (
-    BLit, Const, NpProgram, NpRule, least_model, reduct, satisfies_program,
-)
+from apoplan.nplp import BLit, Const, NpProgram, NpRule, least_model, reduct
+
+from conftest import satisfies_program
 
 TOL = Fraction(1, 10**9)
 
@@ -38,9 +38,7 @@ def test_criterion_1_one_step_values_three_ways(tiger):
         v_sum = oracle.belief_value(tiger, policy, 1, belief)
         v_rec = sum(p * oracle.recursive_value(tiger, policy, 1, s)
                     for s, p in belief.items())
-        v_asp = sum((r.value for r in reports
-                     if policies.consistent_with(tiger, r, policy)),
-                    Fraction(0))
+        v_asp = policies.group_policies(tiger, reports, [policy])[0].value
         assert v_sum == v_rec == v_asp == want, (name, v_sum, v_rec, v_asp)
         assert abs(v_sum - want) <= TOL
         results[name] = v_sum

@@ -326,5 +326,5 @@ def test_check_runs_each_stage_once(capsys, monkeypatch):
     assert counts["enumerate_models"] == 1
     assert counts["extract_report"] == 128
     assert counts["enumerate_policies"] == 1
-    # once for the compiled program's initial-state rules, once for the oracle
-    assert counts["initial_states"] == 2, counts
+    # once, for the oracle: the compiler closes the initial formulas itself
+    assert counts["initial_states"] == 1, counts

@@ -17,7 +17,7 @@ from apoplan.nplp import (
     answer_set_sort_key, enumerate_answer_sets, format_rule, least_model,
     reduct, render_atom,
 )
-from apoplan.theory import parse_theory
+from apoplan.theory import ground_theory, parse_theory
 
 DROPPED = {"15", "18", "21", "22", "23", "24", "value-base", "factor"}
 
@@ -96,6 +96,19 @@ def test_compile_rejects_invalid_theory(tiger_text):
         compile_theory(theory, 1)
 
 
+def test_compile_grounds_the_theory():
+    theory = parse_theory("""
+        domain D = {l, r}.
+        fluent at(D).
+        initially {at(l), -at(r)}: 1.
+        action go(D) causes {at(D)}: 1: 0 if {}.
+        discount 1/2.
+    """)
+    program = compile_theory(theory, 1)
+    assert program == compile_theory(ground_theory(theory), 1)
+    assert ("fluent", "at(r)") in {r.head for r in program.rules}
+
+
 def test_compile_rejects_zero_horizon(tiger):
     with pytest.raises(CompileError):
         compile_theory(tiger, 0)
@@ -124,9 +137,9 @@ def test_tightness_check(tiger):
         (("a",), (("b",),), ()),
         (("b",), (("a",),), ()),
     ))
-    with pytest.raises(NonTightError, match="cycle"):
+    with pytest.raises(NonTightError, match="^positive dependency cycle: a -> b -> a$"):
         to_sat(cyclic)
-    with pytest.raises(NonTightError, match="cycle"):
+    with pytest.raises(NonTightError, match="^positive dependency cycle: a -> b -> a$"):
         normal_answer_sets(cyclic)
 
 

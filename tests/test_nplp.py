@@ -6,9 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from apoplan.nplp import (
     Add, AProd, AVar, BLit, Const, NplpError, NpProgram, NpRule, Num,
-    ONE, Ref, enumerate_answer_sets, format_program, least_model, reduct,
-    render_atom, satisfies, satisfies_program,
+    ONE, Ref, answer_set_sort_key, enumerate_answer_sets, format_program,
+    least_model, reduct, render_atom, satisfies, sort_answer_sets,
 )
+
+from conftest import satisfies_program
 
 
 def rule(head, body=(), head_ann=ONE):
@@ -135,6 +137,21 @@ def test_enumerate_answer_sets_refuses_17_negated_atoms():
         for i in range(17)))
     with pytest.raises(NplpError, match="^17 negated atoms"):
         enumerate_answer_sets(prog)
+
+
+# ("v", 1) and ("v", Fraction(1)) are equal atoms; ("v", "1") is another atom
+# that renders alike
+_SORT_POOL = [("v", 1), ("b", 10), ("v", "1"), ("a",), ("b", 2)]
+
+
+@pytest.mark.parametrize("as_set", [
+    frozenset, lambda atoms: {a: Fraction(len(a), 3) for a in atoms}])
+def test_sort_answer_sets_is_the_sort_key_order(as_set):
+    subsets = [as_set(c) for n in range(len(_SORT_POOL) + 1)
+               for c in itertools.combinations(_SORT_POOL, n)]
+    subsets += [as_set({("v", Fraction(1)), atom}) for atom in _SORT_POOL]
+    for xs in (subsets, subsets[::-1], subsets[1::2] + subsets[::2]):
+        assert sort_answer_sets(xs) == sorted(xs, key=answer_set_sort_key)
 
 
 def test_answer_sets_satisfy_program():

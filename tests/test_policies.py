@@ -9,7 +9,7 @@ from apoplan.compiler import (
 )
 from apoplan.policies import (
     PolicyError, best_policy, check_normal_projection, check_policy_values,
-    check_sat_models, check_trajectories, consistent_with, cross_check,
+    check_sat_models, check_trajectories, cross_check,
     extract_report, group_policies, reconstruct_trajectory,
     stationary_action_map, valid_reports,
 )
@@ -69,9 +69,8 @@ def test_non_stationary_reports_exist_at_horizon2(tiger, tiger_sets_n2):
                       if stationary_action_map(tiger, r) is None]
     # e.g. {tl,htl} openL_1 {tl,htl} listen_1 revisits with a different action
     assert non_stationary
-    for r in non_stationary:
-        assert not any(consistent_with(tiger, r, p)
-                       for p in oracle.enumerate_policies(tiger, 2))
+    grouped = group_policies(tiger, non_stationary, oracle.enumerate_policies(tiger, 2))
+    assert grouped and all(pv.contributors == 0 for pv in grouped)
 
 
 def test_group_policies_one_step_values(tiger, tiger_sets_n1):

@@ -23,7 +23,7 @@ S1 = frozenset({"-tl", "htl"})
 
 
 def _sub_fields():
-    return {"id": "listen_1", "kind": "observes", "effect": frozenset({"htl"}),
+    return {"id": "listen_1", "effect": frozenset({"htl"}),
             "prob": Fraction(17, 20), "reward": Fraction(-1),
             "condition": frozenset({"tl"})}
 
