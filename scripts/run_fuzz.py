@@ -17,7 +17,7 @@ import argparse
 import time
 from fractions import Fraction
 
-from apoplan import compiler, oracle
+from apoplan import oracle, policies
 from apoplan.fuzz import generate_theory
 from apoplan.nplp import answer_set_sort_key, least_model, reduct
 from apoplan.theory import validate_theory
@@ -40,19 +40,18 @@ def check_theory(theory) -> None:
 
 
 def check_answer_sets(theory, horizon: int) -> None:
-    program = compiler.compile_theory(theory, horizon)
-    answer_sets = compiler.annotated_answer_sets(program)
+    run = policies.Run(theory, horizon)
+    answer_sets = run.answer_sets
     for h in answer_sets:
-        assert least_model(reduct(program, h)) == h, \
+        assert least_model(reduct(run.program, h)) == h, \
             "an annotated answer set is not the least model of its reduct"
         assert all(type(v) is Fraction for v in h.values())
     assert answer_sets == sorted(answer_sets, key=answer_set_sort_key), \
         "annotated answer sets out of order"
-    normal = compiler.normalize(program)
-    atoms = normal.atoms()
+    atoms = run.normal.atoms()
     normal_atoms = sorted((frozenset(a for a in h if a in atoms) for h in answer_sets),
                           key=answer_set_sort_key)
-    assert compiler.normal_answer_sets(normal) == normal_atoms, \
+    assert run.normal_sets == normal_atoms, \
         "normal_answer_sets differs from the normal atoms of the annotated answer sets"
     for h in answer_sets:
         for t in range(horizon):

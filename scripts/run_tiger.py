@@ -10,7 +10,7 @@ import argparse
 import time
 from pathlib import Path
 
-from apoplan import compiler, oracle, policies
+from apoplan import oracle, policies
 from apoplan.theory import parse_theory
 
 TIGER = Path(__file__).resolve().parent.parent / "domains" / "tiger.apo"
@@ -26,34 +26,31 @@ def main():
 
     print("== one-step policy values (three computations) ==")
     states = oracle.reachable_states(theory, 1)
-    program = compiler.compile_theory(theory, 1)
-    answer_sets = compiler.annotated_answer_sets(program)
-    reports = policies.valid_reports(theory, answer_sets, 1)
+    run = policies.Run(theory, 1)
     for name in ("listen", "openL", "openR"):
         policy = {s: name for s in states}
         v_sum = oracle.belief_value(theory, policy, 1, belief)
         v_rec = sum(p * oracle.recursive_value(theory, policy, 1, s)
                     for s, p in belief.items())
-        v_asp = policies.group_policies(theory, reports, [policy])[0].value
+        v_asp = policies.group_policies(theory, run.reports, [policy])[0].value
         print(f"  {name:7s} trajectory-sum={v_sum}  recursive={v_rec}  "
               f"answer-sets={v_asp}")
 
     print("\n== answer sets and cross-checks per horizon ==")
     for n in range(1, args.max_horizon + 1):
         t0 = time.time()
-        if n > 1:  # horizon 1 was enumerated for the one-step values
-            program = compiler.compile_theory(theory, n)
-            answer_sets = compiler.annotated_answer_sets(program)
-        checks = policies.cross_check(theory, n, program, answer_sets)
+        if n > 1:  # the horizon-1 run serves the one-step values too
+            run = policies.Run(theory, n)
+        checks = policies.cross_check(run)
         status = "all pass" if all(c.ok for c in checks) else "FAILURES"
-        print(f"  horizon {n}: {len(answer_sets)} answer sets, checks {status} "
+        print(f"  horizon {n}: {len(run.answer_sets)} answer sets, checks {status} "
               f"({time.time() - t0:.1f}s)")
         for c in checks:
             print(f"    {c.name}: {'ok' if c.ok else 'FAIL'} — {c.detail}")
 
     print("\n== best policy by answer-set aggregation ==")
-    # the answer sets of the last horizon above
-    best = policies.best_policy(theory, args.max_horizon, answer_sets)
+    # the run of the last horizon above
+    best = policies.best_policy(run)
     print(f"  value {best.value} from {best.contributors} answer sets")
     for entry in oracle.policy_to_json(best.policy):
         print(f"  {','.join(entry['state'])} -> {entry['action']}")

@@ -10,10 +10,12 @@ flags); 2 validation or theorem-check failure; 3 internal invariant breach.
 Each run is a fresh process, so a command imports only the modules it runs:
 `validate` and `ground` load `theory`, `oracle` adds `oracle`, and `fuzz`
 adds `fuzz`.  The commands that compile (`compile`, `normalize`, `sat`,
-`solve`, `policy`, `check`) load the whole pipeline in `_compile`, `policies`
-included even where they do not call it, so that every compiling command
-loads the same modules: a tracer that wraps the pipeline's functions, such as
-`perfbench/spans.py`, finds them all after any of these commands has run.
+`solve`, `policy`, `check`) read their stages from one `policies.Run`, which
+`_run` builds, so each stage is computed once per command and the order of
+the stages is written down in `Run` alone.  Importing `policies` loads the
+whole pipeline, so every compiling command loads the same modules: a tracer
+that wraps the pipeline's functions, such as `perfbench/spans.py`, finds them
+all after any of these commands has run.
 Every error the stages raise on purpose derives from `apoplan.ApoError`, so
 `main` maps them to exit 3 without importing the stage modules.
 """
@@ -34,6 +36,7 @@ from .theory import (
 
 if TYPE_CHECKING:
     from .compiler import NormalProgram
+    from .policies import Run
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -102,10 +105,9 @@ def _emit_json(args, payload):
     _emit(args, json.dumps(payload, indent=2, sort_keys=False) + "\n")
 
 
-def _compile(args):
-    from . import compiler, policies  # noqa: F401  (the whole pipeline; see above)
-    theory = _validated(args)
-    return theory, compiler.compile_theory(theory, args.horizon)
+def _run(args) -> Run:
+    from .policies import Run  # the whole pipeline; see above
+    return Run(_validated(args), args.horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +140,7 @@ def cmd_ground(args) -> int:
 
 def cmd_compile(args) -> int:
     from .nplp import format_program
-    _, program = _compile(args)
-    _emit(args, format_program(program))
+    _emit(args, format_program(_run(args).program))
     return EXIT_OK
 
 
@@ -156,41 +157,33 @@ def _format_normal(normal: NormalProgram) -> str:
 
 
 def cmd_normalize(args) -> int:
-    from . import compiler
-    _, program = _compile(args)
-    _emit(args, _format_normal(compiler.normalize(program)))
+    _emit(args, _format_normal(_run(args).normal))
     return EXIT_OK
 
 
 def cmd_sat(args) -> int:
-    from . import compiler
-    _, program = _compile(args)
-    cnf = compiler.to_sat(compiler.normalize(program))
+    cnf = _run(args).cnf
     dimacs = cnf.to_dimacs()
-    atom_map = cnf.atom_map_json()
     if args.format == "json":
-        _emit_json(args, {"dimacs": dimacs, "atom_map": atom_map})
-    elif args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(dimacs)
+        _emit_json(args, {"dimacs": dimacs, "atom_map": cnf.atom_map_json()})
+        return EXIT_OK
+    _emit(args, dimacs)
+    if args.out:
         with open(args.out + ".atoms.json", "w", encoding="utf-8") as f:
-            json.dump(atom_map, f, indent=2)
+            json.dump(cnf.atom_map_json(), f, indent=2)
             f.write("\n")
-    else:
-        sys.stdout.write(dimacs)
     return EXIT_OK
 
 
 def cmd_solve(args) -> int:
-    from . import compiler
     from .nplp import render_atom
-    theory, program = _compile(args)
-    models = compiler.annotated_answer_sets(program)
+    run = _run(args)
+    models = run.answer_sets
     # each distinct atom is rendered once over all answer sets
     names = {a: render_atom(a) for a in {a for h in models for a in h}}
     payload = {
         "horizon": args.horizon,
-        "discount": float(theory.discount),
+        "discount": float(run.theory.discount),
         "count": len(models),
         "answer_sets": [
             dict(sorted({names[a]: float(v) for a, v in h.items()}.items()))
@@ -202,12 +195,10 @@ def cmd_solve(args) -> int:
 
 
 def cmd_policy(args) -> int:
-    from . import compiler, policies
-    theory, program = _compile(args)
-    best = policies.best_policy(theory, args.horizon,
-                                compiler.annotated_answer_sets(program))
-    payload = {"horizon": args.horizon, "discount": float(theory.discount)}
-    payload.update(best.to_json())
+    from . import policies
+    run = _run(args)
+    payload = {"horizon": args.horizon, "discount": float(run.theory.discount)}
+    payload.update(policies.best_policy(run).to_json())
     _emit_json(args, payload)
     return EXIT_OK
 
@@ -226,14 +217,13 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_check(args) -> int:
-    from . import compiler, policies
-    theory, program = _compile(args)
-    checks = policies.cross_check(theory, args.horizon, program,
-                                  compiler.annotated_answer_sets(program))
+    from . import policies
+    run = _run(args)
+    checks = policies.cross_check(run)
     ok = all(c.ok for c in checks)
     _emit_json(args, {
         "horizon": args.horizon,
-        "discount": float(theory.discount),
+        "discount": float(run.theory.discount),
         "ok": ok,
         "checks": [c.to_json() for c in checks],
     })

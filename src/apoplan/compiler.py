@@ -14,11 +14,12 @@ the checks can compare it with both.
 
 `annotated_answer_sets` gets the answer sets of the annotated program from the
 completion models: each model is a normal answer set, and the deleted rule
-families add its probabilities, rewards and values as one least model.  The
-family rules are put in dependency order once, so that least model is one
-pass over the rules the model enables.  Both enumerators list their answer
-sets through `nplp.sort_answer_sets`, and `check_tight` and that dependency
-order share one depth-first search, `_depth_first_order`.
+families add its probabilities, rewards and values as one least model.
+`probability_rules` puts the family rules in dependency order once, so that
+least model is one pass over the rules the model enables.  Both enumerators
+list their answer sets through `nplp.sort_answer_sets`, and `check_tight` and
+that dependency order share one depth-first search, `_depth_first_order`.
+`policies.Run` chains these stages, each computed once.
 
 Every emitted rule carries a schema tag so later stages can delete exactly the
 right rule families.
@@ -532,7 +533,7 @@ def decode_model(model: Mapping[int, bool], cnf: CnfFormula) -> frozenset:
 # annotated answer sets from completion models
 
 
-def _split_probability_rules(program: NpProgram):
+def probability_rules(program: NpProgram) -> list[tuple]:
     """Index the probability-family rules of a compiled program.
 
     Returns the rules as `(guard, remainder, ground)` triples, ordered so
@@ -618,9 +619,11 @@ def _ground_firing(rule: NpRule, h: PInterpretation) -> Fraction | None:
     return value
 
 
-def annotated_answer_sets(program: NpProgram) -> list[PInterpretation]:
+def annotated_answer_sets(rules: list[tuple], cnf: CnfFormula,
+                          ) -> list[PInterpretation]:
     """All answer sets of a compiled annotated program, in the order of
-    `nplp.answer_set_sort_key`.
+    `nplp.answer_set_sort_key`, from its `probability_rules` and the
+    completion `cnf = to_sat(normalize(program))`.
 
     The probability families have no negation and no other rule reads what
     they derive, so the normal atoms split the program (Lifschitz and Turner
@@ -629,12 +632,10 @@ def annotated_answer_sets(program: NpProgram) -> list[PInterpretation]:
     holds.  The normal program is tight, so its answer sets are the models of
     its completion (Fages 1994), which `sat.enumerate_models` lists.
 
-    The family rules are put in dependency order once, so the least model of
-    each M is one pass over that order: every enabled rule fires against the
-    atoms derived so far, which are final for everything it can read, and
-    each head keeps the max of its firings."""
-    ordered = _split_probability_rules(program)
-    cnf = to_sat(normalize(program))
+    The family rules are in dependency order, so the least model of each M
+    is one pass over them: every enabled rule fires against the atoms
+    derived so far, which are final for everything it can read, and each
+    head keeps the max of its firings."""
     one = Fraction(1)
     out = []
     for model in sat.enumerate_models(cnf.clauses, cnf.variable_count):
@@ -643,7 +644,7 @@ def annotated_answer_sets(program: NpProgram) -> list[PInterpretation]:
         # the remainders read only the atoms the families derive, which
         # by_pred indexes, so they fire against h itself
         by_pred: dict[str, list[Atom]] = {}
-        for guard, rule, ground in ordered:
+        for guard, rule, ground in rules:
             if not guard <= atoms:
                 continue
             if ground:

@@ -7,15 +7,18 @@ annotation the cumulative trajectory probability (including the initial-state
 weight), and value(v, n) the probability-weighted discounted reward sum.
 Summing values over the answer sets consistent with a policy therefore equals
 the belief-weighted oracle value of that policy.
+
+`Run` computes each stage of the pipeline once, for the commands, the checks
+and the scripts alike.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
-from . import ApoError, Record, oracle, set_field
-from .compiler import normal_answer_sets, normalize
+from . import ApoError, Record, compiler, oracle, set_field
 from .nplp import NpProgram, PInterpretation, render_atom
 from .oracle import Initial, State, Trajectory
 from .theory import ActionTheory, fluent_of, is_consistent, render_formula
@@ -201,13 +204,59 @@ def group_policies(theory: ActionTheory, reports: Sequence[AnswerSetReport],
     return out
 
 
-def best_policy(theory: ActionTheory, horizon: int,
-                answer_sets: Sequence[PInterpretation]) -> PolicyValue:
+class Run:
+    """The pipeline on one ground, validated `theory` at `horizon`: each
+    stage is an attribute computed on first use, from the stages it needs,
+    and kept.  A stage calls its function through the module that defines
+    it, so a tracer or a test that replaces that function sees every call."""
+
+    def __init__(self, theory: ActionTheory, horizon: int):
+        self.theory = theory
+        self.horizon = horizon
+
+    @cached_property
+    def program(self) -> NpProgram:
+        return compiler.compile_theory(self.theory, self.horizon)
+
+    @cached_property
+    def probability_rules(self) -> list[tuple]:
+        return compiler.probability_rules(self.program)
+
+    @cached_property
+    def normal(self) -> compiler.NormalProgram:
+        return compiler.normalize(self.program)
+
+    @cached_property
+    def cnf(self) -> compiler.CnfFormula:
+        return compiler.to_sat(self.normal)
+
+    @cached_property
+    def normal_sets(self) -> list[frozenset]:
+        return compiler.normal_answer_sets(self.normal)
+
+    @cached_property
+    def answer_sets(self) -> list[PInterpretation]:
+        # the rules before the CNF, so that a program whose probability
+        # families cannot be split is refused by the stage that splits them
+        return compiler.annotated_answer_sets(self.probability_rules, self.cnf)
+
+    @cached_property
+    def reports(self) -> list[AnswerSetReport]:
+        return valid_reports(self.theory, self.answer_sets, self.horizon)
+
+    @cached_property
+    def initial(self) -> Initial:
+        return oracle.initial_states(self.theory)
+
+    @cached_property
+    def policies(self) -> list[dict[State, str]]:
+        return oracle.enumerate_policies(self.theory, self.horizon, self.initial)
+
+
+def best_policy(run: Run) -> PolicyValue:
     """Optimal policy by answer-set value aggregation (ties broken
     lexicographically, matching the oracle's tie-break)."""
-    reports = valid_reports(theory, answer_sets, horizon)
-    grouped = group_policies(theory, reports,
-                             oracle.enumerate_policies(theory, horizon))
+    grouped = group_policies(run.theory, run.reports, run.policies)
     if not grouped:
         raise PolicyError("no policies to evaluate")
     return min(grouped,
@@ -335,27 +384,19 @@ def check_sat_models(models: Sequence[frozenset],
                        counterexamples=tuple(examples))
 
 
-def cross_check(theory: ActionTheory, horizon: int, program: NpProgram,
-                answer_sets: Sequence[PInterpretation]) -> list[CheckReport]:
-    """The four equivalence checks on `program` (the theory compiled at
-    `horizon`) and its `answer_sets`, as `compiler.annotated_answer_sets`
-    returns them.  Each stage runs once: the normal program is normalized
-    and searched once, for checks 3 and 4; the oracle closes the initial
-    states and enumerates its policies once and the answer sets are read
-    into reports once, for checks 1 and 2.  The completion models that the
-    answer sets were built from are their atoms of the normal program, so
-    check 4 compares those very models with the normal answer sets, which a
-    search without SAT finds."""
-    normal = normalize(program)
-    normal_sets = normal_answer_sets(normal)
-    initial = oracle.initial_states(theory)
-    policies = oracle.enumerate_policies(theory, horizon, initial)
-    reports = valid_reports(theory, answer_sets, horizon)
-    normal_atoms = normal.atoms()
-    models = [frozenset(a for a in h if a in normal_atoms) for h in answer_sets]
+def cross_check(run: Run) -> list[CheckReport]:
+    """The four equivalence checks on the stages of `run`.  Checks 1 and 2
+    share its reports, initial states and policies, checks 3 and 4 its
+    normal answer sets.  The completion models that the answer sets were
+    built from are their atoms of the normal program, so check 4 compares
+    those very models with the normal answer sets, which a search without
+    SAT finds."""
+    theory, horizon = run.theory, run.horizon
+    normal_atoms = run.normal.atoms()
+    models = [frozenset(a for a in h if a in normal_atoms) for h in run.answer_sets]
     return [
-        check_trajectories(theory, horizon, reports, policies, initial),
-        check_policy_values(theory, horizon, reports, policies, initial),
-        check_normal_projection(answer_sets, normal_sets),
-        check_sat_models(models, normal_sets),
+        check_trajectories(theory, horizon, run.reports, run.policies, run.initial),
+        check_policy_values(theory, horizon, run.reports, run.policies, run.initial),
+        check_normal_projection(run.answer_sets, run.normal_sets),
+        check_sat_models(models, run.normal_sets),
     ]

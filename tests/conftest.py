@@ -1,8 +1,12 @@
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
 import pytest
 
+from apoplan import compiler
 from apoplan.nplp import iter_rule_firings, satisfies
 from apoplan.theory import ActionTheory, parse_theory
 
@@ -22,6 +26,28 @@ def satisfies_program(h, program) -> bool:
     return all(satisfies(h, head, value)
                for rule in program.rules
                for head, value in iter_rule_firings(rule, h, atoms_by_pred))
+
+
+def fresh_python(script: str, *argv) -> str:
+    """Standard output of `python -c script argv...` in a fresh interpreter
+    with `src` on the path (the test process has imported every module
+    already)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script, *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def answer_sets_of(program) -> list:
+    """`compiler.annotated_answer_sets` of a hand-built annotated `program`,
+    from its probability rules and the completion of its normal program, in
+    the order in which `policies.Run` computes them."""
+    return compiler.annotated_answer_sets(
+        compiler.probability_rules(program),
+        compiler.to_sat(compiler.normalize(program)))
 
 
 @pytest.fixture(scope="session")

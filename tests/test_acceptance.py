@@ -26,9 +26,7 @@ def uniform_policy(theory, horizon, action):
 def test_criterion_1_one_step_values_three_ways(tiger):
     t0 = time.monotonic()
     belief = oracle.initial_belief(tiger)
-    program = compiler.compile_theory(tiger, 1)
-    reports = policies.valid_reports(
-        tiger, compiler.annotated_answer_sets(program), 1)
+    reports = policies.Run(tiger, 1).reports
 
     expected = {"listen": Fraction(-1), "openL": Fraction(-45),
                 "openR": Fraction(-45)}
@@ -55,11 +53,9 @@ def test_criterion_1_one_step_values_three_ways(tiger):
 def test_criterion_2_trajectory_equivalence(tiger):
     t0 = time.monotonic()
     for horizon in (1, 2):
-        answer_sets = compiler.annotated_answer_sets(
-            compiler.compile_theory(tiger, horizon))
-        report = policies.check_trajectories(
-            tiger, horizon, policies.valid_reports(tiger, answer_sets, horizon),
-            oracle.enumerate_policies(tiger, horizon))
+        run = policies.Run(tiger, horizon)
+        report = policies.check_trajectories(tiger, horizon, run.reports,
+                                             run.policies)
         assert report.ok, report.counterexamples
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0, elapsed
@@ -69,18 +65,13 @@ def test_criterion_2_trajectory_equivalence(tiger):
 
 def test_criterion_3_policy_value_equivalence(tiger):
     for horizon in (1, 2):
-        answer_sets = compiler.annotated_answer_sets(
-            compiler.compile_theory(tiger, horizon))
-        report = policies.check_policy_values(
-            tiger, horizon, policies.valid_reports(tiger, answer_sets, horizon),
-            oracle.enumerate_policies(tiger, horizon))
+        run = policies.Run(tiger, horizon)
+        report = policies.check_policy_values(tiger, horizon, run.reports,
+                                              run.policies)
         assert report.ok, report.counterexamples
     t0 = time.monotonic()
-    answer_sets = compiler.annotated_answer_sets(
-        compiler.compile_theory(tiger, 3))
-    report = policies.check_policy_values(
-        tiger, 3, policies.valid_reports(tiger, answer_sets, 3),
-        oracle.enumerate_policies(tiger, 3))
+    run = policies.Run(tiger, 3)
+    report = policies.check_policy_values(tiger, 3, run.reports, run.policies)
     assert report.ok, report.counterexamples
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0, elapsed
@@ -91,10 +82,9 @@ def test_criterion_3_policy_value_equivalence(tiger):
 
 def test_tiger_horizon_4_closed_form(tiger):
     t0 = time.monotonic()
-    answer_sets = compiler.annotated_answer_sets(
-        compiler.compile_theory(tiger, 4))
-    reports = policies.valid_reports(tiger, answer_sets, 4)
-    best = policies.best_policy(tiger, 4, answer_sets)
+    run = policies.Run(tiger, 4)
+    answer_sets, reports = run.answer_sets, run.reports
+    best = policies.best_policy(run)
     policy, value = oracle.optimal_policy(tiger, 4)
     elapsed = time.monotonic() - t0
     # 2 initial states x 8 sub-outcomes per step; in each state 4 of the 8
@@ -113,13 +103,12 @@ def test_tiger_horizon_4_closed_form(tiger):
 
 def test_criterion_4_normal_program_equivalence(tiger):
     for horizon in (1, 2, 3):
-        program = compiler.compile_theory(tiger, horizon)
-        normal = compiler.normalize(program)
+        run = policies.Run(tiger, horizon)
+        run.normal  # compile and normalize outside the timed search
         t0 = time.monotonic()
-        normal_sets = compiler.normal_answer_sets(normal)
+        normal_sets = run.normal_sets
         elapsed = time.monotonic() - t0
-        report = policies.check_normal_projection(
-            compiler.annotated_answer_sets(program), normal_sets)
+        report = policies.check_normal_projection(run.answer_sets, normal_sets)
         assert report.ok, report.counterexamples
     assert len(normal_sets) == 1024
     assert elapsed < 1.0, elapsed
@@ -131,12 +120,10 @@ def test_criterion_4_normal_program_equivalence(tiger):
 def test_criterion_5_sat_equivalence(tiger):
     details = []
     for horizon in (1, 2, 3):
-        normal = compiler.normalize(compiler.compile_theory(tiger, horizon))
-        cnf = compiler.to_sat(normal)
-        models = [compiler.decode_model(m, cnf) for m in
-                  sat.enumerate_models(cnf.clauses, cnf.variable_count)]
-        report = policies.check_sat_models(
-            models, compiler.normal_answer_sets(normal))
+        run = policies.Run(tiger, horizon)
+        models = [compiler.decode_model(m, run.cnf) for m in
+                  sat.enumerate_models(run.cnf.clauses, run.cnf.variable_count)]
+        report = policies.check_sat_models(models, run.normal_sets)
         assert report.ok, report.counterexamples
         details.append(f"h{horizon}: {report.detail}")
     print(f"\nPASS criterion-5: exhaustive DIMACS models decode bijectively "
@@ -145,10 +132,10 @@ def test_criterion_5_sat_equivalence(tiger):
 
 def test_tiger_horizon_4_normal_answer_sets(tiger):
     t0 = time.monotonic()
-    normal = compiler.normalize(compiler.compile_theory(tiger, 4))
-    normal_sets = compiler.normal_answer_sets(normal)
+    run = policies.Run(tiger, 4)
+    normal_sets = run.normal_sets
     elapsed = time.monotonic() - t0
-    cnf = compiler.to_sat(normal)
+    cnf = run.cnf
     models = [compiler.decode_model(m, cnf)
               for m in sat.enumerate_models(cnf.clauses, cnf.variable_count)]
     assert len(normal_sets) == len(set(normal_sets)) == 8192
@@ -209,8 +196,7 @@ def test_criterion_6_fuzzed_invariant_suites():
     deep_seeds = 40
     for seed in range(deep_seeds):
         theory = generate_theory(seed)
-        program = compiler.compile_theory(theory, horizon)
-        for h in compiler.annotated_answer_sets(program):
+        for h in policies.Run(theory, horizon).answer_sets:
             for t in range(horizon):
                 occ = [a for a, v in h.items()
                        if a[0] == "occ" and a[2] == t and v >= 1]

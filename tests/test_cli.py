@@ -1,8 +1,5 @@
 import collections
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import jsonschema
@@ -10,6 +7,8 @@ import pytest
 
 from apoplan import ApoError, compiler, nplp, oracle, policies, sat
 from apoplan.cli import main
+
+from conftest import fresh_python
 
 REPO = Path(__file__).resolve().parent.parent
 TIGER = str(REPO / "domains" / "tiger.apo")
@@ -245,18 +244,6 @@ def test_stage_errors_exit_3(capsys, monkeypatch, command, module, name, error):
     assert capsys.readouterr().err == "internal error: seeded fault\n"
 
 
-def _fresh_python(script: str, *argv) -> str:
-    """Standard output of `python -c script argv...` in a fresh interpreter
-    with `src` on the path (this process has imported every module already)."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", script, *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
-
-
 def _loaded_modules(tmp_path, *argv) -> set[str]:
     """The apoplan modules in `sys.modules` after `main(argv)`."""
     script = ("import json, sys\n"
@@ -266,7 +253,7 @@ def _loaded_modules(tmp_path, *argv) -> set[str]:
               "    if m == 'apoplan' or m.startswith('apoplan.'))))\n"
               "sys.exit(code)\n")
     return set(json.loads(
-        _fresh_python(script, *argv, "--out", str(tmp_path / "out"))))
+        fresh_python(script, *argv, "--out", str(tmp_path / "out"))))
 
 
 def test_commands_import_only_what_they_run(tmp_path, spans):
@@ -288,7 +275,7 @@ def test_package_imports_neither_dataclasses_nor_inspect():
               "import apoplan.cli, apoplan.compiler, apoplan.policies\n"
               "import apoplan.oracle, apoplan.sat, apoplan.fuzz\n"
               "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
-    assert _fresh_python(script) == "[]\n"
+    assert fresh_python(script) == "[]\n"
 
 
 def test_planning_commands_build_no_least_model_engine(capsys, monkeypatch):
@@ -303,8 +290,9 @@ def test_planning_commands_build_no_least_model_engine(capsys, monkeypatch):
     capsys.readouterr()
 
 
-def test_check_runs_each_stage_once(capsys, monkeypatch):
-    # each counter wraps the module attribute that its callers look up
+def _count_calls(monkeypatch, *targets) -> collections.Counter:
+    """A counter of the calls to each `(module, name)`, wrapping the module
+    attribute that its callers look up."""
     counts = collections.Counter()
 
     def count(module, name):
@@ -315,16 +303,35 @@ def test_check_runs_each_stage_once(capsys, monkeypatch):
             return fn(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
 
-    count(compiler, "to_sat")
-    count(sat, "enumerate_models")
-    count(policies, "extract_report")
-    count(oracle, "enumerate_policies")
-    count(oracle, "initial_states")
+    for module, name in targets:
+        count(module, name)
+    return counts
+
+
+def test_check_runs_each_stage_once(capsys, monkeypatch):
+    counts = _count_calls(
+        monkeypatch, (compiler, "compile_theory"), (compiler, "normalize"),
+        (compiler, "to_sat"), (compiler, "normal_answer_sets"),
+        (sat, "enumerate_models"), (policies, "extract_report"),
+        (oracle, "enumerate_policies"), (oracle, "initial_states"))
     code, out = run(capsys, "check", TIGER, "--horizon", "2")
     assert code == 0 and json.loads(out)["ok"] is True
+    assert counts["compile_theory"] == 1
+    assert counts["normalize"] == 1
     assert counts["to_sat"] == 1
+    assert counts["normal_answer_sets"] == 1
     assert counts["enumerate_models"] == 1
     assert counts["extract_report"] == 128
     assert counts["enumerate_policies"] == 1
     # once, for the oracle: the compiler closes the initial formulas itself
     assert counts["initial_states"] == 1, counts
+
+
+def test_policy_runs_each_stage_once(capsys, monkeypatch):
+    counts = _count_calls(
+        monkeypatch, (compiler, "to_sat"), (sat, "enumerate_models"),
+        (oracle, "enumerate_policies"), (oracle, "initial_states"))
+    code, out = run(capsys, "policy", TIGER, "--horizon", "2")
+    assert code == 0 and json.loads(out)["value"] == 19.0
+    assert counts == {"to_sat": 1, "enumerate_models": 1,
+                      "enumerate_policies": 1, "initial_states": 1}, counts

@@ -7,9 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from apoplan import sat
 from apoplan.compiler import (
-    CompileError, NonTightError, NormalProgram, annotated_answer_sets,
-    check_tight, compile_theory, decode_model,
-    normal_answer_sets, normalize, to_sat,
+    CompileError, NonTightError, NormalProgram, check_tight, compile_theory,
+    decode_model, normal_answer_sets, normalize, to_sat,
 )
 from apoplan.fuzz import generate_theory
 from apoplan.nplp import (
@@ -17,7 +16,10 @@ from apoplan.nplp import (
     answer_set_sort_key, enumerate_answer_sets, format_rule, least_model,
     reduct, render_atom,
 )
+from apoplan.policies import Run
 from apoplan.theory import ground_theory, parse_theory
+
+from conftest import answer_sets_of
 
 DROPPED = {"15", "18", "21", "22", "23", "24", "value-base", "factor"}
 
@@ -160,16 +162,16 @@ def test_annotated_answer_sets_are_least_models_of_their_reducts(tiger, cross_se
     cases = [(tiger, 1), (tiger, 2), (cross_sensing, 2)]
     cases += [(generate_theory(s), n) for s in range(12) for n in (1, 2)]
     for theory, horizon in cases:
-        program = compile_theory(theory, horizon)
-        got = annotated_answer_sets(program)
+        run = Run(theory, horizon)
+        got = run.answer_sets
         for h in got:
-            assert least_model(reduct(program, h)) == h, horizon
+            assert least_model(reduct(run.program, h)) == h, horizon
         assert all(type(v) is Fraction for h in got for v in h.values())
         assert got == sorted(got, key=answer_set_sort_key)
         # an answer set is fixed by its values on the negated atoms, which are
         # normal atoms, so one answer set per normal answer set is all of them
-        assert [_normal_projection(program, h) for h in got] \
-            == normal_answer_sets(normalize(program)), horizon
+        assert [_normal_projection(run.program, h) for h in got] \
+            == run.normal_sets, horizon
 
 
 def _least_models_per_completion_model(program):
@@ -197,10 +199,10 @@ def test_annotated_answer_sets_match_least_models(tiger, cross_sensing):
     cases = [(tiger, n) for n in (1, 2, 3)] + [(cross_sensing, 2)]
     cases += [(generate_theory(s), n) for s in range(12) for n in (1, 2)]
     for theory, horizon in cases:
-        program = compile_theory(theory, horizon)
-        got = annotated_answer_sets(program)
+        run = Run(theory, horizon)
+        got = run.answer_sets
         # same list in the same order, with equal exact values
-        assert got == _least_models_per_completion_model(program), horizon
+        assert got == _least_models_per_completion_model(run.program), horizon
         assert all(type(v) is Fraction for h in got for v in h.values())
 
 
@@ -231,7 +233,7 @@ def _program(*rules):
 def test_annotated_answer_sets_errors_name_the_stage(rule, message):
     program = _program(rule)
     with pytest.raises(CompileError, match="^annotated answer sets: .*" + message):
-        annotated_answer_sets(program)
+        answer_sets_of(program)
 
 
 def test_annotated_answer_sets_keep_the_max_of_several_firings():
@@ -239,7 +241,7 @@ def test_annotated_answer_sets_keep_the_max_of_several_firings():
         NpRule(head=("state", 1), head_ann=AProd((Const(p), AVar("U"))),
                body=_STATE_BODY, schema="18")
         for p in (Fraction(3, 4), Fraction(1, 4))))
-    got = annotated_answer_sets(program)
+    got = answer_sets_of(program)
     assert got == _least_models_per_completion_model(program)
     assert [h[("state", 1)] for h in got] == [Fraction(3, 8)]
 
@@ -250,7 +252,7 @@ def test_annotated_answer_sets_refuse_annotations_outside_the_unit_interval():
                               head_ann=AProd((Const(Fraction(3)), AVar("U"))),
                               body=_STATE_BODY, schema="18"))
     with pytest.raises(NplpError, match="state[(]1[)] evaluates to 3/2, outside"):
-        annotated_answer_sets(program)
+        answer_sets_of(program)
 
 
 def test_annotated_answer_sets_refuse_probability_rules_that_feed_themselves():
@@ -263,7 +265,7 @@ def test_annotated_answer_sets_refuse_probability_rules_that_feed_themselves():
                + _STATE_BODY[1:]))
     with pytest.raises(CompileError, match="^annotated answer sets: .*"
                        "state[(]1[)] -> state[(]2[)] -> state[(]1[)] feed each other"):
-        annotated_answer_sets(program)
+        answer_sets_of(program)
 
 
 def test_dimacs_shape(tiger):
@@ -372,7 +374,7 @@ def compiled_shape_programs(draw):
 @given(compiled_shape_programs())
 def test_annotated_answer_sets_match_the_definition(program):
     # same list in the same order, with equal exact values
-    assert annotated_answer_sets(program) == enumerate_answer_sets(program)
+    assert answer_sets_of(program) == enumerate_answer_sets(program)
 
 
 _A, _B, _C, _D, _E = (("a",), ("b",), ("c",), ("d",), ("e",))
@@ -408,11 +410,10 @@ def test_normal_answer_sets_are_least_models_of_their_reducts(tiger, cross_sensi
 
 
 def test_normal_projections_match_annotated(tiger):
-    prog = compile_theory(tiger, 1)
+    run = Run(tiger, 1)
     annotated = {frozenset(a for a, v in h.items() if a[0] == "occ" and v >= 1)
-                 for h in annotated_answer_sets(prog)}
-    normal = {frozenset(a for a in m if a[0] == "occ")
-              for m in normal_answer_sets(normalize(prog))}
+                 for h in run.answer_sets}
+    normal = {frozenset(a for a in m if a[0] == "occ") for m in run.normal_sets}
     assert annotated == normal
 
 

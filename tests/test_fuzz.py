@@ -1,8 +1,8 @@
 from fractions import Fraction
 
-from apoplan import compiler, oracle
+from apoplan import oracle
 from apoplan.fuzz import generate_theory, generate_theory_text
-from apoplan.policies import cross_check
+from apoplan.policies import Run, cross_check
 from apoplan.theory import validate_theory
 
 SEEDS = range(60)
@@ -53,8 +53,7 @@ def test_answer_set_structural_invariants():
     horizon = 2
     for seed in range(12):
         theory = generate_theory(seed)
-        program = compiler.compile_theory(theory, horizon)
-        for h in compiler.annotated_answer_sets(program):
+        for h in Run(theory, horizon).answer_sets:
             for t in range(horizon):
                 occ = [a for a, v in h.items()
                        if a[0] == "occ" and a[2] == t and v >= 1]
@@ -70,8 +69,6 @@ def test_answer_set_structural_invariants():
 def test_cross_check_on_generated_theories():
     for seed in range(12):
         theory = generate_theory(seed)
-        program = compiler.compile_theory(theory, 1)
-        checks = cross_check(theory, 1, program,
-                             compiler.annotated_answer_sets(program))
+        checks = cross_check(Run(theory, 1))
         assert all(c.ok for c in checks), \
             (seed, [c.detail for c in checks if not c.ok])

@@ -3,12 +3,9 @@ from fractions import Fraction
 import pytest
 
 from apoplan import oracle, sat
-from apoplan.compiler import (
-    annotated_answer_sets, compile_theory, decode_model, normal_answer_sets,
-    normalize, to_sat,
-)
+from apoplan.compiler import decode_model
 from apoplan.policies import (
-    PolicyError, best_policy, check_normal_projection, check_policy_values,
+    PolicyError, Run, best_policy, check_normal_projection, check_policy_values,
     check_sat_models, check_trajectories, cross_check,
     extract_report, group_policies, reconstruct_trajectory,
     stationary_action_map, valid_reports,
@@ -16,13 +13,18 @@ from apoplan.policies import (
 
 
 @pytest.fixture(scope="module")
-def tiger_sets_n1(tiger):
-    return annotated_answer_sets(compile_theory(tiger, 1))
+def tiger_run_n1(tiger):
+    return Run(tiger, 1)
+
+
+@pytest.fixture(scope="module")
+def tiger_sets_n1(tiger_run_n1):
+    return tiger_run_n1.answer_sets
 
 
 @pytest.fixture(scope="module")
 def tiger_sets_n2(tiger):
-    return annotated_answer_sets(compile_theory(tiger, 2))
+    return Run(tiger, 2).answer_sets
 
 
 def test_answer_set_count(tiger_sets_n1, tiger_sets_n2):
@@ -84,59 +86,54 @@ def test_group_policies_one_step_values(tiger, tiger_sets_n1):
     assert by_actions[("openL", "openR")].value in (10, -100)
 
 
-def test_best_policy_matches_oracle(tiger, tiger_sets_n1):
-    best = best_policy(tiger, 1, tiger_sets_n1)
+def test_best_policy_matches_oracle(tiger, tiger_run_n1):
+    best = best_policy(tiger_run_n1)
     policy, value = oracle.optimal_policy(tiger, 1)
     assert best.value == value == 10
     assert best.policy == policy
 
 
-def test_per_initial_breakdown_sums(tiger, tiger_sets_n1):
-    best = best_policy(tiger, 1, tiger_sets_n1)
+def test_per_initial_breakdown_sums(tiger_run_n1):
+    best = best_policy(tiger_run_n1)
     assert sum(best.per_initial.values(), Fraction(0)) == best.value
 
 
 def test_cross_check_all_pass(tiger):
     for n in (1, 2):
-        program = compile_theory(tiger, n)
-        checks = cross_check(tiger, n, program, annotated_answer_sets(program))
+        checks = cross_check(Run(tiger, n))
         assert [c.name for c in checks] == [
             "trajectory-equivalence", "policy-value-equivalence",
             "normal-projection-equivalence", "sat-model-equivalence"]
         assert all(c.ok for c in checks), [c.detail for c in checks]
 
 
-def test_checks_catch_seeded_fault(tiger, tiger_sets_n1):
+def test_checks_catch_seeded_fault(tiger, tiger_run_n1):
     # drop one answer set: the trajectory and value comparisons must notice
-    broken = tiger_sets_n1[:-1]
+    broken = tiger_run_n1.answer_sets[:-1]
     reports = valid_reports(tiger, broken, 1)
     policies = oracle.enumerate_policies(tiger, 1)
     t1 = check_trajectories(tiger, 1, reports, policies)
     t2 = check_policy_values(tiger, 1, reports, policies)
-    normal_sets = normal_answer_sets(normalize(compile_theory(tiger, 1)))
-    t5 = check_normal_projection(broken, normal_sets)
+    t5 = check_normal_projection(broken, tiger_run_n1.normal_sets)
     assert not (t1.ok and t2.ok and t5.ok)
     assert any(c.counterexamples for c in (t1, t2, t5) if not c.ok)
 
 
-def _completion_models(normal):
-    cnf = to_sat(normal)
+def _completion_models(cnf):
     return [decode_model(m, cnf)
             for m in sat.enumerate_models(cnf.clauses, cnf.variable_count)]
 
 
-def test_check_report_json(tiger):
-    normal = normalize(compile_theory(tiger, 1))
-    payload = check_sat_models(_completion_models(normal),
-                               normal_answer_sets(normal)).to_json()
+def test_check_report_json(tiger_run_n1):
+    payload = check_sat_models(_completion_models(tiger_run_n1.cnf),
+                               tiger_run_n1.normal_sets).to_json()
     assert set(payload) == {"check", "ok", "detail", "counterexamples"}
     assert payload["ok"] is True
 
 
-def test_sat_check_catches_a_repeated_model(tiger):
-    normal = normalize(compile_theory(tiger, 1))
-    models = _completion_models(normal)
-    normal_sets = normal_answer_sets(normal)
+def test_sat_check_catches_a_repeated_model(tiger_run_n1):
+    models = _completion_models(tiger_run_n1.cnf)
+    normal_sets = tiger_run_n1.normal_sets
     assert check_sat_models(models, normal_sets).detail == "16 models = 16 answer sets"
     report = check_sat_models(models + models[:1], normal_sets)
     assert not report.ok
