@@ -18,6 +18,13 @@ that wraps the pipeline's functions, such as `perfbench/spans.py`, finds them
 all after any of these commands has run.
 Every error the stages raise on purpose derives from `apoplan.ApoError`, so
 `main` maps them to exit 3 without importing the stage modules.
+
+Output is held only as far as it must be.  `solve` is the one command that
+needs every answer set at once, to sort them: it lists them before it opens
+its output, so a stage that fails writes nothing, and then writes its JSON
+one answer set per write call, never building the whole text.  `policy`
+folds each answer set into per-policy sums as it is enumerated
+(`policies.best_policy`) and keeps none.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .theory import (
     ActionTheory, ApoError, ground_theory, parse_theory, serialize_theory,
@@ -36,6 +43,7 @@ from .theory import (
 
 if TYPE_CHECKING:
     from .compiler import NormalProgram
+    from .nplp import PInterpretation
     from .policies import Run
 
 EXIT_OK = 0
@@ -93,12 +101,21 @@ def _validated(args) -> ActionTheory:
 
 
 def _emit(args, text: str):
+    _emit_chunks(args, (text,))
+
+
+def _emit_chunks(args, chunks: Iterable[str]):
+    """Write each of `chunks` with one call, to `--out` or to standard output.
+    The file is opened before the first chunk is made, so a caller computes
+    whatever can fail before it passes a generator."""
     out = getattr(args, "out", None)
     if out:
         with open(out, "w", encoding="utf-8") as f:
-            f.write(text)
+            for chunk in chunks:
+                f.write(chunk)
     else:
-        sys.stdout.write(text)
+        for chunk in chunks:
+            sys.stdout.write(chunk)
 
 
 def _emit_json(args, payload):
@@ -175,22 +192,38 @@ def cmd_sat(args) -> int:
     return EXIT_OK
 
 
-def cmd_solve(args) -> int:
+def _solve_chunks(horizon: int, discount: Fraction, models: Sequence[PInterpretation],
+                  ) -> Iterator[str]:
+    """The `solve` payload as `json.dumps(payload, indent=2) + "\n"` writes
+    it, in chunks: the header, then each answer set with the separator before
+    it, then the footer.  Each distinct atom is rendered and encoded once."""
     from .nplp import render_atom
+    header = json.dumps({"horizon": horizon, "discount": float(discount),
+                         "count": len(models)}, indent=2)
+    yield header[:-2] + ',\n  "answer_sets": ['
+    names: dict = {}  # atom -> its rendering
+    keys: dict[str, str] = {}  # rendering -> its JSON key line prefix
+    for i, h in enumerate(models):
+        items = {}
+        for atom, value in h.items():
+            name = names.get(atom)
+            if name is None:
+                name = names[atom] = render_atom(atom)
+                keys[name] = "      " + json.dumps(name) + ": "
+            items[name] = float(value)
+        # json writes a float with repr, and an empty object as {}
+        body = ",\n".join(keys[n] + repr(v) for n, v in sorted(items.items()))
+        yield ("\n    " if i == 0 else ",\n    ") \
+            + ("{\n" + body + "\n    }" if body else "{}")
+    yield "\n  ]\n}\n" if models else "]\n}\n"
+
+
+def cmd_solve(args) -> int:
     run = _run(args)
-    models = run.answer_sets
-    # each distinct atom is rendered once over all answer sets
-    names = {a: render_atom(a) for a in {a for h in models for a in h}}
-    payload = {
-        "horizon": args.horizon,
-        "discount": float(run.theory.discount),
-        "count": len(models),
-        "answer_sets": [
-            dict(sorted({names[a]: float(v) for a, v in h.items()}.items()))
-            for h in models
-        ],
-    }
-    _emit_json(args, payload)
+    # the answer sets are listed before the output is opened, so a stage
+    # that fails writes nothing
+    _emit_chunks(args, _solve_chunks(args.horizon, run.theory.discount,
+                                     run.answer_sets))
     return EXIT_OK
 
 

@@ -12,12 +12,13 @@ answer sets decoded from the last one.
 of its own, which uses neither the completion nor the annotated engine, so
 the checks can compare it with both.
 
-`annotated_answer_sets` gets the answer sets of the annotated program from the
-completion models: each model is a normal answer set, and the deleted rule
-families add its probabilities, rewards and values as one least model.
-`probability_rules` puts the family rules in dependency order once, so that
-least model is one pass over the rules the model enables.  Both enumerators
-list their answer sets through `nplp.sort_answer_sets`, and `check_tight` and
+`iter_annotated_answer_sets` yields the answer sets of the annotated program
+one at a time, from the completion models: each model is a normal answer set,
+and the deleted rule families add its probabilities, rewards and values as
+one least model.  `probability_rules` puts the family rules in dependency
+order once, so that least model is one pass over the rules the model enables.
+`annotated_answer_sets` lists them all; both enumerators list their answer
+sets through `nplp.sort_answer_sets`, and `check_tight` and
 that dependency order share one depth-first search, `_depth_first_order`.
 `policies.Run` chains these stages, each computed once.
 
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from . import ApoError, Record, sat, set_field
 from .nplp import (
@@ -619,11 +620,12 @@ def _ground_firing(rule: NpRule, h: PInterpretation) -> Fraction | None:
     return value
 
 
-def annotated_answer_sets(rules: list[tuple], cnf: CnfFormula,
-                          ) -> list[PInterpretation]:
-    """All answer sets of a compiled annotated program, in the order of
-    `nplp.answer_set_sort_key`, from its `probability_rules` and the
-    completion `cnf = to_sat(normalize(program))`.
+def iter_annotated_answer_sets(rules: list[tuple], cnf: CnfFormula,
+                               ) -> Iterator[PInterpretation]:
+    """Yield each answer set of a compiled annotated program once, in the
+    order of `sat.enumerate_models`, from its `probability_rules` and the
+    completion `cnf = to_sat(normalize(program))`; only the answer set being
+    yielded is held.
 
     The probability families have no negation and no other rule reads what
     they derive, so the normal atoms split the program (Lifschitz and Turner
@@ -637,7 +639,6 @@ def annotated_answer_sets(rules: list[tuple], cnf: CnfFormula,
     derived so far, which are final for everything it can read, and each
     head keeps the max of its firings."""
     one = Fraction(1)
-    out = []
     for model in sat.enumerate_models(cnf.clauses, cnf.variable_count):
         atoms = decode_model(model, cnf)
         h = dict.fromkeys(atoms, one)
@@ -661,5 +662,11 @@ def annotated_answer_sets(rules: list[tuple], cnf: CnfFormula,
                         by_pred.setdefault(head[0], []).append(head)
                 elif value > old:
                     h[head] = value
-        out.append(h)
-    return sort_answer_sets(out)
+        yield h
+
+
+def annotated_answer_sets(rules: list[tuple], cnf: CnfFormula,
+                          ) -> list[PInterpretation]:
+    """All answer sets of `iter_annotated_answer_sets(rules, cnf)`, in the
+    order of `nplp.answer_set_sort_key`."""
+    return sort_answer_sets(list(iter_annotated_answer_sets(rules, cnf)))

@@ -9,23 +9,28 @@ Summing values over the answer sets consistent with a policy therefore equals
 the belief-weighted oracle value of that policy.
 
 `Run` computes each stage of the pipeline once, for the commands, the checks
-and the scripts alike.
+and the scripts alike.  `best_policy` needs only per-policy sums, which do not
+depend on the order of the answer sets, so it folds each answer set into them
+as it is enumerated and keeps none.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from . import ApoError, Record, compiler, oracle, set_field
-from .nplp import NpProgram, PInterpretation, render_atom
+from .nplp import NpProgram, PInterpretation, render_atom, sort_answer_sets
 from .oracle import Initial, State, Trajectory
 from .theory import ActionTheory, fluent_of, is_consistent, render_formula
 
 
 class PolicyError(ApoError):
     pass
+
+
+_ZERO = Fraction(0)
 
 
 class AnswerSetReport(Record):
@@ -179,26 +184,43 @@ class PolicyValue(Record):
         }
 
 
-def group_policies(theory: ActionTheory, reports: Sequence[AnswerSetReport],
+def group_policies(theory: ActionTheory, reports: Iterable[AnswerSetReport],
                    policies: Sequence[Mapping[State, str]]) -> list[PolicyValue]:
     """Value of each of `policies`, summed from its consistent answer sets.
-    A report is consistent with a policy when its trajectory is stationary
-    and the policy agrees with every action it takes.  Each answer-set value
-    already carries the initial-state weight, so the sum is the
-    belief-weighted policy value."""
-    choices = [(report, stationary_action_map(theory, report)) for report in reports]
+    A valid report is consistent with a policy when its trajectory is
+    stationary and the policy agrees with every action it takes; an invalid
+    report is consistent with none.  Each answer-set value already carries
+    the initial-state weight, so the sum is the belief-weighted policy value.
+
+    `reports` is read once, so any iterable serves: each valid stationary
+    report is folded into a sum, a per-initial-state sum and a count for its
+    action map, and only the distinct maps are matched against the
+    policies."""
+    totals: dict[frozenset, Fraction] = {}
+    initial_totals: dict[frozenset, dict[State, Fraction]] = {}
+    counts: dict[frozenset, int] = {}
+    for report in reports:
+        chosen = stationary_action_map(theory, report) if report.valid else None
+        if chosen is None:
+            continue
+        key = frozenset(chosen.items())
+        totals[key] = totals.get(key, _ZERO) + report.value
+        by_initial = initial_totals.setdefault(key, {})
+        s0 = report.states[0]
+        by_initial[s0] = by_initial.get(s0, _ZERO) + report.value
+        counts[key] = counts.get(key, 0) + 1
     out = []
     for policy in policies:
-        total = Fraction(0)
+        total = _ZERO
         per_initial: dict[State, Fraction] = {}
         contributors = 0
-        for report, chosen in choices:
-            if chosen is None or any(policy.get(s) != a for s, a in chosen.items()):
+        for key, value in totals.items():
+            if any(policy.get(s) != a for s, a in key):
                 continue
-            contributors += 1
-            total += report.value
-            s0 = report.states[0]
-            per_initial[s0] = per_initial.get(s0, Fraction(0)) + report.value
+            contributors += counts[key]
+            total += value
+            for s0, v in initial_totals[key].items():
+                per_initial[s0] = per_initial.get(s0, _ZERO) + v
         out.append(PolicyValue(policy=policy, value=total,
                                contributors=contributors, per_initial=per_initial))
     return out
@@ -240,6 +262,14 @@ class Run:
         # families cannot be split is refused by the stage that splits them
         return compiler.annotated_answer_sets(self.probability_rules, self.cnf)
 
+    def iter_answer_sets(self) -> Iterable[PInterpretation]:
+        """The answer sets one at a time: the `answer_sets` list when it is
+        kept already, else a fresh enumeration in model order that keeps
+        none of them."""
+        if "answer_sets" in self.__dict__:  # where cached_property keeps it
+            return self.answer_sets
+        return compiler.iter_annotated_answer_sets(self.probability_rules, self.cnf)
+
     @cached_property
     def reports(self) -> list[AnswerSetReport]:
         return valid_reports(self.theory, self.answer_sets, self.horizon)
@@ -255,8 +285,11 @@ class Run:
 
 def best_policy(run: Run) -> PolicyValue:
     """Optimal policy by answer-set value aggregation (ties broken
-    lexicographically, matching the oracle's tie-break)."""
-    grouped = group_policies(run.theory, run.reports, run.policies)
+    lexicographically, matching the oracle's tie-break).  Each answer set is
+    read into a report and folded into the sums as it is enumerated."""
+    answer_sets = run.iter_answer_sets()  # the compiling stages first
+    reports = (extract_report(run.theory, h, run.horizon) for h in answer_sets)
+    grouped = group_policies(run.theory, reports, run.policies)
     if not grouped:
         raise PolicyError("no policies to evaluate")
     return min(grouped,
@@ -342,6 +375,13 @@ def check_policy_values(theory: ActionTheory, horizon: int,
         counterexamples=tuple(bad[:3]))
 
 
+def _first(atom_sets: set[frozenset], n: int) -> list[frozenset]:
+    """The first `n` of `atom_sets` in the order of their sorted rendered
+    atoms, which, unlike the order of a set, does not depend on string
+    hashing."""
+    return sort_answer_sets(list(atom_sets))[:n]
+
+
 def check_normal_projection(answer_sets: Sequence[PInterpretation],
                             normal_sets: Sequence[frozenset]) -> CheckReport:
     """Dropping the probability/reward/value rules must preserve the set of
@@ -352,8 +392,8 @@ def check_normal_projection(answer_sets: Sequence[PInterpretation],
     normal = {frozenset(a for a in m if a[0] == "occ") for m in normal_sets}
     missing = annotated - normal
     extra = normal - annotated
-    examples = [f"annotated-only: {sorted(map(render_atom, k))}" for k in list(missing)[:3]] \
-        + [f"normal-only: {sorted(map(render_atom, k))}" for k in list(extra)[:3]]
+    examples = [f"annotated-only: {sorted(map(render_atom, k))}" for k in _first(missing, 3)] \
+        + [f"normal-only: {sorted(map(render_atom, k))}" for k in _first(extra, 3)]
     return CheckReport(
         name="normal-projection-equivalence", ok=not examples,
         detail=f"{len(annotated)} occ-projections on each side" if not examples
@@ -370,8 +410,8 @@ def check_sat_models(models: Sequence[frozenset],
     expected = set(normal_sets)
     missing = expected - decoded
     extra = decoded - expected
-    examples = [f"answer-set-only: {sorted(map(render_atom, k))[:6]}" for k in list(missing)[:2]] \
-        + [f"model-only: {sorted(map(render_atom, k))[:6]}" for k in list(extra)[:2]]
+    examples = [f"answer-set-only: {sorted(map(render_atom, k))[:6]}" for k in _first(missing, 2)] \
+        + [f"model-only: {sorted(map(render_atom, k))[:6]}" for k in _first(extra, 2)]
     duplicated = len(models) - len(decoded)
     ok = not examples and not duplicated
     if ok:

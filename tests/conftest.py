@@ -2,11 +2,13 @@ import os
 import subprocess
 import sys
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from apoplan import compiler
+from apoplan.policies import PolicyValue, stationary_action_map
 from apoplan.nplp import iter_rule_firings, satisfies
 from apoplan.theory import ActionTheory, parse_theory
 
@@ -28,11 +30,32 @@ def satisfies_program(h, program) -> bool:
                for head, value in iter_rule_firings(rule, h, atoms_by_pred))
 
 
-def fresh_python(script: str, *argv) -> str:
+def group_policies_reference(theory, reports, policies) -> list:
+    """`policies.group_policies` as one loop over the valid `reports` per
+    policy, each report matched against the policy on its own."""
+    choices = [(report, stationary_action_map(theory, report)) for report in reports]
+    out = []
+    for policy in policies:
+        total = Fraction(0)
+        per_initial: dict = {}
+        contributors = 0
+        for report, chosen in choices:
+            if chosen is None or any(policy.get(s) != a for s, a in chosen.items()):
+                continue
+            contributors += 1
+            total += report.value
+            s0 = report.states[0]
+            per_initial[s0] = per_initial.get(s0, Fraction(0)) + report.value
+        out.append(PolicyValue(policy=policy, value=total,
+                               contributors=contributors, per_initial=per_initial))
+    return out
+
+
+def fresh_python(script: str, *argv, env_vars=None) -> str:
     """Standard output of `python -c script argv...` in a fresh interpreter
     with `src` on the path (the test process has imported every module
-    already)."""
-    env = dict(os.environ)
+    already) and `env_vars` added to the environment."""
+    env = dict(os.environ, **(env_vars or {}))
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", script, *argv],

@@ -1,12 +1,13 @@
 import collections
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
 import pytest
 
 from apoplan import ApoError, compiler, nplp, oracle, policies, sat
-from apoplan.cli import main
+from apoplan.cli import _solve_chunks, main
 
 from conftest import fresh_python
 
@@ -98,6 +99,24 @@ def test_solve_json_schema(capsys):
     check_schema(payload, "solve")
     assert code == 0
     assert payload["count"] == 16 == len(payload["answer_sets"])
+
+
+@pytest.mark.parametrize("models", [
+    [],
+    [{}],
+    [{("a",): Fraction(1)}, {},
+     {("b", 1): Fraction(1, 3), ("a",): Fraction(-2, 7), ("say", 'x"y'): Fraction(1)},
+     # two atoms that render alike: the later one is written, once
+     {("v", 1): Fraction(1, 2), ("v", nplp.Num(1)): Fraction(1, 4)}],
+])
+def test_solve_chunks_write_what_json_dumps_writes(models):
+    chunks = list(_solve_chunks(2, Fraction(19, 20), models))
+    payload = {"horizon": 2, "discount": 0.95, "count": len(models), "answer_sets": [
+        dict(sorted({nplp.render_atom(a): float(v) for a, v in h.items()}.items()))
+        for h in models]}
+    assert "".join(chunks) == json.dumps(payload, indent=2) + "\n"
+    # one chunk per answer set, so an unbuffered output makes one write each
+    assert len(chunks) == len(models) + 2
 
 
 def test_policy_json_schema(capsys):
@@ -241,7 +260,44 @@ def test_stage_errors_exit_3(capsys, monkeypatch, command, module, name, error):
         raise error("seeded fault")
     monkeypatch.setattr(module, name, fail)
     assert main([command, TIGER, "--horizon", "1"]) == 3
-    assert capsys.readouterr().err == "internal error: seeded fault\n"
+    assert capsys.readouterr() == ("", "internal error: seeded fault\n")
+
+
+def test_solve_fault_after_some_answer_sets_writes_nothing(capsys, monkeypatch, tmp_path):
+    enumerate_models = sat.enumerate_models
+
+    def fail_after_one(*args):
+        yield next(enumerate_models(*args))
+        raise sat.SatError("seeded fault")
+    monkeypatch.setattr(sat, "enumerate_models", fail_after_one)
+    target = tmp_path / "sets.json"
+    assert main(["solve", TIGER, "--horizon", "1", "--out", str(target)]) == 3
+    assert not target.exists()
+    assert main(["solve", TIGER, "--horizon", "1"]) == 3
+    assert capsys.readouterr().out == ""
+
+
+# The tracemalloc peak of one command, after a first command at horizon 1 has
+# imported and compiled every module it needs.
+_PEAK_SCRIPT = ("import sys, tracemalloc\n"
+                "from apoplan.cli import main\n"
+                "command, path, out = sys.argv[1:4]\n"
+                "assert main([command, path, '--horizon', '1', '--out', out]) == 0\n"
+                "tracemalloc.start()\n"
+                "assert main([command, path, '--out', out] + sys.argv[4:]) == 0\n"
+                "print(tracemalloc.get_traced_memory()[1])\n")
+
+
+@pytest.mark.parametrize("command, bound_mb", [
+    # all answer sets and reports listed: 4.6 MB; folded: 0.7 MB
+    ("policy", 1.5),
+    # the payload dicts and the whole JSON text built: 22.9 MB; streamed: 4.1 MB
+    ("solve", 8.0),
+])
+def test_horizon_3_memory_is_bounded(tmp_path, command, bound_mb):
+    peak = int(fresh_python(_PEAK_SCRIPT, command, TIGER, str(tmp_path / "out"),
+                            "--horizon", "3"))
+    assert peak < bound_mb * 1e6, f"{command}: tracemalloc peak {peak / 1e6:.2f} MB"
 
 
 def _loaded_modules(tmp_path, *argv) -> set[str]:

@@ -1,15 +1,18 @@
+import json
 from fractions import Fraction
 
 import pytest
 
 from apoplan import oracle, sat
 from apoplan.compiler import decode_model
+from apoplan.fuzz import generate_theory
 from apoplan.policies import (
     PolicyError, Run, best_policy, check_normal_projection, check_policy_values,
     check_sat_models, check_trajectories, cross_check,
     extract_report, group_policies, reconstruct_trajectory,
     stationary_action_map, valid_reports,
 )
+from conftest import TIGER_PATH, fresh_python, group_policies_reference
 
 
 @pytest.fixture(scope="module")
@@ -139,3 +142,73 @@ def test_sat_check_catches_a_repeated_model(tiger_run_n1):
     assert not report.ok
     assert report.detail == "0 missing, 0 extra, 1 of 17 models repeated"
 
+
+
+def test_group_policies_fold_equals_the_per_report_loop(tiger, cross_sensing):
+    cases = [(tiger, n) for n in (1, 2, 3)] + [(cross_sensing, n) for n in (1, 2)]
+    cases += [(generate_theory(seed), n) for seed in range(40) for n in (1, 2)]
+    degenerate = non_stationary = 0
+    for theory, n in cases:
+        run = Run(theory, n)
+        reports = [extract_report(theory, h, n) for h in run.answer_sets]
+        valid = [r for r in reports if r.valid]
+        degenerate += len(reports) - len(valid)
+        non_stationary += sum(stationary_action_map(theory, r) is None for r in valid)
+        expected = group_policies_reference(theory, valid, run.policies)
+        # read once, degenerate reports included, as `best_policy` passes them
+        assert group_policies(theory, iter(reports), run.policies) == expected
+        assert group_policies(theory, valid, run.policies) == expected
+    assert degenerate and non_stationary
+
+
+def _best_of(grouped):
+    return min(grouped, key=lambda pv: (-pv.value, oracle.policy_sort_key(pv.policy)))
+
+
+def test_best_policy_folds_the_enumeration_as_it_would_the_list(tiger, cross_sensing):
+    cases = [(tiger, 1), (tiger, 2), (cross_sensing, 2), (generate_theory(16), 2)]
+    for theory, n in cases:
+        fresh = Run(theory, n)
+        best = best_policy(fresh)
+        assert "answer_sets" not in vars(fresh)  # folded, never listed
+        listed = Run(theory, n)
+        expected = _best_of(group_policies_reference(theory, listed.reports,
+                                                     listed.policies))
+        assert best == expected
+        assert best_policy(listed) == expected
+
+
+def test_best_policy_after_cross_check_enumerates_no_more(tiger, monkeypatch):
+    calls = []
+    enumerate_models = sat.enumerate_models
+
+    def counted(*args):
+        calls.append(args)
+        return enumerate_models(*args)
+    monkeypatch.setattr(sat, "enumerate_models", counted)
+    run = Run(tiger, 2)
+    assert all(c.ok for c in cross_check(run))
+    assert best_policy(run).value == 19
+    assert len(calls) == 1
+
+
+def test_set_check_counterexamples_do_not_depend_on_string_hashing():
+    # 60 of the 128 answer sets: checks 3 and 4 each find more differences
+    # than they list
+    script = ("import json, sys\n"
+              "from apoplan import policies\n"
+              "from apoplan.theory import parse_theory\n"
+              "with open(sys.argv[1], encoding='utf-8') as f:\n"
+              "    run = policies.Run(parse_theory(f.read()), 2)\n"
+              "kept = run.answer_sets[:60]\n"
+              "atoms = run.normal.atoms()\n"
+              "models = [frozenset(a for a in h if a in atoms) for h in kept]\n"
+              "print(json.dumps([\n"
+              "    policies.check_normal_projection(kept, run.normal_sets).to_json(),\n"
+              "    policies.check_sat_models(models, run.normal_sets).to_json()]))\n")
+    outputs = [fresh_python(script, str(TIGER_PATH), env_vars={"PYTHONHASHSEED": seed})
+               for seed in ("1", "2", "3")]
+    assert outputs[0] == outputs[1] == outputs[2]
+    projection, models = json.loads(outputs[0])
+    assert len(projection["counterexamples"]) == 3
+    assert len(models["counterexamples"]) == 2
