@@ -281,7 +281,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     default_format = os.environ.get("APOPLAN_FORMAT", "text")
 
-    def common(p, horizon=False, discount=True):
+    def common(p, horizon=False, discount=True, formats=False):
         p.add_argument("input", help="theory file (.apo)")
         if horizon:
             p.add_argument("--horizon", type=int, required=True,
@@ -289,19 +289,20 @@ def _build_parser() -> argparse.ArgumentParser:
         if discount:
             p.add_argument("--discount", default=None,
                            help="override the theory's discount factor")
-        p.add_argument("--format", choices=["text", "json"],
-                       default=default_format)
+        if formats:
+            p.add_argument("--format", choices=["text", "json"],
+                           default=default_format)
         p.add_argument("--out", default=None, help="write output to a file")
 
     common(sub.add_parser("validate", help="check theory well-formedness"),
-           discount=False)
+           discount=False, formats=True)
     common(sub.add_parser("ground", help="expand variables over their domains"))
     common(sub.add_parser("compile", help="emit the annotated program"),
            horizon=True)
     common(sub.add_parser("normalize", help="emit the classical normal program"),
            horizon=True)
     common(sub.add_parser("sat", help="emit DIMACS CNF with an atom-map sidecar"),
-           horizon=True)
+           horizon=True, formats=True)
     common(sub.add_parser("solve", help="enumerate probabilistic answer sets"),
            horizon=True)
     common(sub.add_parser("policy", help="best policy by answer-set aggregation"),
@@ -313,14 +314,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pf = sub.add_parser("fuzz", help="generate a random valid theory")
     pf.add_argument("--seed", type=int, required=True)
-    pf.add_argument("--format", choices=["text", "json"], default=default_format)
     pf.add_argument("--out", default=None)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as e:  # argparse exits 2 on bad flags, 0 after --help
+        return EXIT_INPUT if e.code else EXIT_OK
     if getattr(args, "horizon", None) is not None and args.horizon < 1:
         print("error: --horizon must be >= 1", file=sys.stderr)
         return EXIT_INPUT

@@ -34,9 +34,9 @@ from typing import Iterable, Iterator, Mapping
 
 from . import ApoError, Record, sat, set_field
 from .nplp import (
-    Add, AProd, AVar, Atom, BLit, Const, Mul, NplpError, NpProgram, NpRule,
-    Num, ONE, PInterpretation, Ref, atom_is_ground, can_match,
-    eval_annotation, iter_rule_firings, render_atom, sort_answer_sets,
+    Add, Atom, BLit, Mul, NpProgram, NpRule, Num, ONE, PInterpretation, Ref,
+    atom_is_ground, can_match, eval_expr, head_value, iter_rule_firings,
+    render_atom, sort_answer_sets,
 )
 from .theory import (
     ActionTheory, close_initial_formula, ground_theory, negate,
@@ -123,7 +123,7 @@ def compile_theory(theory: ActionTheory, horizon: int) -> NpProgram:
         for l in sorted(gamma - delta):
             emit("14", _holds(l, 0), body=_holds_all(delta, 0))
     for s, p in init:
-        emit("15", ("state", 0), head_ann=Const(p), body=_holds_all(s, 0))
+        emit("15", ("state", 0), head_ann=Num(p), body=_holds_all(s, 0))
 
     lam = theory.discount
     for t in range(horizon):
@@ -138,8 +138,8 @@ def compile_theory(theory: ActionTheory, horizon: int) -> NpProgram:
                     emit("17", _holds(l, t + 1),
                          body=occ_exec + _holds_all(o.condition, t))
                 emit("18", ("state", t + 1),
-                     head_ann=AProd((Const(o.prob), AVar("U"))),
-                     body=(BLit(atom=("state", t), ann=AVar("U")),)
+                     head_ann=Mul((Num(o.prob), Ref("U"))),
+                     body=(BLit(atom=("state", t), ann=Ref("U")),)
                      + occ_exec + _holds_all(o.condition, t)
                      + _holds_all(o.effect, t + 1))
             else:
@@ -151,8 +151,8 @@ def compile_theory(theory: ActionTheory, horizon: int) -> NpProgram:
                 for l in sorted(o.effect):
                     emit("20", _holds(l, t + 1), body=occ_exec + observed)
                 emit("21", ("state", t + 1),
-                     head_ann=AProd((Const(o.prob), AVar("U"))),
-                     body=(BLit(atom=("state", t), ann=AVar("U")),)
+                     head_ann=Mul((Num(o.prob), Ref("U"))),
+                     body=(BLit(atom=("state", t), ann=Ref("U")),)
                      + occ_exec + observed + _holds_all(o.effect, t + 1))
             # (22) rewards
             emit("22", ("reward", o.reward, t + 1), body=occ_exec)
@@ -162,7 +162,7 @@ def compile_theory(theory: ActionTheory, horizon: int) -> NpProgram:
             common = (
                 BLit(atom=("value", Ref("V"), t)),
                 BLit(atom=("factor", lam)),
-                BLit(atom=("state", t + 1), ann=AVar("U")),
+                BLit(atom=("state", t + 1), ann=Ref("U")),
                 BLit(atom=("reward", o.reward, t + 1)),
             ) + occ_exec
             if a.kind == "non-sensing":
@@ -603,21 +603,17 @@ _ZERO = Fraction(0)
 def _ground_firing(rule: NpRule, h: PInterpretation) -> Fraction | None:
     """The head value of a rule whose atoms are all ground, as
     `nplp.iter_rule_firings` would yield it, or None when the body fails: an
-    absent atom is 0, an annotation variable binds the atom's exact value and
-    any other annotation is a lower bound."""
+    absent atom is 0, a bare `Ref` annotation not yet bound binds the atom's
+    exact value and any other annotation is a lower bound."""
     env: dict[str, Fraction] = {}
     for lit in rule.body:
         value = h.get(lit.atom, _ZERO)
         ann = lit.ann
-        if isinstance(ann, AVar) and ann.name not in env:
+        if isinstance(ann, Ref) and ann.name not in env:
             env[ann.name] = value
-        elif eval_annotation(ann, env) > value:
+        elif eval_expr(ann, env) > value:
             return None
-    value = eval_annotation(rule.head_ann, env)
-    if not 0 <= value <= 1:
-        raise NplpError(f"annotation of {render_atom(rule.head)} evaluates "
-                        f"to {value}, outside [0,1]")
-    return value
+    return head_value(rule.head_ann, rule.head, env)
 
 
 def iter_annotated_answer_sets(rules: list[tuple], cnf: CnfFormula,

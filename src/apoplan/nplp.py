@@ -15,11 +15,15 @@ and the normal answer sets from the boolean search in
 `compiler.normal_answer_sets`.
 
 Atoms are tuples `(pred, arg, ...)`; arguments are strings, ints, Fractions, or
-(in rule patterns) term variables; a head may also carry `Add`/`Mul` terms over
-variables its body binds.  An annotation variable on a body atom binds to the
-atom's exact current probability, so product annotations like `p * U` propagate
-probabilities along rule chains, and arithmetic in head terms (value
-bookkeeping) is evaluated at firing time.
+(in rule patterns) term variables.  Head terms and annotations are written in
+one expression language, `Num`, `Ref`, `Add` and `Mul`, which `eval_expr`
+evaluates and `render_term` renders; a term variable and an annotation
+variable are one `Ref`, bound in one environment.  Where an expression sits
+decides its role: a bare `Ref` that is still unbound in a body annotation
+binds to the atom's exact current probability, so product annotations like
+`p*U` propagate probabilities along rule chains; every other annotation is a
+lower bound on the atom's value, and head annotations and arithmetic in head
+terms (value bookkeeping) are evaluated at firing time.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ class NplpError(ApoError):
 
 
 # ---------------------------------------------------------------------------
-# terms and annotations
+# expressions: head terms and annotations
 
 
 class Ref(Record):
@@ -93,47 +97,17 @@ def eval_expr(expr, env: Mapping[str, Fraction]) -> Fraction:
     raise NplpError(f"cannot evaluate {expr!r}")
 
 
-# annotations ---------------------------------------------------------------
+ONE = Num(Fraction(1))
 
 
-class Const(Record):
-    __slots__ = ("value",)
-
-    def __init__(self, value: Fraction):
-        set_field(self, "value", value)
-
-
-class AVar(Record):
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        set_field(self, "name", name)
-
-
-class AProd(Record):
-    __slots__ = ("parts",)
-
-    def __init__(self, parts: tuple):  # of annotations
-        set_field(self, "parts", parts)
-
-
-Annotation = Const | AVar | AProd
-
-ONE = Const(Fraction(1))
-
-
-def eval_annotation(ann: Annotation, env: Mapping[str, Fraction]) -> Fraction:
-    if isinstance(ann, Const):
-        return ann.value
-    if isinstance(ann, AVar):
-        try:
-            return env[ann.name]
-        except KeyError:
-            raise NplpError(f"unbound annotation variable {ann.name}") from None
-    out = Fraction(1)
-    for p in ann.parts:
-        out *= eval_annotation(p, env)
-    return out
+def head_value(ann, head: Atom, env: Mapping[str, Fraction]) -> Fraction:
+    """The value of the head annotation `ann` of a firing that derives `head`,
+    which must lie in [0,1]."""
+    value = eval_expr(ann, env)
+    if not 0 <= value <= 1:
+        raise NplpError(
+            f"annotation of {render_atom(head)} evaluates to {value}, outside [0,1]")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +117,7 @@ def eval_annotation(ann: Annotation, env: Mapping[str, Fraction]) -> Fraction:
 class BLit(Record):
     __slots__ = ("atom", "ann", "neg")
 
-    def __init__(self, atom: Atom, ann: Annotation = ONE, neg: bool = False):
+    def __init__(self, atom: Atom, ann=ONE, neg: bool = False):
         set_field(self, "atom", atom)
         set_field(self, "ann", ann)
         set_field(self, "neg", neg)
@@ -152,7 +126,7 @@ class BLit(Record):
 class NpRule(Record):
     __slots__ = ("head", "head_ann", "body", "schema")
 
-    def __init__(self, head: Atom, head_ann: Annotation = ONE,
+    def __init__(self, head: Atom, head_ann=ONE,
                  body: tuple[BLit, ...] = (), schema: Optional[str] = None):
         set_field(self, "head", head)
         set_field(self, "head_ann", head_ann)
@@ -212,32 +186,21 @@ def render_atom(atom: Atom) -> str:
     return f"{atom[0]}({', '.join(render_term(a) for a in atom[1:])})"
 
 
-def render_annotation(ann: Annotation) -> str:
-    if isinstance(ann, Const):
-        return str(ann.value)
-    if isinstance(ann, AVar):
-        return ann.name
-    return "*".join(render_annotation(p) for p in ann.parts)
+def _annotated(atom: Atom, ann) -> str:
+    """`atom : ann`, or the atom alone when its annotation is 1."""
+    text = render_atom(atom)
+    return text if ann == ONE else f"{text} : {render_term(ann)}"
 
 
 def format_rule(rule: NpRule) -> str:
     """One rule per line, e.g. `state(1) : 17/20*U <- state(0) : U, occ(a, 0).`;
     annotations equal to 1 are omitted."""
-    head = render_atom(rule.head)
-    if rule.head_ann != ONE:
-        head += " : " + render_annotation(rule.head_ann)
-    if not rule.body:
-        text = head + "."
-    else:
-        parts = []
-        for lit in rule.body:
-            s = render_atom(lit.atom)
-            if lit.ann != ONE:
-                s += " : " + render_annotation(lit.ann)
-            if lit.neg:
-                s = "not " + s
-            parts.append(s)
-        text = head + " <- " + ", ".join(parts) + "."
+    text = _annotated(rule.head, rule.head_ann)
+    if rule.body:
+        text += " <- " + ", ".join(
+            ("not " if lit.neg else "") + _annotated(lit.atom, lit.ann)
+            for lit in rule.body)
+    text += "."
     if rule.schema is not None:
         text += f"  % schema {rule.schema}"
     return text
@@ -297,18 +260,14 @@ def iter_rule_firings(rule: NpRule, h: Mapping[Atom, Fraction],
             # eval_expr reports it
             head = tuple(eval_expr(a, env) if isinstance(a, (Add, Mul, Ref)) else a
                          for a in _substitute_atom(rule.head, env))
-            value = eval_annotation(rule.head_ann, env)
-            if not (0 <= value <= 1):
-                raise NplpError(
-                    f"annotation of {render_atom(head)} evaluates to {value}, outside [0,1]")
-            yield head, value
+            yield head, head_value(rule.head_ann, head, env)
             return
         lit = rule.body[i]
         atom = _substitute_atom(lit.atom, env)
         if lit.neg:
             if not atom_is_ground(atom):
                 raise NplpError("negated literals must be ground")
-            mu = eval_annotation(lit.ann, env)
+            mu = eval_expr(lit.ann, env)
             if satisfies(h, atom, mu, negated=True):
                 yield from step(i + 1, env)
             return
@@ -324,10 +283,10 @@ def iter_rule_firings(rule: NpRule, h: Mapping[Atom, Fraction],
                 continue
             value = h.get(cand, Fraction(0))
             ann = lit.ann
-            if isinstance(ann, AVar) and ann.name not in env2:
+            if isinstance(ann, Ref) and ann.name not in env2:
                 env2 = dict(env2)
                 env2[ann.name] = value  # exact (maximal) binding
-            elif eval_annotation(ann, env2) > value:
+            elif eval_expr(ann, env2) > value:
                 continue
             yield from step(i + 1, env2)
 
@@ -363,7 +322,7 @@ def reduct(program: NpProgram, h: Mapping[Atom, Fraction]) -> NpProgram:
             if lit.neg:
                 if not atom_is_ground(lit.atom):
                     raise NplpError("negated literals must be ground")
-                mu = eval_annotation(lit.ann, {})
+                mu = eval_expr(lit.ann, {})
                 if not satisfies(h, lit.atom, mu, negated=True):
                     ok = False
                     break
@@ -441,7 +400,7 @@ def _negated_atoms(program: NpProgram) -> list[Atom]:
                 if lit.ann != ONE:
                     raise NplpError(
                         "program outside the boolean-negation fragment: "
-                        f"not {render_atom(lit.atom)} : {render_annotation(lit.ann)}")
+                        f"not {_annotated(lit.atom, lit.ann)}")
                 negs.add(lit.atom)
     return sorted(negs, key=render_atom)
 

@@ -729,7 +729,9 @@ def validate_theory(theory: ActionTheory) -> ValidationReport:
                     f"probabilities for condition {render_formula(cond)} sum to {s}")
         conds = list(per_cond)
         for c1, c2 in itertools.combinations(conds, 2):
-            if any(c1 <= s and c2 <= s for s in states):
+            # every fluent is declared, so some complete state holds both
+            # conditions exactly when their union is consistent
+            if is_consistent(c1 | c2):
                 bad(a.name, "condition-mutual-exclusion",
                     f"conditions {render_formula(c1)} and {render_formula(c2)} "
                     "both hold in some state")

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from apoplan import compiler, oracle, policies, sat
 from apoplan.fuzz import generate_theory
-from apoplan.nplp import BLit, Const, NpProgram, NpRule, least_model, reduct
+from apoplan.nplp import BLit, NpProgram, NpRule, Num, least_model, reduct
 
 from conftest import satisfies_program
 
@@ -155,10 +155,10 @@ def _lattice_minimality_suite(rng, rounds):
         for _ in range(rng.randint(1, 5)):
             head = rng.choice(pool)
             body = tuple(
-                BLit(atom=a, ann=Const(rng.choice(values[1:])))
+                BLit(atom=a, ann=Num(rng.choice(values[1:])))
                 for a in rng.sample(pool, rng.randint(0, 2)))
             rules.append(NpRule(head=head,
-                                head_ann=Const(rng.choice(values[1:])),
+                                head_ann=Num(rng.choice(values[1:])),
                                 body=body))
         prog = NpProgram(rules=tuple(rules))
         h = least_model(prog)

@@ -72,6 +72,25 @@ def test_bad_horizon_exit_code(capsys):
     assert main(["solve", TIGER, "--horizon", "0"]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["policy", TIGER, "--horizon", "1", "--bogus"],
+    ["policy", TIGER],
+    ["policy", TIGER, "--horizon", "x"],
+    ["policy", TIGER, "--horizon", "1", "--format", "json"],  # validate and sat only
+], ids=["unknown-flag", "missing-horizon", "non-integer-horizon", "format-on-policy"])
+def test_bad_flags_exit_1_with_usage(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: apoplan")
+    assert " error: " in captured.err
+
+
+def test_help_exits_0(capsys):
+    assert main(["policy", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: apoplan policy")
+
+
 def test_ground_round_trips(capsys):
     code, out = run(capsys, "ground", TIGER)
     assert code == 0

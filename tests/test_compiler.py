@@ -12,7 +12,7 @@ from apoplan.compiler import (
 )
 from apoplan.fuzz import generate_theory
 from apoplan.nplp import (
-    AProd, AVar, BLit, Const, NplpError, NpProgram, NpRule, ONE, Ref,
+    BLit, Mul, NplpError, NpProgram, NpRule, Num, ONE, Ref,
     answer_set_sort_key, enumerate_answer_sets, format_rule, least_model,
     reduct, render_atom,
 )
@@ -68,7 +68,7 @@ def test_state_chain_annotations(tiger):
     listen_states = [r for r in prog.rules
                      if r.schema == "21" and r.body[1].atom[1].startswith("listen")]
     anns = sorted(r.head_ann.parts[0].value for r in listen_states
-                  if isinstance(r.head_ann, AProd))
+                  if isinstance(r.head_ann, Mul))
     assert anns == [Fraction(3, 20), Fraction(3, 20),
                     Fraction(17, 20), Fraction(17, 20)]
 
@@ -207,23 +207,23 @@ def test_annotated_answer_sets_match_least_models(tiger, cross_sensing):
 
 
 # a probability-family rule `state(1) : U <- state(0) : U, occ(a, 0)`
-_STATE_BODY = (BLit(atom=("state", 0), ann=AVar("U")),
+_STATE_BODY = (BLit(atom=("state", 0), ann=Ref("U")),
                BLit(atom=("occ", "a", 0)))
 
 
 def _program(*rules):
     return NpProgram(rules=(
         NpRule(head=("occ", "a", 0), schema="27"),
-        NpRule(head=("state", 0), head_ann=Const(Fraction(1, 2)), schema="15"),
+        NpRule(head=("state", 0), head_ann=Num(Fraction(1, 2)), schema="15"),
     ) + rules)
 
 
 @pytest.mark.parametrize("rule, message", [
     (NpRule(head=("occ", "b", 0)), "has no schema tag"),
-    (NpRule(head=("state", 1), head_ann=AVar("U"), schema="18",
+    (NpRule(head=("state", 1), head_ann=Ref("U"), schema="18",
             body=_STATE_BODY + (BLit(atom=("holds", "f", 0), neg=True),)),
      "negated literal not holds[(]f, 0[)]"),
-    (NpRule(head=("state", 1), head_ann=AVar("U"), schema="18",
+    (NpRule(head=("state", 1), head_ann=Ref("U"), schema="18",
             body=_STATE_BODY + (BLit(atom=("holds", Ref("L"), 0)),)),
      "guard holds[(]L, 0[)]"),
     (NpRule(head=("occ", "b", 0), schema="27",
@@ -238,7 +238,7 @@ def test_annotated_answer_sets_errors_name_the_stage(rule, message):
 
 def test_annotated_answer_sets_keep_the_max_of_several_firings():
     program = _program(*(
-        NpRule(head=("state", 1), head_ann=AProd((Const(p), AVar("U"))),
+        NpRule(head=("state", 1), head_ann=Mul((Num(p), Ref("U"))),
                body=_STATE_BODY, schema="18")
         for p in (Fraction(3, 4), Fraction(1, 4))))
     got = answer_sets_of(program)
@@ -249,7 +249,7 @@ def test_annotated_answer_sets_keep_the_max_of_several_firings():
 def test_annotated_answer_sets_refuse_annotations_outside_the_unit_interval():
     # state(0) is 1/2, so the ground rule gives state(1) the value 3/2
     program = _program(NpRule(head=("state", 1),
-                              head_ann=AProd((Const(Fraction(3)), AVar("U"))),
+                              head_ann=Mul((Num(Fraction(3)), Ref("U"))),
                               body=_STATE_BODY, schema="18"))
     with pytest.raises(NplpError, match="state[(]1[)] evaluates to 3/2, outside"):
         answer_sets_of(program)
@@ -258,10 +258,10 @@ def test_annotated_answer_sets_refuse_annotations_outside_the_unit_interval():
 def test_annotated_answer_sets_refuse_probability_rules_that_feed_themselves():
     # state(1) reads state(2), which reads state(T) for any T
     program = _program(
-        NpRule(head=("state", 1), head_ann=AVar("U"), schema="18",
-               body=(BLit(atom=("state", 2), ann=AVar("U")),)),
-        NpRule(head=("state", 2), head_ann=AVar("U"), schema="18",
-               body=(BLit(atom=("state", Ref("T")), ann=AVar("U")),)
+        NpRule(head=("state", 1), head_ann=Ref("U"), schema="18",
+               body=(BLit(atom=("state", 2), ann=Ref("U")),)),
+        NpRule(head=("state", 2), head_ann=Ref("U"), schema="18",
+               body=(BLit(atom=("state", Ref("T")), ann=Ref("U")),)
                + _STATE_BODY[1:]))
     with pytest.raises(CompileError, match="^annotated answer sets: .*"
                        "state[(]1[)] -> state[(]2[)] -> state[(]1[)] feed each other"):
@@ -357,14 +357,14 @@ def compiled_shape_programs(draw):
                       max_size=2, unique=True)
     for _ in range(draw(st.integers(0, 3))):
         rules.append(NpRule(
-            head=("state", 0), head_ann=Const(draw(_PROBABILITIES)),
+            head=("state", 0), head_ann=Num(draw(_PROBABILITIES)),
             body=tuple(BLit(atom=a) for a in draw(guards)), schema="15"))
     for _ in range(draw(st.integers(0, 6))):
         t = draw(st.integers(0, 1))
         rules.append(NpRule(
             head=("state", t + 1),
-            head_ann=AProd((Const(draw(_PROBABILITIES)), AVar("U"))),
-            body=(BLit(atom=("state", t), ann=AVar("U")),)
+            head_ann=Mul((Num(draw(_PROBABILITIES)), Ref("U"))),
+            body=(BLit(atom=("state", t), ann=Ref("U")),)
             + tuple(BLit(atom=a) for a in draw(guards)),
             schema="18"))
     return NpProgram(rules=tuple(draw(st.permutations(rules))))

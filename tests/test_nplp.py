@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from apoplan.nplp import (
-    Add, AProd, AVar, BLit, Const, NplpError, NpProgram, NpRule, Num,
-    ONE, Ref, answer_set_sort_key, enumerate_answer_sets, format_program,
-    least_model, reduct, render_atom, satisfies, sort_answer_sets,
+    Add, BLit, Mul, NplpError, NpProgram, NpRule, Num, ONE, Ref,
+    answer_set_sort_key, enumerate_answer_sets, format_program, least_model,
+    reduct, render_atom, satisfies, sort_answer_sets,
 )
 
 from conftest import satisfies_program
@@ -21,9 +21,9 @@ def rule(head, body=(), head_ann=ONE):
 
 def test_least_model_facts_and_chain():
     prog = NpProgram(rules=(
-        rule(("a",), head_ann=Const(Fraction(1, 2))),
+        rule(("a",), head_ann=Num(Fraction(1, 2))),
         NpRule(head=("b",),
-               body=(BLit(atom=("a",), ann=Const(Fraction(1, 2))),)),
+               body=(BLit(atom=("a",), ann=Num(Fraction(1, 2))),)),
         NpRule(head=("c",), body=(BLit(atom=("a",)),)),  # needs h(a) >= 1
     ))
     h = least_model(prog)
@@ -32,8 +32,8 @@ def test_least_model_facts_and_chain():
 
 def test_least_model_max_strategy_combines():
     prog = NpProgram(rules=(
-        rule(("a",), head_ann=Const(Fraction(1, 2))),
-        rule(("a",), head_ann=Const(Fraction(1, 4))),
+        rule(("a",), head_ann=Num(Fraction(1, 2))),
+        rule(("a",), head_ann=Num(Fraction(1, 4))),
     ))
     assert least_model(prog)[("a",)] == Fraction(1, 2)
 
@@ -41,26 +41,41 @@ def test_least_model_max_strategy_combines():
 def test_annotation_variable_binds_exactly():
     # U is bound to h(state(0)) itself, so the head annotation is 1/2 * 1/2
     prog = NpProgram(rules=(
-        rule(("state", 0), head_ann=Const(Fraction(1, 2))),
-        NpRule(head=("state", 1), head_ann=AProd((Const(Fraction(1, 2)), AVar("U"))),
-               body=(BLit(atom=("state", 0), ann=AVar("U")),)),
+        rule(("state", 0), head_ann=Num(Fraction(1, 2))),
+        NpRule(head=("state", 1), head_ann=Mul((Num(Fraction(1, 2)), Ref("U"))),
+               body=(BLit(atom=("state", 0), ann=Ref("U")),)),
     ))
     assert least_model(prog)[("state", 1)] == Fraction(1, 4)
 
 
 def test_body_annotation_threshold():
     prog = NpProgram(rules=(
-        rule(("a",), head_ann=Const(Fraction(1, 2))),
-        NpRule(head=("b",), body=(BLit(atom=("a",), ann=Const(Fraction(3, 4))),)),
+        rule(("a",), head_ann=Num(Fraction(1, 2))),
+        NpRule(head=("b",), body=(BLit(atom=("a",), ann=Num(Fraction(3, 4))),)),
     ))
     assert ("b",) not in least_model(prog)
 
 
 def test_annotation_out_of_range_rejected():
     prog = NpProgram(rules=(
-        rule(("a",), head_ann=Const(Fraction(3, 2))),
+        rule(("a",), head_ann=Num(Fraction(3, 2))),
     ))
     with pytest.raises(NplpError, match="outside"):
+        least_model(prog)
+
+
+@pytest.mark.parametrize("head_ann, body_ann", [
+    (Ref("L"), ONE),   # a : L <- holds(L, 0)
+    (ONE, Ref("L")),   # a <- holds(L, 0) : L
+], ids=["head", "body"])
+def test_annotation_naming_a_constant_is_rejected(head_ann, body_ann):
+    # L binds to the constant x, which no annotation can take as its value
+    prog = NpProgram(rules=(
+        rule(("holds", "x", 0)),
+        NpRule(head=("a",), head_ann=head_ann,
+               body=(BLit(atom=("holds", Ref("L"), 0), ann=body_ann),)),
+    ))
+    with pytest.raises(NplpError, match="variable L bound to non-numeric 'x'"):
         least_model(prog)
 
 
@@ -125,7 +140,7 @@ def test_stratified_negation_single_answer_set():
 def test_non_boolean_negation_rejected():
     prog = NpProgram(rules=(
         NpRule(head=("a",),
-               body=(BLit(atom=("b",), ann=Const(Fraction(1, 2)), neg=True),)),
+               body=(BLit(atom=("b",), ann=Num(Fraction(1, 2)), neg=True),)),
     ))
     with pytest.raises(NplpError, match="boolean-negation"):
         enumerate_answer_sets(prog)
@@ -156,10 +171,10 @@ def test_sort_answer_sets_is_the_sort_key_order(as_set):
 
 def test_answer_sets_satisfy_program():
     prog = NpProgram(rules=(
-        rule(("p",), head_ann=Const(Fraction(1, 2))),
+        rule(("p",), head_ann=Num(Fraction(1, 2))),
         NpRule(head=("a",), body=(BLit(atom=("b",), neg=True),)),
         NpRule(head=("b",), body=(BLit(atom=("a",), neg=True),)),
-        rule(("q",), [("a",), ("p",)], head_ann=Const(Fraction(1, 3))),
+        rule(("q",), [("a",), ("p",)], head_ann=Num(Fraction(1, 3))),
     ))
     models = enumerate_answer_sets(prog)
     assert len(models) == 2
@@ -181,10 +196,10 @@ def positive_programs(draw):
     rules = []
     for _ in range(n_rules):
         head = draw(st.sampled_from(_ATOMS))
-        ann = Const(draw(st.sampled_from(_VALUES[1:])))
+        ann = Num(draw(st.sampled_from(_VALUES[1:])))
         body_atoms = draw(st.lists(st.sampled_from(_ATOMS), max_size=2, unique=True))
         body = tuple(
-            BLit(atom=a, ann=Const(draw(st.sampled_from(_VALUES[1:]))))
+            BLit(atom=a, ann=Num(draw(st.sampled_from(_VALUES[1:]))))
             for a in body_atoms)
         rules.append(NpRule(head=head, head_ann=ann, body=body))
     return NpProgram(rules=tuple(rules))

@@ -9,7 +9,7 @@ import pytest
 from apoplan import Record
 from apoplan.compiler import CnfFormula, NormalProgram
 from apoplan.nplp import (
-    Add, AProd, AVar, BLit, Const, Mul, NpProgram, NpRule, Num, ONE, Ref,
+    Add, BLit, Mul, NpProgram, NpRule, Num, ONE, Ref,
 )
 from apoplan.oracle import OracleError, Trajectory
 from apoplan.policies import AnswerSetReport, CheckReport, PolicyValue
@@ -55,12 +55,9 @@ FIELDS = [
     (Num, lambda: {"value": Fraction(-3, 4)}),
     (Add, lambda: {"parts": (Ref("V"), Num(Fraction(1)))}),
     (Mul, lambda: {"parts": (Ref("V"), Num(Fraction(1)))}),
-    (Const, lambda: {"value": Fraction(1, 2)}),
-    (AVar, lambda: {"name": "U"}),
-    (AProd, lambda: {"parts": (Const(Fraction(1, 2)), AVar("U"))}),
-    (BLit, lambda: {"atom": ("holds", "tl", 0), "ann": AVar("U"), "neg": True}),
-    (NpRule, lambda: {"head": ("state", 1), "head_ann": AProd((AVar("U"),)),
-                      "body": (BLit(("state", 0), AVar("U")),), "schema": "15"}),
+    (BLit, lambda: {"atom": ("holds", "tl", 0), "ann": Ref("U"), "neg": True}),
+    (NpRule, lambda: {"head": ("state", 1), "head_ann": Mul((Ref("U"),)),
+                      "body": (BLit(("state", 0), Ref("U")),), "schema": "15"}),
     (NpProgram, lambda: {"rules": (NpRule(("fluent", "tl"), schema="fluent"),)}),
     (NormalProgram, lambda: {"rules": ((("a",), (("b",),), ()),)}),
     (CnfFormula, lambda: {"clauses": ((1, -2),), "atoms": (("a",), ("b",))}),
@@ -133,8 +130,6 @@ def test_replace_changes_one_field(cls, fields):
 
 @pytest.mark.parametrize("a, b", [
     (Add((Ref("N"),)), Mul((Ref("N"),))),
-    (Ref("N"), AVar("N")),
-    (Num(Fraction(1)), Const(Fraction(1))),
 ])
 def test_same_fields_on_another_class_are_unequal(a, b):
     assert a != b and b != a
@@ -144,7 +139,7 @@ def test_same_fields_on_another_class_are_unequal(a, b):
 def test_repr_reads_as_before():
     assert repr(Ref("N")) == "Ref(name='N')"
     assert repr(BLit(("holds", "tl", 0))) == (
-        "BLit(atom=('holds', 'tl', 0), ann=Const(value=Fraction(1, 1)), neg=False)")
+        "BLit(atom=('holds', 'tl', 0), ann=Num(value=Fraction(1, 1)), neg=False)")
 
 
 def test_defaults():

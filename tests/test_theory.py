@@ -73,6 +73,28 @@ def test_validation_report_json(tiger_text):
     assert rows and set(rows[0]) == {"decl", "rule", "message"}
 
 
+@pytest.mark.parametrize("old, new, violations", [
+    ("{-tl}: 1: 10 if {-tl}.", "{-tl}: 1: 10 if {}.",
+     [("openL", "condition-mutual-exclusion",
+       "conditions {tl} and {} both hold in some state")]),
+    ("{-tl}: 1: 10 if {-tl}.", "{-tl}: 1: 10 if {htl}.",
+     [("openL", "condition-mutual-exclusion",
+       "conditions {tl} and {htl} both hold in some state"),
+      ("openL", "condition-exhaustiveness",
+       "no outcome condition holds in state {-htl, -tl}")]),
+    ("{-tl}: 1: 10 if {-tl}.", "{-tl}: 1: 10 if {-tl, htl}.",
+     [("openL", "condition-exhaustiveness",
+       "no outcome condition holds in state {-htl, -tl}")]),
+    ("{-tl}: 3/20: -1 sensing {htl}", "{-tl, htl}: 3/20: -1 sensing {htl}",
+     [("listen", "report-exhaustiveness",
+       "reports for condition {htl} do not cover {-htl, -tl}")]),
+], ids=["overlapping", "overlapping-with-gap", "gap", "report-gap"])
+def test_validation_outcome_conditions_and_reports(tiger_text, old, new, violations):
+    assert old in tiger_text
+    report = validate_theory(parse_theory(tiger_text.replace(old, new, 1)))
+    assert [(v.decl, v.rule, v.message) for v in report.violations] == violations
+
+
 def test_closure_completes_initial_formulas(tiger):
     for entry in tiger.initial:
         closed = close_initial_formula(tiger, entry.formula)
