@@ -13,10 +13,11 @@ of its own, which uses neither the completion nor the annotated engine, so
 the checks can compare it with both.
 
 `iter_annotated_answer_sets` yields the answer sets of the annotated program
-one at a time, from the completion models: each model is a normal answer set,
-and the deleted rule families add its probabilities, rewards and values as
-one least model.  `probability_rules` puts the family rules in dependency
-order once, so that least model is one pass over the rules the model enables.
+one at a time, from the completion models, which it searches in a time-major
+renumbering of the CNF: each model is a normal answer set, and the deleted
+rule families add its probabilities, rewards and values as one least model.
+`probability_rules` puts the family rules in dependency order once, so that
+least model is one pass over the rules the model enables.
 `annotated_answer_sets` lists them all; both enumerators list their answer
 sets through `nplp.sort_answer_sets`, and `check_tight` and
 that dependency order share one depth-first search, `_depth_first_order`.
@@ -524,10 +525,12 @@ def to_sat(program: NormalProgram) -> CnfFormula:
 
 def decode_model(model: Mapping[int, bool], cnf: CnfFormula) -> frozenset:
     """True-atom set of a total SAT model."""
-    missing = [i + 1 for i in range(cnf.variable_count) if (i + 1) not in model]
-    if missing:
-        raise CompileError(f"model leaves variables unassigned: {missing[:5]}")
-    return frozenset(a for i, a in enumerate(cnf.atoms) if model[i + 1])
+    try:
+        return frozenset(itertools.compress(
+            cnf.atoms, map(model.__getitem__, range(1, cnf.variable_count + 1))))
+    except KeyError:
+        missing = [i for i in range(1, cnf.variable_count + 1) if i not in model]
+        raise CompileError(f"model leaves variables unassigned: {missing[:5]}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -616,12 +619,38 @@ def _ground_firing(rule: NpRule, h: PInterpretation) -> Fraction | None:
     return head_value(rule.head_ann, rule.head, env)
 
 
+# the predicates of the normal atoms whose last argument is a time step
+_STEP_PREDICATES = frozenset({"holds", "occ", "abocc", "exec", "observed"})
+
+
+def _time_major(cnf: CnfFormula) -> CnfFormula:
+    """`cnf` with its variables renumbered in time-major order: first the
+    atoms without a time step, then those of step 0, 1, ..., `occ` first
+    within a step, each group in the order of `cnf`.  Branching on the lowest
+    unassigned variable then settles a trajectory one step after another, so
+    the models that share a prefix share the search above it."""
+    def key(i: int) -> tuple:
+        atom = cnf.atoms[i]
+        if atom[0] in _STEP_PREDICATES and isinstance(atom[-1], int):
+            return (1, atom[-1], atom[0] != "occ", i)
+        return (0, 0, False, i)
+
+    order = sorted(range(cnf.variable_count), key=key)
+    renumbered = [0] * (cnf.variable_count + 1)
+    for new, old in enumerate(order, 1):
+        renumbered[old + 1] = new
+    clauses = tuple(tuple(renumbered[l] if l > 0 else -renumbered[-l] for l in clause)
+                    for clause in cnf.clauses)
+    return CnfFormula(clauses=clauses, atoms=tuple(cnf.atoms[i] for i in order))
+
+
 def iter_annotated_answer_sets(rules: list[tuple], cnf: CnfFormula,
                                ) -> Iterator[PInterpretation]:
-    """Yield each answer set of a compiled annotated program once, in the
-    order of `sat.enumerate_models`, from its `probability_rules` and the
-    completion `cnf = to_sat(normalize(program))`; only the answer set being
-    yielded is held.
+    """Yield each answer set of a compiled annotated program once, from its
+    `probability_rules` and the completion `cnf = to_sat(normalize(program))`;
+    only the answer set being yielded is held.  They come in the order in
+    which `sat.enumerate_models` lists the models of a time-major renumbering
+    of `cnf` (`_time_major`), which is not the order of `cnf` itself.
 
     The probability families have no negation and no other rule reads what
     they derive, so the normal atoms split the program (Lifschitz and Turner
@@ -633,15 +662,26 @@ def iter_annotated_answer_sets(rules: list[tuple], cnf: CnfFormula,
     The family rules are in dependency order, so the least model of each M
     is one pass over them: every enabled rule fires against the atoms
     derived so far, which are final for everything it can read, and each
-    head keeps the max of its firings."""
+    head keeps the max of its firings.  A rule is tested only when M holds
+    its `occ` guard atom, or when it has none."""
+    search = _time_major(cnf)
+    unguarded: list[int] = []
+    by_occ: dict[Atom, list[int]] = {}
+    for i, (guard, _, _) in enumerate(rules):
+        occ = next((a for a in guard if a[0] == "occ"), None)
+        (unguarded if occ is None else by_occ.setdefault(occ, [])).append(i)
     one = Fraction(1)
-    for model in sat.enumerate_models(cnf.clauses, cnf.variable_count):
-        atoms = decode_model(model, cnf)
+    for model in sat.enumerate_models(search.clauses, search.variable_count):
+        atoms = decode_model(model, search)
         h = dict.fromkeys(atoms, one)
         # the remainders read only the atoms the families derive, which
         # by_pred indexes, so they fire against h itself
         by_pred: dict[str, list[Atom]] = {}
-        for guard, rule, ground in rules:
+        # the rules M may enable, in dependency order
+        enabled = sorted(unguarded + [i for occ, ids in by_occ.items()
+                                      if occ in atoms for i in ids])
+        for i in enabled:
+            guard, rule, ground = rules[i]
             if not guard <= atoms:
                 continue
             if ground:

@@ -264,8 +264,8 @@ class Run:
 
     def iter_answer_sets(self) -> Iterable[PInterpretation]:
         """The answer sets one at a time: the `answer_sets` list when it is
-        kept already, else a fresh enumeration in model order that keeps
-        none of them."""
+        kept already, else a fresh enumeration that keeps none of them, in
+        the time-major search order of `compiler.iter_annotated_answer_sets`."""
         if "answer_sets" in self.__dict__:  # where cached_property keeps it
             return self.answer_sets
         return compiler.iter_annotated_answer_sets(self.probability_rules, self.cnf)

@@ -2,12 +2,21 @@
 
 Input is clausal: an iterable of integer tuples in DIMACS convention (positive
 literal = variable true).  `enumerate_models` is a DPLL search without clause
-learning: two watched literals per clause drive unit propagation on an
-assignment trail (Moskewicz et al. 2001, Chaff), and enumeration backtracks
-chronologically by flipping the most recent unflipped decision (Gebser et al.
-2007).  Branching is on the lowest unassigned variable, false first, so models
-come out in lexicographic order.  Propagating an assignment visits only the
-clauses that watch the literal it made false, never the whole formula.
+learning: unit propagation on an assignment trail, and enumeration that
+backtracks chronologically by flipping the most recent unflipped decision
+(Gebser et al. 2007).  Branching is on the lowest unassigned variable, false
+first, so models come out in lexicographic order.
+
+Propagating an assignment visits only the clauses that can become unit by it,
+never the whole formula.  A 2-literal clause is kept as two implications, in
+the implication list of each of its literals: when that literal becomes false,
+the other one must be true.  A longer clause watches two of its literals
+(Moskewicz et al. 2001, Chaff) and sits in the watch list of each; a watch
+list is rewritten only after one of its clauses moved its watch to another
+literal, so a clause already satisfied by its other watch costs one visit and
+no write.  Unit propagation reaches the same fixpoint, or a conflict, in any
+order, so the order in which the two kinds of list are read does not change
+the models or their order.
 """
 
 from __future__ import annotations
@@ -37,6 +46,10 @@ def enumerate_models(clauses: Iterable[tuple[int, ...]], nvars: int,
     # truth[lit] is 1 when lit is true, -1 when false, 0 when unassigned;
     # literal-indexed lists hold -nvars..nvars, negative indices wrapping.
     truth = [0] * (2 * nvars + 1)
+    # implied[lit]: the literals that 2-literal clauses make true once lit is
+    # false; watches[lit]: the longer clauses that watch lit, which sits at
+    # position 0 or 1 of each
+    implied: list[list[int]] = [[] for _ in range(2 * nvars + 1)]
     watches: list[list[list[int]]] = [[] for _ in range(2 * nvars + 1)]
     units: list[int] = []
     for clause in initial:
@@ -47,6 +60,9 @@ def enumerate_models(clauses: Iterable[tuple[int, ...]], nvars: int,
             return
         if len(lits) == 1:
             units.append(lits[0])
+        elif len(lits) == 2:
+            implied[lits[0]].append(lits[1])
+            implied[lits[1]].append(lits[0])
         else:
             watches[lits[0]].append(lits)
             watches[lits[1]].append(lits)
@@ -65,30 +81,41 @@ def enumerate_models(clauses: Iterable[tuple[int, ...]], nvars: int,
         while head < len(trail):
             false_lit = -trail[head]
             head += 1
+            for lit in implied[false_lit]:
+                value = truth[lit]
+                if value < 0:
+                    return False
+                if not value:
+                    truth[lit], truth[-lit] = 1, -1
+                    trail.append(lit)
             watching = watches[false_lit]
-            kept = 0
-            for i, clause in enumerate(watching):
+            moved = False
+            ok = True
+            for clause in watching:
                 if clause[0] == false_lit:
                     clause[0], clause[1] = clause[1], false_lit
                 other = clause[0]
                 if truth[other] > 0:
-                    watching[kept] = clause
-                    kept += 1
                     continue
                 for k in range(2, len(clause)):
                     lit = clause[k]
                     if truth[lit] >= 0:
                         clause[1], clause[k] = lit, false_lit
                         watches[lit].append(clause)
+                        moved = True
                         break
                 else:
-                    watching[kept] = clause
-                    kept += 1
                     if truth[other] < 0:
-                        watching[kept:] = watching[i + 1:]
-                        return False
-                    assign(other)
-            del watching[kept:]
+                        ok = False
+                        break
+                    truth[other], truth[-other] = 1, -1
+                    trail.append(other)
+            if moved:
+                # the clauses that still watch false_lit, visited or not
+                watches[false_lit] = [c for c in watching
+                                      if c[1] == false_lit or c[0] == false_lit]
+            if not ok:
+                return False
         return True
 
     if not all(assign(lit) for lit in units) or not propagate(0):

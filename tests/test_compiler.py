@@ -8,13 +8,14 @@ from hypothesis import given, settings, strategies as st
 from apoplan import sat
 from apoplan.compiler import (
     CompileError, NonTightError, NormalProgram, check_tight, compile_theory,
-    decode_model, normal_answer_sets, normalize, to_sat,
+    decode_model, iter_annotated_answer_sets, normal_answer_sets, normalize,
+    to_sat,
 )
 from apoplan.fuzz import generate_theory
 from apoplan.nplp import (
     BLit, Mul, NplpError, NpProgram, NpRule, Num, ONE, Ref,
-    answer_set_sort_key, enumerate_answer_sets, format_rule, least_model,
-    reduct, render_atom,
+    answer_set_sort_key, enumerate_answer_sets, format_rule, iter_rule_firings,
+    least_model, reduct, render_atom,
 )
 from apoplan.policies import Run
 from apoplan.theory import ground_theory, parse_theory
@@ -464,3 +465,40 @@ def test_no_rule_holds_its_own_head_in_its_body(tiger, cross_sensing):
         for rule in compile_theory(theory, 2).rules:
             assert all(b.neg or b.atom != rule.head for b in rule.body), \
                 format_rule(rule)
+
+
+def _fired_in_dimacs_order(rules, cnf):
+    """The answer sets built from the models of `cnf` in its own numbering,
+    each with every one of the probability `rules` tested against it."""
+    out = []
+    for model in sat.enumerate_models(cnf.clauses, cnf.variable_count):
+        atoms = decode_model(model, cnf)
+        h = dict.fromkeys(atoms, Fraction(1))
+        by_pred = {}
+        for guard, rule, _ in rules:
+            if not guard <= atoms:
+                continue
+            for head, value in list(iter_rule_firings(rule, h, by_pred)):
+                if head not in h:
+                    if value:
+                        h[head] = value
+                        by_pred.setdefault(head[0], []).append(head)
+                elif value > h[head]:
+                    h[head] = value
+        out.append(h)
+    return out
+
+
+def test_time_major_search_finds_the_dimacs_answer_sets(tiger, cross_sensing):
+    cases = [(tiger, n) for n in (1, 2, 3)] + [(cross_sensing, n) for n in (1, 2, 3)]
+    cases += [(generate_theory(s), n) for s in range(40) for n in (1, 2)]
+    for theory, horizon in cases:
+        run = Run(theory, horizon)
+        dimacs, atom_map = run.cnf.to_dimacs(), run.cnf.atom_map_json()
+        got = Counter(frozenset(h.items()) for h in
+                      iter_annotated_answer_sets(run.probability_rules, run.cnf))
+        expected = Counter(frozenset(h.items()) for h in
+                           _fired_in_dimacs_order(run.probability_rules, run.cnf))
+        assert got == expected, horizon
+        assert run.cnf.to_dimacs() == dimacs
+        assert run.cnf.atom_map_json() == atom_map

@@ -74,3 +74,40 @@ def test_out_of_range_literal(clause):
     with pytest.raises(SatError, match="out of range"):
         list(enumerate_models([(1, 2), clause], 2))
 
+
+
+@st.composite
+def mostly_binary_cnfs(draw):
+    """Random CNFs over 1 to 12 variables, most of whose clauses have two
+    literals (implication lists) and some three to five (watch lists), with
+    a few units."""
+    nvars = draw(st.integers(min_value=1, max_value=12))
+    lit = st.integers(min_value=1, max_value=nvars).flatmap(
+        lambda v: st.sampled_from((v, -v)))
+    clause = st.sampled_from((1, 2, 2, 2, 2, 2, 3, 4, 5)).flatmap(
+        lambda k: st.lists(lit, min_size=k, max_size=k).map(tuple))
+    return draw(st.lists(clause, max_size=24)), nvars
+
+
+@settings(max_examples=200, deadline=None)
+@given(mostly_binary_cnfs())
+def test_mostly_binary_models_equal_truth_table(cnf):
+    clauses, nvars = cnf
+    assert list(enumerate_models(clauses, nvars)) == truth_table_models(clauses, nvars)
+
+
+@pytest.mark.parametrize("clauses, nvars", [
+    # a repeated binary clause, also with its literals swapped
+    ([(1, 2), (1, 2), (2, 1), (-2, 3)], 3),
+    # binary clauses over two unit literals: satisfied, and violated
+    ([(1,), (2,), (1, 2), (-1, 3)], 3),
+    ([(1,), (2,), (-1, -2)], 2),
+    # deciding 1 false implies 2 and -2 from one implication list
+    ([(1, 2), (1, -2), (-1, 3, 4)], 4),
+    # deciding 1 false implies -2 and -3, moves the watch of (1, 4, 5) to 5
+    # and then finds (1, 2, 3) false, in one propagation call; the watch
+    # lists must still be right for the branches after it
+    ([(1, -2), (1, -3), (1, 4, 5), (1, 2, 3), (-4, -5, 6), (4, -6, 2)], 6),
+])
+def test_implication_and_watch_list_cases(clauses, nvars):
+    assert list(enumerate_models(clauses, nvars)) == truth_table_models(clauses, nvars)
