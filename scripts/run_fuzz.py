@@ -2,7 +2,8 @@
 """Run the randomized invariant sweep over generated theories.
 
 For every seed: the theory validates, transition/observation rows sum to one,
-closures give complete consistent states, belief updates stay normalized; for
+closures give complete consistent states, belief updates stay normalized, and
+the four oracle cross-checks of `apoplan check` pass at horizon 1; for
 a subset of seeds the compiled program's answer sets, as the CLI computes
 them, are checked for exactly one occ atom per step and no complementary
 holds-literals, and against the definition: each is the least model of the
@@ -37,6 +38,12 @@ def check_theory(theory) -> None:
     for action in theory.actions:
         updated = oracle.belief_update(theory, belief, action.name)
         assert sum(updated.values()) == 1
+
+
+def check_against_oracle(theory, seed: int) -> None:
+    failed = [c for c in policies.cross_check(policies.Run(theory, 1)) if not c.ok]
+    assert not failed, f"seed {seed} fails " + "; ".join(
+        f"{c.name} ({c.detail})" for c in failed)
 
 
 def check_answer_sets(theory, horizon: int) -> None:
@@ -78,10 +85,11 @@ def main():
     for seed in range(args.seeds):
         theory = generate_theory(seed)
         check_theory(theory)
+        check_against_oracle(theory, seed)
         if seed < args.deep_seeds:
             check_answer_sets(theory, args.horizon)
     print(f"{args.seeds} theories ({args.deep_seeds} with answer-set checks) "
-          f"passed in {time.time() - t0:.1f}s")
+          f"passed, all cross-checked at horizon 1, in {time.time() - t0:.1f}s")
 
 
 if __name__ == "__main__":

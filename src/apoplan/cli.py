@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
@@ -279,7 +278,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Compile partially observable action theories to annotated "
         "logic programs, normal programs, and SAT; solve and cross-check them.")
     sub = parser.add_subparsers(dest="command", required=True)
-    default_format = os.environ.get("APOPLAN_FORMAT", "text")
 
     def common(p, horizon=False, discount=True, formats=False):
         p.add_argument("input", help="theory file (.apo)")
@@ -291,7 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="override the theory's discount factor")
         if formats:
             p.add_argument("--format", choices=["text", "json"],
-                           default=default_format)
+                           default="text")
         p.add_argument("--out", default=None, help="write output to a file")
 
     common(sub.add_parser("validate", help="check theory well-formedness"),

@@ -104,8 +104,9 @@ def compile_theory(theory: ActionTheory, horizon: int) -> NpProgram:
     varying = union - inter
     reports = report_literals(theory)
     readings = reading_literals(theory)
-    open_lits = sorted({l for l in union
-                        if l in (varying - reports) or negate(l) in (varying - reports)})
+    # a varying literal is guessed unless schema 14 derives it: those are
+    # the reported literals that no sensing condition reads
+    open_lits = sorted(varying - (reports - readings))
     for l in sorted(inter):
         emit("11", _holds(l, 0))
     for l in open_lits:

@@ -252,7 +252,9 @@ def iter_rule_firings(rule: NpRule, h: Mapping[Atom, Fraction],
                        atoms_by_pred: Mapping[str, Iterable[Atom]],
                        ) -> Iterator[tuple[Atom, Fraction]]:
     """Yield (head_atom, head_value) for every maximal-binding match of the
-    rule's positive body against h whose negated literals are also satisfied."""
+    rule's body against h.  The body must be positive: the callers fire
+    negation-free rules (`least_model`, the probability families), and a
+    negated literal is refused rather than read."""
 
     def step(i: int, env: dict):
         if i == len(rule.body):
@@ -265,12 +267,7 @@ def iter_rule_firings(rule: NpRule, h: Mapping[Atom, Fraction],
         lit = rule.body[i]
         atom = _substitute_atom(lit.atom, env)
         if lit.neg:
-            if not atom_is_ground(atom):
-                raise NplpError("negated literals must be ground")
-            mu = eval_expr(lit.ann, env)
-            if satisfies(h, atom, mu, negated=True):
-                yield from step(i + 1, env)
-            return
+            raise NplpError("rule firing needs a negation-free body")
         candidates: Iterable[Atom]
         if atom_is_ground(atom):
             candidates = (atom,)

@@ -51,17 +51,6 @@ class Trajectory(Record):
         set_field(self, "probs", probs)
         set_field(self, "rewards", rewards)
 
-    def to_json(self) -> dict:
-        steps: list = [sorted(self.states[0])]
-        for sub, s in zip(self.subs, self.states[1:]):
-            steps.append(sub)
-            steps.append(sorted(s))
-        return {
-            "trajectory": steps,
-            "probs": [float(p) for p in self.probs],
-            "rewards": [float(r) for r in self.rewards],
-        }
-
 
 Policy = Mapping[State, str]
 

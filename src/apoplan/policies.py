@@ -22,8 +22,8 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from . import ApoError, Record, compiler, oracle, set_field
 from .nplp import NpProgram, PInterpretation, render_atom, sort_answer_sets
-from .oracle import Initial, State, Trajectory
-from .theory import ActionTheory, fluent_of, is_consistent, render_formula
+from .oracle import Initial, State
+from .theory import ActionTheory, fluent_of, is_consistent
 
 
 class PolicyError(ApoError):
@@ -117,34 +117,6 @@ def valid_reports(theory: ActionTheory, answer_sets: Sequence[PInterpretation],
                   horizon: int) -> list[AnswerSetReport]:
     reports = [extract_report(theory, h, horizon) for h in answer_sets]
     return [r for r in reports if r.valid]
-
-
-def reconstruct_trajectory(theory: ActionTheory, report: AnswerSetReport,
-                           ) -> Trajectory:
-    """Re-derive the transition chain of a valid report, verifying every step
-    against the action theory."""
-    if not report.valid:
-        raise PolicyError(f"cannot reconstruct an invalid report: {report.reasons}")
-    probs = []
-    rewards = []
-    for t, sub_id in enumerate(report.occ):
-        action, sub = theory.sub_outcome(sub_id)
-        state = report.states[t]
-        if not oracle.is_executable(theory, state, action):
-            raise PolicyError(
-                f"{action.name} not executable in {render_formula(state)} at time {t}")
-        if not (sub.condition <= state):
-            raise PolicyError(
-                f"condition of {sub_id} fails in {render_formula(state)} at time {t}")
-        nxt = oracle.transition(sub, state)
-        if nxt != report.states[t + 1]:
-            raise PolicyError(
-                f"successor mismatch at time {t}: expected {render_formula(nxt)}, "
-                f"answer set has {render_formula(report.states[t + 1])}")
-        probs.append(sub.prob)
-        rewards.append(sub.reward)
-    return Trajectory(states=tuple(report.states), subs=tuple(report.occ),
-                      probs=tuple(probs), rewards=tuple(rewards))
 
 
 def stationary_action_map(theory: ActionTheory, report: AnswerSetReport,
@@ -300,8 +272,8 @@ def best_policy(run: Run) -> PolicyValue:
 # cross-checks against the oracle
 
 
-def _trajectory_key(traj: Trajectory) -> tuple:
-    return (tuple(oracle.state_key(s) for s in traj.states), traj.subs)
+def _trajectory_key(states: Sequence[State], subs: tuple[str, ...]) -> tuple:
+    return (tuple(oracle.state_key(s) for s in states), subs)
 
 
 class CheckReport(Record):
@@ -323,23 +295,24 @@ def check_trajectories(theory: ActionTheory, horizon: int,
                        reports: Sequence[AnswerSetReport],
                        policies: Sequence[Mapping[State, str]],
                        initial: Optional[Initial] = None) -> CheckReport:
-    """Stationary trajectories reconstructed from the valid `reports` must
-    equal the oracle trajectories taken over `policies`, every enumerable
-    policy.  `initial`, if given, is `oracle.initial_states(theory)`.
+    """The stationary trajectories of the valid `reports` must equal the
+    oracle trajectories taken over `policies`, every enumerable policy.
+    `initial`, if given, is `oracle.initial_states(theory)`.
 
-    Answer sets also encode non-stationary action sequences (a revisited state
-    may get a different action), which no stationary policy generates; those
-    are filtered out before comparing."""
+    Both sides are keyed by their states and sub-outcomes, and only the
+    oracle simulates the dynamics (through `oracle.successors`): a report
+    whose action is not executable, whose condition fails or whose successor
+    is wrong has a key the oracle never makes, a `program-only`
+    counterexample.  Answer sets also encode non-stationary action sequences
+    (a revisited state may get a different action), which no stationary
+    policy generates; those are filtered out before comparing."""
     oracle_keys = set()
     for policy in policies:
         for traj in oracle.enumerate_trajectories(theory, policy, horizon, initial):
-            oracle_keys.add(_trajectory_key(traj))
+            oracle_keys.add(_trajectory_key(traj.states, traj.subs))
 
-    program_keys = set()
-    for report in reports:
-        if stationary_action_map(theory, report) is None:
-            continue
-        program_keys.add(_trajectory_key(reconstruct_trajectory(theory, report)))
+    program_keys = {_trajectory_key(report.states, report.occ) for report in reports
+                    if stationary_action_map(theory, report) is not None}
 
     missing = sorted(oracle_keys - program_keys)
     extra = sorted(program_keys - oracle_keys)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 from apoplan import oracle
 from apoplan.fuzz import generate_theory, generate_theory_text
-from apoplan.policies import Run, cross_check
+from apoplan.policies import Run, best_policy, cross_check
 from apoplan.theory import validate_theory
 
 SEEDS = range(60)
@@ -67,8 +67,27 @@ def test_answer_set_structural_invariants():
 
 
 def test_cross_check_on_generated_theories():
-    for seed in range(12):
+    for seed in range(200):
         theory = generate_theory(seed)
         checks = cross_check(Run(theory, 1))
         assert all(c.ok for c in checks), \
             (seed, [c.detail for c in checks if not c.ok])
+
+
+def test_read_reported_varying_literal_is_guessed_at_time_0():
+    # seed 128: a1 reports f3, a2 reads it, and the two initial states
+    # differ on it, so no schema-14 rule derives it
+    theory = generate_theory(128)
+    program = Run(theory, 1).program
+    guessed = {r.head for r in program.rules if r.schema in ("12", "13")}
+    assert {("holds", "f3", 0), ("holds", "-f3", 0)} <= guessed
+    values = {}
+    for horizon in (1, 2, 3):
+        run = Run(theory, horizon)
+        checks = cross_check(run)
+        assert all(c.ok for c in checks), (horizon, [c.detail for c in checks])
+        assert len(run.answer_sets) == 32 * 8 ** (horizon - 1)
+        if horizon < 3:
+            values[horizon] = best_policy(run).value
+            assert values[horizon] == oracle.optimal_policy(theory, horizon)[1]
+    assert values == {1: Fraction(3, 2), 2: Fraction(157, 40)}

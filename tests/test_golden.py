@@ -388,12 +388,7 @@ DIGESTS = {
 
 @pytest.fixture(scope="module")
 def recorded(tmp_path_factory):
-    mp = pytest.MonkeyPatch()
-    mp.delenv("APOPLAN_FORMAT", raising=False)
-    try:
-        yield _record(tmp_path_factory.mktemp("golden"))
-    finally:
-        mp.undo()
+    return _record(tmp_path_factory.mktemp("golden"))
 
 
 @pytest.mark.parametrize("case", sorted(DIGESTS))
@@ -406,9 +401,7 @@ def test_every_case_has_a_digest():
 
 
 if __name__ == "__main__":
-    import os
     import tempfile
-    os.environ.pop("APOPLAN_FORMAT", None)
     with tempfile.TemporaryDirectory() as d:
         recorded_now = _record(Path(d))
     for case, value in recorded_now.items():

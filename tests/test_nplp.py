@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from apoplan.nplp import (
     Add, BLit, Mul, NplpError, NpProgram, NpRule, Num, ONE, Ref,
-    answer_set_sort_key, enumerate_answer_sets, format_program, least_model,
-    reduct, render_atom, satisfies, sort_answer_sets,
+    answer_set_sort_key, enumerate_answer_sets, format_program, iter_rule_firings,
+    least_model, reduct, render_atom, satisfies, sort_answer_sets,
 )
 
 from conftest import satisfies_program
@@ -88,6 +88,13 @@ def test_least_model_refuses_a_program_that_never_settles():
     ))
     with pytest.raises(NplpError, match="non-terminating"):
         least_model(prog)
+
+
+def test_rule_firing_refuses_a_negated_literal():
+    # not b holds in {a: 1}, but a firing never reads negation
+    negated = NpRule(head=("c",), body=(BLit(atom=("a",)), BLit(atom=("b",), neg=True)))
+    with pytest.raises(NplpError, match="negation-free"):
+        list(iter_rule_firings(negated, {("a",): Fraction(1)}, {}))
 
 
 def test_satisfies_semantics():

@@ -80,14 +80,6 @@ def test_trajectory_counts(tiger):
         assert all(p > 0 for p in traj.probs)
 
 
-def test_trajectory_json_shape(tiger):
-    policy = uniform_policy(tiger, 1, "listen")
-    payload = enumerate_trajectories(tiger, policy, 1)[0].to_json()
-    assert set(payload) == {"trajectory", "probs", "rewards"}
-    assert payload["trajectory"][0] == ["htl", "tl"]
-    assert payload["trajectory"][1] == "listen_1"
-
-
 def test_policy_counts(tiger):
     assert len(enumerate_policies(tiger, 1)) == 9
     # noisy listen reports reach all four complete states by time 1

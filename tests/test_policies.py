@@ -7,11 +7,11 @@ from apoplan import oracle, sat
 from apoplan.compiler import decode_model
 from apoplan.fuzz import generate_theory
 from apoplan.policies import (
-    PolicyError, Run, best_policy, check_normal_projection, check_policy_values,
+    Run, best_policy, check_normal_projection, check_policy_values,
     check_sat_models, check_trajectories, cross_check,
-    extract_report, group_policies, reconstruct_trajectory,
-    stationary_action_map, valid_reports,
+    extract_report, group_policies, stationary_action_map, valid_reports,
 )
+from apoplan.theory import negate, parse_theory
 from conftest import TIGER_PATH, fresh_python, group_policies_reference
 
 
@@ -56,16 +56,19 @@ def test_degenerate_answer_sets_are_invalid(tiger, tiger_sets_n1):
     assert len(invalid) == 8
     for r in invalid:
         assert "state probability" in " ".join(r.reasons)
-        with pytest.raises(PolicyError, match="invalid"):
-            reconstruct_trajectory(tiger, r)
 
 
-def test_valid_reports_reconstruct(tiger, tiger_sets_n2):
+def test_valid_reports_follow_oracle_successors(tiger, tiger_sets_n2):
+    # non-stationary reports included, which check 1 leaves out
     reports = valid_reports(tiger, tiger_sets_n2, 2)
-    assert len(reports) > 0
+    assert len(reports) == 32
     for report in reports:
-        traj = reconstruct_trajectory(tiger, report)
-        assert len(traj.states) == 3
+        assert len(report.states) == 3
+        for t, sub_id in enumerate(report.occ):
+            action, _ = tiger.sub_outcome(sub_id)
+            steps = {(sub.id, nxt) for sub, nxt, _, _
+                     in oracle.successors(tiger, report.states[t], action)}
+            assert (sub_id, report.states[t + 1]) in steps
 
 
 def test_non_stationary_reports_exist_at_horizon2(tiger, tiger_sets_n2):
@@ -120,6 +123,53 @@ def test_checks_catch_seeded_fault(tiger, tiger_run_n1):
     t5 = check_normal_projection(broken, tiger_run_n1.normal_sets)
     assert not (t1.ok and t2.ok and t5.ok)
     assert any(c.counterexamples for c in (t1, t2, t5) if not c.ok)
+
+
+def _break_last_step(theory, report, fault):
+    """`report` with its last step altered by `fault`, or None when that
+    alteration does not apply to it or leaves it non-stationary."""
+    t = len(report.occ) - 1
+    state, nxt = report.states[t], report.states[t + 1]
+    if fault == "wrong-successor":
+        lit = min(nxt)
+        return report.replace(states=report.states[:-1] + (nxt - {lit} | {negate(lit)},))
+    for action in theory.actions:
+        executable = oracle.is_executable(theory, state, action)
+        for sub in action.outcomes:
+            applies = sub.condition <= state
+            if fault == "not-executable":
+                wanted = (not executable and applies
+                          and oracle.transition(sub, state) == nxt)
+            else:  # "condition-fails"
+                wanted = executable and not applies
+            broken = report.replace(occ=report.occ[:t] + (sub.id,))
+            if wanted and stationary_action_map(theory, broken) is not None:
+                return broken
+    return None
+
+
+@pytest.mark.parametrize("fault", ["not-executable", "condition-fails",
+                                   "wrong-successor"])
+def test_check_reports_a_step_that_breaks_the_dynamics(tiger_text, fault):
+    # tiger with a precondition, so that some step is not executable
+    text = tiger_text.replace("executable openL if {}.", "executable openL if {htl}.")
+    theory = parse_theory(text)
+    run = Run(theory, 2)
+    for report in run.reports:
+        if stationary_action_map(theory, report) is None:
+            continue
+        broken = _break_last_step(theory, report, fault)
+        if broken is not None:
+            break
+    assert broken is not None and broken != report
+    run.reports = [r for r in run.reports if r != report] + [broken]
+    checks = cross_check(run)
+    assert len(checks) == 4
+    trajectories = checks[0]
+    assert not trajectories.ok
+    assert trajectories.detail == "1 missing, 1 extra"
+    assert trajectories.counterexamples[-1] == \
+        f"program-only: {(tuple(tuple(sorted(s)) for s in broken.states), broken.occ)}"
 
 
 def _completion_models(cnf):
