@@ -94,7 +94,7 @@ def _validated(args) -> ActionTheory:
         raise _CliFailure(EXIT_VALIDATION, f"grounding failed: {e}") from None
     report = validate_theory(grounded)
     if not report:
-        lines = "; ".join(v.message for v in report.violations)
+        lines = "; ".join(f"{v.rule}: {v.message}" for v in report.violations)
         raise _CliFailure(EXIT_VALIDATION, f"invalid theory: {lines}")
     return grounded
 

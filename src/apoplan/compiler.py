@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Sequence
 
 from . import ApoError, Record, sat, set_field
 from .nplp import (
@@ -524,14 +524,15 @@ def to_sat(program: NormalProgram) -> CnfFormula:
     return CnfFormula(clauses=tuple(clauses), atoms=tuple(atoms))
 
 
-def decode_model(model: Mapping[int, bool], cnf: CnfFormula) -> frozenset:
-    """True-atom set of a total SAT model."""
-    try:
-        return frozenset(itertools.compress(
-            cnf.atoms, map(model.__getitem__, range(1, cnf.variable_count + 1))))
-    except KeyError:
-        missing = [i for i in range(1, cnf.variable_count + 1) if i not in model]
-        raise CompileError(f"model leaves variables unassigned: {missing[:5]}") from None
+def decode_model(model: Sequence[bool | None], cnf: CnfFormula) -> frozenset:
+    """True-atom set of a total SAT model of `cnf` in the form that
+    `sat.enumerate_models` yields: a sequence whose item v is the value of
+    variable v, item 0 unused.  A model of another length is refused, since
+    it cannot belong to `cnf`."""
+    if len(model) != cnf.variable_count + 1:
+        raise CompileError(f"model of {len(model)} items for "
+                           f"{cnf.variable_count} variables and the unused item 0")
+    return frozenset(itertools.compress(cnf.atoms, model[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -658,7 +659,9 @@ def iter_annotated_answer_sets(rules: list[tuple], cnf: CnfFormula,
     1994): an answer set is an answer set M of the normal program, its atoms
     at 1, joined with the least model of the family rules whose guards M
     holds.  The normal program is tight, so its answer sets are the models of
-    its completion (Fages 1994), which `sat.enumerate_models` lists.
+    its completion (Fages 1994), which `sat.enumerate_models` lists, each as
+    one list indexed by variable; `decode_model` takes M from it with one
+    `itertools.compress` over the atoms of the renumbering.
 
     The family rules are in dependency order, so the least model of each M
     is one pass over them: every enabled rule fires against the atoms

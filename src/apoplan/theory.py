@@ -432,9 +432,12 @@ class _Parser:
         if self.tok.kind == "-":
             self.advance()
             neg = True
-        text = self.expect("number").text
+        tok = self.expect("number")
+        text = tok.text
         if "/" in text:
             num, den = text.split("/")
+            if not Fraction(den):
+                raise ParseError(f"zero denominator in {text}", tok.line, tok.column)
             value = Fraction(num) / Fraction(den)
         else:
             value = Fraction(text)
@@ -717,6 +720,11 @@ def validate_theory(theory: ActionTheory) -> ValidationReport:
         bad("theory", "outcome-uniqueness", "sub-outcome ids are not unique")
 
     states = list(_complete_states(ground.fluents))
+    for s in states:
+        if not any(a.executability <= s for a in ground.actions):
+            bad("theory", "executability-exhaustiveness",
+                f"no action is executable in state {render_formula(s)}")
+            break
     for a in ground.actions:
         per_cond: dict[frozenset[str], Fraction] = {}
         for o in a.outcomes:

@@ -63,6 +63,53 @@ def test_validate_requires_exact_probability_sums(capsys, tmp_path, tiger_text):
     assert rules == {"initial-prob-sum", "condition-prob-sum"}
 
 
+PLANNING_COMMANDS = ["solve", "policy", "oracle", "check", "sat"]
+
+
+@pytest.fixture(params=["tiger-executable-if-tl", "no-actions"])
+def not_executable(request, tmp_path, tiger_text):
+    """A theory in which some complete state has no executable action."""
+    if request.param == "no-actions":
+        text = "fluent f. initially {f} : 1. discount 1/2."
+    else:
+        text = tiger_text.replace("if {}.", "if {tl}.")
+        assert text.count("if {tl}.") == 3
+    path = tmp_path / "theory.apo"
+    path.write_text(text)
+    return str(path)
+
+
+def test_validate_reports_an_unexecutable_state(capsys, not_executable):
+    code, out = run(capsys, "validate", not_executable)
+    assert code == 2
+    assert out.startswith("theory: executability-exhaustiveness: no action is executable in state {")
+
+
+@pytest.mark.parametrize("command", PLANNING_COMMANDS)
+def test_unexecutable_state_exits_2(capsys, not_executable, command):
+    code = main([command, not_executable, "--horizon", "1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: invalid theory: executability-exhaustiveness: ")
+
+
+def test_validate_reports_a_zero_denominator(capsys, tmp_path, tiger_text):
+    bad = tmp_path / "bad.apo"
+    bad.write_text(tiger_text.replace("discount 9/10.", "discount 1/0."))
+    code, out = run(capsys, "validate", str(bad))
+    assert (code, out) == (2, "file: parse: 25:10: zero denominator in 1/0\n")
+
+
+@pytest.mark.parametrize("command", PLANNING_COMMANDS)
+def test_zero_denominator_exits_1(capsys, tmp_path, tiger_text, command):
+    bad = tmp_path / "bad.apo"
+    bad.write_text(tiger_text.replace("17/20", "17/0", 1))
+    code = main([command, str(bad), "--horizon", "1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == "error: parse error: 20:11: zero denominator in 17/0\n"
+
+
 def test_missing_file_exit_code(capsys):
     assert main(["validate", "/no/such/file.apo"]) == 1
     assert main(["compile", "/no/such/file.apo", "--horizon", "1"]) == 1

@@ -288,8 +288,17 @@ def test_models_biject_with_normal_answer_sets(tiger):
     assert decoded == answer_sets
     # encode/decode inverse on every answer set
     for atoms in answer_sets:
-        model = {i + 1: (a in atoms) for i, a in enumerate(cnf.atoms)}
+        model = [None] + [a in atoms for a in cnf.atoms]
         assert decode_model(model, cnf) == atoms
+
+
+@pytest.mark.parametrize("resize", [lambda m: m[:-1], lambda m: m + [False]],
+                         ids=["short", "long"])
+def test_decode_model_refuses_wrong_length(tiger, resize):
+    cnf = to_sat(normalize(compile_theory(tiger, 1)))
+    model = next(sat.enumerate_models(cnf.clauses, cnf.variable_count))
+    with pytest.raises(CompileError, match="model of"):
+        decode_model(resize(model), cnf)
 
 
 def _reduct_least_model(program, m):

@@ -39,6 +39,17 @@ def test_parse_error_position():
     assert e.value.line is not None
 
 
+@pytest.mark.parametrize("old, new, position", [
+    ("discount 9/10.", "discount 1/0.", "25:10"),
+    ("{tl, htl}: 1/2", "{tl, htl}: 1/0", "5:22"),
+    ("{tl}: 1: -100 if {tl}", "{tl}: 1: -1/0 if {tl}", "12:15"),
+], ids=["discount", "probability", "reward"])
+def test_zero_denominator_is_a_parse_error(tiger_text, old, new, position):
+    assert old in tiger_text
+    with pytest.raises(ParseError, match=f"^{position}: zero denominator in 1/0$"):
+        parse_theory(tiger_text.replace(old, new, 1))
+
+
 def test_inconsistent_effect_rejected():
     with pytest.raises(ApoError):
         parse_theory(
@@ -88,11 +99,23 @@ def test_validation_report_json(tiger_text):
     ("{-tl}: 3/20: -1 sensing {htl}", "{-tl, htl}: 3/20: -1 sensing {htl}",
      [("listen", "report-exhaustiveness",
        "reports for condition {htl} do not cover {-htl, -tl}")]),
-], ids=["overlapping", "overlapping-with-gap", "gap", "report-gap"])
+    ("executable openL if {}.\nexecutable openR if {}.\nexecutable listen if {}.",
+     "executable openL if {tl}.\nexecutable openR if {tl}.\nexecutable listen if {tl}.",
+     [("theory", "executability-exhaustiveness",
+       "no action is executable in state {-tl, htl}")]),
+], ids=["overlapping", "overlapping-with-gap", "gap", "report-gap",
+        "not-executable"])
 def test_validation_outcome_conditions_and_reports(tiger_text, old, new, violations):
     assert old in tiger_text
     report = validate_theory(parse_theory(tiger_text.replace(old, new, 1)))
     assert [(v.decl, v.rule, v.message) for v in report.violations] == violations
+
+
+def test_theory_without_actions_is_invalid():
+    report = validate_theory(parse_theory("fluent f. initially {f} : 1. discount 1/2."))
+    assert [(v.decl, v.rule, v.message) for v in report.violations] == [
+        ("theory", "executability-exhaustiveness",
+         "no action is executable in state {f}")]
 
 
 def test_closure_completes_initial_formulas(tiger):
