@@ -6,6 +6,8 @@ flags produce byte-identical output.
 
 Exit codes: 0 success; 1 unusable input (missing file, parse error, bad
 flags); 2 validation or theorem-check failure; 3 internal invariant breach.
+Input takes one path: one `theory.validate_theory` call (in `Run`, if the
+command compiles) grounds and checks it, and `_checked` exits 2 on a failure.
 
 Each run is a fresh process, so a command imports only the modules it runs:
 `validate` and `ground` load `theory`, `oracle` adds `oracle`, and `fuzz`
@@ -36,7 +38,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .theory import (
-    ActionTheory, ApoError, ground_theory, parse_theory, serialize_theory,
+    ActionTheory, ApoError, ValidationReport, parse_theory, serialize_theory,
     validate_theory,
 )
 
@@ -86,17 +88,14 @@ def _load_theory(args) -> ActionTheory:
     return theory
 
 
-def _validated(args) -> ActionTheory:
-    theory = _load_theory(args)
-    try:
-        grounded = ground_theory(theory)
-    except ApoError as e:
-        raise _CliFailure(EXIT_VALIDATION, f"grounding failed: {e}") from None
-    report = validate_theory(grounded)
+def _checked(report: ValidationReport) -> ActionTheory:
     if not report:
-        lines = "; ".join(f"{v.rule}: {v.message}" for v in report.violations)
-        raise _CliFailure(EXIT_VALIDATION, f"invalid theory: {lines}")
-    return grounded
+        raise _CliFailure(EXIT_VALIDATION, f"invalid theory: {report.summary()}")
+    return report.theory
+
+
+def _validated(args) -> ActionTheory:
+    return _checked(validate_theory(_load_theory(args)))
 
 
 def _emit(args, text: str):
@@ -123,7 +122,9 @@ def _emit_json(args, payload):
 
 def _run(args) -> Run:
     from .policies import Run  # the whole pipeline; see above
-    return Run(_validated(args), args.horizon)
+    run = Run(_load_theory(args), args.horizon)
+    _checked(run.report)
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -133,10 +134,9 @@ def _run(args) -> Run:
 def cmd_validate(args) -> int:
     text = _read_input(args)
     try:
-        grounded = ground_theory(parse_theory(text))
-        violations = validate_theory(grounded).to_json()
+        violations = validate_theory(parse_theory(text)).to_json()
     except ApoError as e:
-        # parse and grounding errors are reported as output, not as a crash
+        # a parse error is reported as output, not as a crash
         violations = [{"decl": "file", "rule": "parse", "message": str(e)}]
     if args.format == "json":
         _emit_json(args, {"valid": not violations, "violations": violations})

@@ -40,8 +40,8 @@ from .nplp import (
     render_atom, sort_answer_sets,
 )
 from .theory import (
-    ActionTheory, close_initial_formula, ground_theory, negate,
-    reading_literals, report_literals, validate_theory,
+    ValidationReport, close_initial_formula, negate, reading_literals,
+    report_literals,
 )
 
 
@@ -65,17 +65,15 @@ def _holds_all(formula: Iterable[str], t: int) -> tuple[BLit, ...]:
     return tuple(BLit(atom=_holds(l, t)) for l in sorted(formula))
 
 
-def compile_theory(theory: ActionTheory, horizon: int) -> NpProgram:
-    """Emit the annotated program for `theory`, grounded over its domains,
-    with time grounded over 0..horizon-1 (state atoms range up to
-    `horizon`)."""
+def compile_theory(report: ValidationReport, horizon: int) -> NpProgram:
+    """Emit the annotated program for the ground theory of a passing
+    `validate_theory` report, which it neither validates nor grounds again,
+    with time grounded over 0..horizon-1 (state atoms range up to `horizon`)."""
     if horizon < 1:
         raise CompileError("horizon must be at least 1")
-    report = validate_theory(theory)
     if not report:
-        msgs = "; ".join(v.message for v in report.violations)
-        raise CompileError(f"invalid theory: {msgs}")
-    theory = ground_theory(theory)  # validated, so it grounds
+        raise CompileError(f"invalid theory: {report.summary()}")
+    theory = report.theory
 
     rules: list[NpRule] = []
 

@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 from . import ApoError, Record, compiler, oracle, set_field
 from .nplp import NpProgram, PInterpretation, render_atom, sort_answer_sets
 from .oracle import Initial, State
-from .theory import ActionTheory, fluent_of, is_consistent
+from .theory import ActionTheory, fluent_of, is_consistent, validate_theory
 
 
 class PolicyError(ApoError):
@@ -199,18 +199,19 @@ def group_policies(theory: ActionTheory, reports: Iterable[AnswerSetReport],
 
 
 class Run:
-    """The pipeline on one ground, validated `theory` at `horizon`: each
-    stage is an attribute computed on first use, from the stages it needs,
-    and kept.  A stage calls its function through the module that defines
-    it, so a tracer or a test that replaces that function sees every call."""
+    """The pipeline on `theory` at `horizon`: each stage reads the ground
+    theory of `report` (one `validate_theory` call; the caller checks it), is
+    computed on first use from the stages it needs, and kept.  It calls its
+    function via the defining module, so tracers and tests see every call."""
 
     def __init__(self, theory: ActionTheory, horizon: int):
-        self.theory = theory
+        self.report = validate_theory(theory)
+        self.theory = self.report.theory
         self.horizon = horizon
 
     @cached_property
     def program(self) -> NpProgram:
-        return compiler.compile_theory(self.theory, self.horizon)
+        return compiler.compile_theory(self.report, self.horizon)
 
     @cached_property
     def probability_rules(self) -> list[tuple]:

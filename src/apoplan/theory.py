@@ -194,13 +194,17 @@ class Violation(Record):
 
 
 class ValidationReport(Record):
-    __slots__ = ("violations",)
+    __slots__ = ("violations", "theory")
 
-    def __init__(self, violations: tuple[Violation, ...]):
+    def __init__(self, violations: tuple[Violation, ...], theory: Optional[ActionTheory]):
         set_field(self, "violations", violations)
+        set_field(self, "theory", theory)
 
     def __bool__(self) -> bool:  # truthy when valid
         return not self.violations
+
+    def summary(self) -> str:  # each violation as "rule: message"
+        return "; ".join(f"{v.rule}: {v.message}" for v in self.violations)
 
     def to_json(self) -> list[dict]:
         return [v.to_json() for v in self.violations]
@@ -299,6 +303,7 @@ class _Parser:
         discount: Optional[Fraction] = None
         goal: Optional[frozenset[str]] = None
         exec_conds: dict[str, frozenset[str]] = {}
+        exec_at: dict[str, _Token] = {}  # action name -> its `executable` token
         raw_actions: list[tuple[str, str, list]] = []
 
         while self.tok.kind != "eof":
@@ -331,7 +336,7 @@ class _Parser:
                 self.expect(".")
                 initial = tuple(entries)
             elif self.at_keyword("executable"):
-                self.advance()
+                tok = self.advance()
                 name = self.atom_name()
                 self.expect_keyword("if")
                 cond = self.formula()
@@ -339,6 +344,7 @@ class _Parser:
                 if name in exec_conds:
                     self.error(f"duplicate executability declaration for {name!r}")
                 exec_conds[name] = cond
+                exec_at[name] = tok
             elif self.at_keyword("action"):
                 self.advance()
                 name = self.atom_name()
@@ -368,6 +374,11 @@ class _Parser:
             else:
                 self.error(f"unexpected token {self.tok.text!r}")
 
+        declared = {name for name, _, _ in raw_actions}
+        for name, tok in exec_at.items():
+            if name not in declared:
+                raise ParseError(f"executability declared for undeclared action {name!r}",
+                                 tok.line, tok.column)
         actions = []
         for name, mode, outcomes in raw_actions:
             kind = "sensing" if mode == "observes" else "non-sensing"
@@ -660,12 +671,13 @@ def _complete_states(fluents: Iterable[str]) -> Iterator[frozenset[str]]:
 
 
 def validate_theory(theory: ActionTheory) -> ValidationReport:
-    """Check semantic well-formedness; violations are data, not exceptions."""
+    """Ground `theory` and check it.  The report holds the ground theory, None
+    if grounding failed; violations are data, not exceptions."""
     violations: list[Violation] = []
     try:
         ground = ground_theory(theory)
     except GroundingError as e:
-        return ValidationReport((Violation("theory", "grounding", str(e)),))
+        return ValidationReport((Violation("theory", "grounding", str(e)),), None)
 
     def bad(decl: str, rule: str, message: str):
         violations.append(Violation(decl, rule, message))
@@ -689,7 +701,7 @@ def validate_theory(theory: ActionTheory) -> ValidationReport:
     if ground.goal:
         check_lits("goal", ground.goal)
     if violations:
-        return ValidationReport(tuple(violations))
+        return ValidationReport(tuple(violations), ground)
 
     total = sum((e.prob for e in ground.initial), Fraction(0))
     if total != 1:
@@ -764,4 +776,4 @@ def validate_theory(theory: ActionTheory) -> ValidationReport:
                             f"{render_formula(combo)}")
                         break
 
-    return ValidationReport(tuple(violations))
+    return ValidationReport(tuple(violations), ground)

@@ -1,12 +1,13 @@
 import collections
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from apoplan import ApoError, compiler, nplp, oracle, policies, sat
+from apoplan import ApoError, compiler, nplp, oracle, policies, sat, theory
 from apoplan.cli import _solve_chunks, main
 
 from conftest import fresh_python
@@ -108,6 +109,65 @@ def test_zero_denominator_exits_1(capsys, tmp_path, tiger_text, command):
     captured = capsys.readouterr()
     assert (code, captured.out) == (1, "")
     assert captured.err == "error: parse error: 20:11: zero denominator in 17/0\n"
+
+
+NO_DOMAIN = ("fluent on(D). initially {on(p)}: 1. executable a if {}. "
+             "action a causes {on(p)}: 1: 0 if {}. discount 1/2.\n")
+UNDECLARED_ACTION = ("fluent f. initially {f}: 1. executable ghost if {}. "
+                     "action a causes {f}: 1: 0 if {}. discount 1/2.\n")
+
+
+def _write(tmp_path, text: str) -> str:
+    path = tmp_path / "theory.apo"
+    path.write_text(text)
+    return str(path)
+
+
+def test_validate_labels_a_grounding_failure_in_json(capsys, tmp_path):
+    code, out = run(capsys, "validate", _write(tmp_path, NO_DOMAIN), "--format", "json")
+    payload = json.loads(out)
+    check_schema(payload, "validate")
+    assert (code, payload) == (2, {"valid": False, "violations": [
+        {"decl": "theory", "rule": "grounding", "message": "no domain for D"}]})
+
+
+# every command that reads a theory file
+THEORY_COMMANDS = ["validate", "ground", "oracle", "compile", "normalize", "sat",
+                   "solve", "policy", "check"]
+
+
+def _theory_argv(command: str, path: str) -> list[str]:
+    horizon = [] if command in ("validate", "ground") else ["--horizon", "1"]
+    return [command, path] + horizon
+
+
+@pytest.fixture(params=["no-domain", "undeclared-action", "condition-prob-sum"])
+def invalid_theory(request, tmp_path, tiger_text):
+    """An invalid theory, and the declaration, rule and message of the one
+    violation `validate` reports on it."""
+    text, decl, rule, message = {
+        "no-domain": (NO_DOMAIN, "theory", "grounding", "no domain for D"),
+        "undeclared-action": (
+            UNDECLARED_ACTION, "file", "parse",
+            "1:29: executability declared for undeclared action 'ghost'"),
+        "condition-prob-sum": (
+            tiger_text.replace("17/20", "4/5", 1), "listen", "condition-prob-sum",
+            "probabilities for condition {htl} sum to 19/20"),
+    }[request.param]
+    return _write(tmp_path, text), decl, rule, message
+
+
+@pytest.mark.parametrize("command", THEORY_COMMANDS)
+def test_invalid_theory_exits_1_or_2_naming_the_rule(capsys, invalid_theory, command):
+    path, decl, rule, message = invalid_theory
+    code = main(_theory_argv(command, path))
+    captured = capsys.readouterr()
+    if command == "validate":
+        assert (code, captured.out) == (2, f"{decl}: {rule}: {message}\n")
+    elif rule == "parse":  # unusable input, except to `validate`
+        assert (code, captured.err) == (1, f"error: parse error: {message}\n")
+    else:
+        assert (code, captured.err) == (2, f"error: invalid theory: {rule}: {message}\n")
 
 
 def test_missing_file_exit_code(capsys):
@@ -411,8 +471,9 @@ def test_planning_commands_build_no_least_model_engine(capsys, monkeypatch):
 
 
 def _count_calls(monkeypatch, *targets) -> collections.Counter:
-    """A counter of the calls to each `(module, name)`, wrapping the module
-    attribute that its callers look up."""
+    """A counter of the calls to each `(module, name)`, wrapping the function
+    in every apoplan module that holds it, since some modules import it by
+    name."""
     counts = collections.Counter()
 
     def count(module, name):
@@ -421,11 +482,23 @@ def _count_calls(monkeypatch, *targets) -> collections.Counter:
         def counted(*args, **kwargs):
             counts[name] += 1
             return fn(*args, **kwargs)
-        monkeypatch.setattr(module, name, counted)
+        for holder in list(sys.modules.values()):
+            if (getattr(holder, "__name__", "").startswith("apoplan")
+                    and getattr(holder, name, None) is fn):
+                monkeypatch.setattr(holder, name, counted)
 
     for module, name in targets:
         count(module, name)
     return counts
+
+
+@pytest.mark.parametrize("command", THEORY_COMMANDS)
+def test_each_command_grounds_and_validates_once(capsys, monkeypatch, command):
+    counts = _count_calls(monkeypatch, (theory, "ground_theory"),
+                          (theory, "validate_theory"))
+    assert main(_theory_argv(command, TIGER)) == 0
+    capsys.readouterr()
+    assert counts == {"ground_theory": 1, "validate_theory": 1}, counts
 
 
 def test_check_runs_each_stage_once(capsys, monkeypatch):

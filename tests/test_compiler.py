@@ -18,7 +18,7 @@ from apoplan.nplp import (
     least_model, reduct, render_atom,
 )
 from apoplan.policies import Run
-from apoplan.theory import ground_theory, parse_theory
+from apoplan.theory import ground_theory, parse_theory, validate_theory
 
 from conftest import answer_sets_of
 
@@ -30,7 +30,7 @@ def schema_counts(program) -> Counter:
 
 
 def test_tiger_horizon1_schema_counts(tiger):
-    counts = schema_counts(compile_theory(tiger, 1))
+    counts = schema_counts(compile_theory(validate_theory(tiger), 1))
     assert counts["6"] == 8            # one fact per sub-action
     assert counts["7"] == counts["8"] == 2
     assert counts["9"] == counts["10"] == 2
@@ -53,8 +53,8 @@ def test_tiger_horizon1_schema_counts(tiger):
 
 
 def test_tiger_horizon2_scales_time_indexed_schemas(tiger):
-    c1 = schema_counts(compile_theory(tiger, 1))
-    c2 = schema_counts(compile_theory(tiger, 2))
+    c1 = schema_counts(compile_theory(validate_theory(tiger), 1))
+    c2 = schema_counts(compile_theory(validate_theory(tiger), 2))
     per_step = ["16", "17", "18", "19", "20", "21", "22", "23", "24",
                 "25", "27", "28"]
     for schema in per_step:
@@ -65,7 +65,7 @@ def test_tiger_horizon2_scales_time_indexed_schemas(tiger):
 
 
 def test_state_chain_annotations(tiger):
-    prog = compile_theory(tiger, 1)
+    prog = compile_theory(validate_theory(tiger), 1)
     listen_states = [r for r in prog.rules
                      if r.schema == "21" and r.body[1].atom[1].startswith("listen")]
     anns = sorted(r.head_ann.parts[0].value for r in listen_states
@@ -79,7 +79,7 @@ def test_no_sensing_theory_has_no_observation_schemas():
         "fluent a.\ninitially {a}: 1.\nexecutable b if {}.\n"
         "action b causes {-a}: 1: 0 if {a} ; {a}: 1: 0 if {-a}.\n"
         "discount 1/2.\n")
-    counts = schema_counts(compile_theory(theory, 2))
+    counts = schema_counts(compile_theory(validate_theory(theory), 2))
     for schema in ("19", "20", "21", "24"):
         assert counts[schema] == 0
 
@@ -89,14 +89,14 @@ def test_goal_rules():
         "fluent a.\ninitially {-a}: 1.\nexecutable b if {}.\n"
         "action b causes {a}: 1: 1 if {-a} ; {}: 1: 0 if {a}.\n"
         "discount 1/2.\ngoal {a}.\n")
-    counts = schema_counts(compile_theory(theory, 2))
+    counts = schema_counts(compile_theory(validate_theory(theory), 2))
     assert counts["29"] == 3
 
 
 def test_compile_rejects_invalid_theory(tiger_text):
     theory = parse_theory(tiger_text.replace("17/20", "4/5", 1))
     with pytest.raises(CompileError, match="invalid theory"):
-        compile_theory(theory, 1)
+        compile_theory(validate_theory(theory), 1)
 
 
 def test_compile_grounds_the_theory():
@@ -107,18 +107,18 @@ def test_compile_grounds_the_theory():
         action go(D) causes {at(D)}: 1: 0 if {}.
         discount 1/2.
     """)
-    program = compile_theory(theory, 1)
-    assert program == compile_theory(ground_theory(theory), 1)
+    program = compile_theory(validate_theory(theory), 1)
+    assert program == compile_theory(validate_theory(ground_theory(theory)), 1)
     assert ("fluent", "at(r)") in {r.head for r in program.rules}
 
 
 def test_compile_rejects_zero_horizon(tiger):
     with pytest.raises(CompileError):
-        compile_theory(tiger, 0)
+        compile_theory(validate_theory(tiger), 0)
 
 
 def test_normalize_drops_probability_schemas(tiger):
-    prog = compile_theory(tiger, 1)
+    prog = compile_theory(validate_theory(tiger), 1)
     normal = normalize(prog)
     kept = sum(1 for r in prog.rules if r.schema not in DROPPED)
     assert len(normal.rules) == kept
@@ -135,7 +135,7 @@ def test_normalize_requires_provenance():
 
 
 def test_tightness_check(tiger):
-    check_tight(normalize(compile_theory(tiger, 2)))
+    check_tight(normalize(compile_theory(validate_theory(tiger), 2)))
     cyclic = NormalProgram(rules=(
         (("a",), (("b",),), ()),
         (("b",), (("a",),), ()),
@@ -150,7 +150,7 @@ def test_compiled_programs_are_tight(cross_sensing):
     # solve and policy go through the completion, which needs tightness
     theories = [cross_sensing] + [generate_theory(s) for s in range(200)]
     for theory in theories:
-        check_tight(normalize(compile_theory(theory, 2)))
+        check_tight(normalize(compile_theory(validate_theory(theory), 2)))
 
 
 def _normal_projection(program, h):
@@ -270,7 +270,7 @@ def test_annotated_answer_sets_refuse_probability_rules_that_feed_themselves():
 
 
 def test_dimacs_shape(tiger):
-    cnf = to_sat(normalize(compile_theory(tiger, 1)))
+    cnf = to_sat(normalize(compile_theory(validate_theory(tiger), 1)))
     text = cnf.to_dimacs()
     clauses, nvars = sat.parse_dimacs(text)
     assert nvars == cnf.variable_count
@@ -280,7 +280,7 @@ def test_dimacs_shape(tiger):
 
 
 def test_models_biject_with_normal_answer_sets(tiger):
-    normal = normalize(compile_theory(tiger, 1))
+    normal = normalize(compile_theory(validate_theory(tiger), 1))
     cnf = to_sat(normal)
     decoded = {decode_model(m, cnf)
                for m in sat.enumerate_models(cnf.clauses, cnf.variable_count)}
@@ -295,7 +295,7 @@ def test_models_biject_with_normal_answer_sets(tiger):
 @pytest.mark.parametrize("resize", [lambda m: m[:-1], lambda m: m + [False]],
                          ids=["short", "long"])
 def test_decode_model_refuses_wrong_length(tiger, resize):
-    cnf = to_sat(normalize(compile_theory(tiger, 1)))
+    cnf = to_sat(normalize(compile_theory(validate_theory(tiger), 1)))
     model = next(sat.enumerate_models(cnf.clauses, cnf.variable_count))
     with pytest.raises(CompileError, match="model of"):
         decode_model(resize(model), cnf)
@@ -408,7 +408,7 @@ def test_normal_answer_sets_are_least_models_of_their_reducts(tiger, cross_sensi
     cases = [(tiger, n) for n in (1, 2, 3)] + [(cross_sensing, 2)]
     cases += [(generate_theory(s), n) for s in range(12) for n in (1, 2)]
     for theory, horizon in cases:
-        normal = normalize(compile_theory(theory, horizon))
+        normal = normalize(compile_theory(validate_theory(theory), horizon))
         got = normal_answer_sets(normal)
         for m in got:
             assert _reduct_least_model(normal, m) == m, horizon
@@ -453,7 +453,7 @@ def test_completion_omits_bodies_negating_their_head():
 
 
 def test_tiger_cnf_grows_linearly(tiger):
-    sizes = [len(to_sat(normalize(compile_theory(tiger, n))).clauses)
+    sizes = [len(to_sat(normalize(compile_theory(validate_theory(tiger), n))).clauses)
              for n in range(1, 7)]
     steps = {later - earlier for earlier, later in zip(sizes, sizes[1:])}
     assert len(steps) == 1, sizes
@@ -461,7 +461,7 @@ def test_tiger_cnf_grows_linearly(tiger):
 
 
 def test_tiger_horizon4_model_count(tiger):
-    cnf = to_sat(normalize(compile_theory(tiger, 4)))
+    cnf = to_sat(normalize(compile_theory(validate_theory(tiger), 4)))
     models = sat.enumerate_models(cnf.clauses, cnf.variable_count)
     assert sum(1 for _ in models) == 8192
 
@@ -471,7 +471,7 @@ def test_no_rule_holds_its_own_head_in_its_body(tiger, cross_sensing):
     # initial-state sensing rules (schema 14) used to support themselves
     theories = [tiger, cross_sensing] + [generate_theory(s) for s in range(12)]
     for theory in theories:
-        for rule in compile_theory(theory, 2).rules:
+        for rule in compile_theory(validate_theory(theory), 2).rules:
             assert all(b.neg or b.atom != rule.head for b in rule.body), \
                 format_rule(rule)
 

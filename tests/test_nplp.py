@@ -239,5 +239,6 @@ def test_reduct_identity_on_negation_free(prog):
 
 def test_format_is_deterministic(tiger):
     from apoplan.compiler import compile_theory
-    assert format_program(compile_theory(tiger, 1)) == \
-        format_program(compile_theory(tiger, 1))
+    from apoplan.theory import validate_theory
+    assert format_program(compile_theory(validate_theory(tiger), 1)) == \
+        format_program(compile_theory(validate_theory(tiger), 1))

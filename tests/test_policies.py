@@ -4,14 +4,14 @@ from fractions import Fraction
 import pytest
 
 from apoplan import oracle, sat
-from apoplan.compiler import decode_model
+from apoplan.compiler import CompileError, decode_model
 from apoplan.fuzz import generate_theory
 from apoplan.policies import (
     Run, best_policy, check_normal_projection, check_policy_values,
     check_sat_models, check_trajectories, cross_check,
     extract_report, group_policies, stationary_action_map, valid_reports,
 )
-from apoplan.theory import negate, parse_theory
+from apoplan.theory import ground_theory, negate, parse_theory
 from conftest import TIGER_PATH, fresh_python, group_policies_reference
 
 
@@ -262,3 +262,24 @@ def test_set_check_counterexamples_do_not_depend_on_string_hashing():
     projection, models = json.loads(outputs[0])
     assert len(projection["counterexamples"]) == 3
     assert len(models["counterexamples"]) == 2
+
+
+def test_run_grounds_the_theory_for_every_stage():
+    theory = parse_theory("""
+        domain D = {l, r}.
+        fluent at(D).
+        initially {at(l), -at(r)}: 1.
+        action go(D) causes {at(D)}: 1: 0 if {}.
+        discount 1/2.
+    """)
+    runs = [Run(theory, 2), Run(ground_theory(theory), 2)]
+    for run in runs:
+        assert [c.ok for c in cross_check(run)] == [True] * 4
+    assert best_policy(runs[0]) == best_policy(runs[1])
+
+
+def test_run_on_an_invalid_theory_compiles_nothing(tiger):
+    run = Run(tiger.replace(discount=Fraction(1)), 1)
+    assert not run.report and run.theory is not None
+    with pytest.raises(CompileError, match="^invalid theory: discount-range: "):
+        run.program

@@ -49,7 +49,8 @@ FIELDS = [
         "initial": (InitialEntry(S0, Fraction(1)),), "actions": (_action(),),
         "discount": Fraction(9, 10), "goal": frozenset({"tl"})}),
     (Violation, lambda: {"decl": "action listen", "rule": "r", "message": "m"}),
-    (ValidationReport, lambda: {"violations": (Violation("d", "r", "m"),)}),
+    (ValidationReport, lambda: {"violations": (Violation("d", "r", "m"),),
+                                "theory": None}),
     (_Token, lambda: {"kind": "ident", "text": "fluent", "line": 1, "column": 2}),
     (Ref, lambda: {"name": "N"}),
     (Num, lambda: {"value": Fraction(-3, 4)}),

@@ -156,6 +156,22 @@ def test_grounding_undeclared_variable():
         ground_theory(parse_theory(text))
 
 
+def test_executability_of_an_undeclared_action_is_a_parse_error():
+    text = ("fluent f.\ninitially {f}: 1.\nexecutable ghost if {}.\n"
+            "action a causes {f}: 1: 0 if {}.\ndiscount 1/2.\n")
+    with pytest.raises(ParseError, match="undeclared action 'ghost'") as e:
+        parse_theory(text)
+    assert (e.value.line, e.value.column) == (3, 1)
+
+
+def test_validation_report_carries_the_ground_theory():
+    theory = parse_theory(VARIABLE_THEORY)
+    assert validate_theory(theory).theory == ground_theory(theory)
+    text = VARIABLE_THEORY.replace("domain", "% domain")
+    report = validate_theory(parse_theory(text))
+    assert (report.summary(), report.theory) == ("grounding: no domain for D", None)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_roundtrip_fuzzed(seed):
