@@ -7,10 +7,10 @@ the four oracle cross-checks of `apoplan check` pass at horizon 1; for
 a subset of seeds the compiled program's answer sets, as the CLI computes
 them, are checked for exactly one occ atom per step and no complementary
 holds-literals, and against the definition: each is the least model of the
-program's reduct by itself, with exact values, and the list is in
-`answer_set_sort_key` order.  Their atoms outside the probability families
-must also be, one for one, the answer sets that `compiler.normal_answer_sets`
-finds for the normal program; since an answer set is fixed by its values on
+program's reduct by itself, with exact values, and `sort_answer_sets` puts
+the list in `answer_set_sort_key` order.  Their atoms outside the probability
+families must also be, one for one, the answer sets that
+`compiler.normal_answer_sets` finds for the normal program; since an answer set is fixed by its values on
 the negated atoms, which are normal atoms, no answer set is left out.
 """
 
@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from apoplan import oracle, policies
 from apoplan.fuzz import generate_theory
-from apoplan.nplp import answer_set_sort_key, least_model, reduct
+from apoplan.nplp import answer_set_sort_key, least_model, reduct, sort_answer_sets
 from apoplan.theory import validate_theory
 
 
@@ -53,12 +53,12 @@ def check_answer_sets(theory, horizon: int) -> None:
         assert least_model(reduct(run.program, h)) == h, \
             "an annotated answer set is not the least model of its reduct"
         assert all(type(v) is Fraction for v in h.values())
-    assert answer_sets == sorted(answer_sets, key=answer_set_sort_key), \
-        "annotated answer sets out of order"
+    assert sort_answer_sets(answer_sets) == sorted(answer_sets, key=answer_set_sort_key), \
+        "sort_answer_sets disagrees with answer_set_sort_key"
     atoms = run.normal.atoms()
-    normal_atoms = sorted((frozenset(a for a in h if a in atoms) for h in answer_sets),
-                          key=answer_set_sort_key)
-    assert run.normal_sets == normal_atoms, \
+    normal_atoms = [frozenset(a for a in h if a in atoms) for h in answer_sets]
+    # sorted lists, not sets, so that a repeated answer set still fails
+    assert sort_answer_sets(run.normal_sets) == sort_answer_sets(normal_atoms), \
         "normal_answer_sets differs from the normal atoms of the annotated answer sets"
     for h in answer_sets:
         for t in range(horizon):

@@ -218,11 +218,11 @@ def _solve_chunks(horizon: int, discount: Fraction, models: Sequence[PInterpreta
 
 
 def cmd_solve(args) -> int:
+    from .nplp import sort_answer_sets
     run = _run(args)
-    # the answer sets are listed before the output is opened, so a stage
-    # that fails writes nothing
+    # listed and sorted before the output is opened: a failing stage writes nothing
     _emit_chunks(args, _solve_chunks(args.horizon, run.theory.discount,
-                                     run.answer_sets))
+                                     sort_answer_sets(run.answer_sets)))
     return EXIT_OK
 
 

@@ -17,10 +17,9 @@ one at a time, from the completion models, which it searches in a time-major
 renumbering of the CNF: each model is a normal answer set, and the deleted
 rule families add its probabilities, rewards and values as one least model.
 `probability_rules` puts the family rules in dependency order once, so that
-least model is one pass over the rules the model enables.
-`annotated_answer_sets` lists them all; both enumerators list their answer
-sets through `nplp.sort_answer_sets`, and `check_tight` and
-that dependency order share one depth-first search, `_depth_first_order`.
+least model is one pass over the rules the model enables.  Both enumerators
+give their answer sets in search order.  `check_tight` and that dependency
+order share one depth-first search, `_depth_first_order`.
 `policies.Run` chains these stages, each computed once.
 
 Every emitted rule carries a schema tag so later stages can delete exactly the
@@ -37,7 +36,7 @@ from . import ApoError, Record, sat, set_field
 from .nplp import (
     Add, Atom, BLit, Mul, NpProgram, NpRule, Num, ONE, PInterpretation, Ref,
     atom_is_ground, can_match, eval_expr, head_value, iter_rule_firings,
-    render_atom, sort_answer_sets,
+    render_atom,
 )
 from .theory import (
     ValidationReport, close_initial_formula, negate, reading_literals,
@@ -250,8 +249,7 @@ def normalize(program: NpProgram) -> NormalProgram:
 
 
 def normal_answer_sets(program: NormalProgram) -> list[frozenset]:
-    """All answer sets of a tight normal program, in the order of
-    `nplp.answer_set_sort_key`.
+    """All answer sets of a tight normal program, in search order.
 
     A boolean search over the negated atoms that uses neither the completion
     nor the annotated least models, so the checks that compare its result with
@@ -371,7 +369,7 @@ def normal_answer_sets(program: NormalProgram) -> list[frozenset]:
             if propagate(*child, fire, kill):
                 stack.append(child)
 
-    return sort_answer_sets([frozenset(map(atoms.__getitem__, ids)) for ids in found])
+    return [frozenset(map(atoms.__getitem__, ids)) for ids in found]
 
 
 # ---------------------------------------------------------------------------
@@ -702,9 +700,3 @@ def iter_annotated_answer_sets(rules: list[tuple], cnf: CnfFormula,
                     h[head] = value
         yield h
 
-
-def annotated_answer_sets(rules: list[tuple], cnf: CnfFormula,
-                          ) -> list[PInterpretation]:
-    """All answer sets of `iter_annotated_answer_sets(rules, cnf)`, in the
-    order of `nplp.answer_set_sort_key`."""
-    return sort_answer_sets(list(iter_annotated_answer_sets(rules, cnf)))

@@ -8,11 +8,11 @@ An answer set is the least model of the program's reduct by that set; here
 `least_model` is Kleene iteration of the one-step operator and
 `enumerate_answer_sets` tries every set of negated atoms, both written as the
 definitions, for tests.  The CLI gets the answer sets of compiled programs
-from `compiler.annotated_answer_sets`, which decodes them from SAT models and
-fires the probability rules in one pass per model (through
+from `compiler.iter_annotated_answer_sets`, which decodes them from SAT
+models and fires the probability rules in one pass per model (through
 `iter_rule_firings` where a rule has a pattern atom such as `value(V, t)`),
 and the normal answer sets from the boolean search in
-`compiler.normal_answer_sets`.
+`compiler.normal_answer_sets`, both in the order their search finds them.
 
 Atoms are tuples `(pred, arg, ...)`; arguments are strings, ints, Fractions, or
 (in rule patterns) term variables.  Head terms and annotations are written in

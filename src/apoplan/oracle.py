@@ -164,16 +164,14 @@ def enumerate_trajectories(theory: ActionTheory, policy: Policy, horizon: int,
     return out
 
 
-def _trajectory_sum(theory: ActionTheory, policy: Policy, horizon: int,
-                    s0: State) -> Fraction:
-    """Per-trajectory discounted sum: each time-t term weighted by its prefix
-    probability, summed over all full-length trajectories from s0."""
+def trajectory_value(theory: ActionTheory, traj: Trajectory) -> Fraction:
+    """Discounted reward sum of `traj`, each time-t reward weighted by the
+    probability of steps 0..t (not by that of the initial state)."""
     total = Fraction(0)
-    for traj in _extend(theory, policy, Trajectory((s0,), (), (), ()), horizon):
-        prefix = Fraction(1)
-        for t in range(horizon):
-            prefix *= traj.probs[t]
-            total += theory.discount ** t * prefix * traj.rewards[t]
+    prefix = Fraction(1)
+    for t, (p, r) in enumerate(zip(traj.probs, traj.rewards)):
+        prefix *= p
+        total += theory.discount ** t * prefix * r
     return total
 
 
@@ -197,7 +195,7 @@ def recursive_value(theory: ActionTheory, policy: Policy, horizon: int,
 def belief_value(theory: ActionTheory, policy: Policy, horizon: int,
                  belief: Mapping[State, Fraction],
                  initial: Optional[Initial] = None) -> Fraction:
-    """Belief-weighted trajectory-sum value."""
+    """Belief-weighted sum of `trajectory_value` over each state's trajectories."""
     mass = sum(belief.values(), Fraction(0))
     if mass != 1:
         raise OracleError(f"belief is not normalized (mass {mass})")
@@ -210,7 +208,8 @@ def belief_value(theory: ActionTheory, policy: Policy, horizon: int,
             continue
         if state not in initial_set:
             raise OracleError(f"{render_formula(state)} is not an initial state")
-        total += weight * _trajectory_sum(theory, policy, horizon, state)
+        for traj in _extend(theory, policy, Trajectory((state,), (), (), ()), horizon):
+            total += weight * trajectory_value(theory, traj)
     return total
 
 

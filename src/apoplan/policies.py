@@ -9,16 +9,15 @@ Summing values over the answer sets consistent with a policy therefore equals
 the belief-weighted oracle value of that policy.
 
 `Run` computes each stage of the pipeline once, for the commands, the checks
-and the scripts alike.  `best_policy` needs only per-policy sums, which do not
-depend on the order of the answer sets, so it folds each answer set into them
-as it is enumerated and keeps none.
+and the scripts alike, and keeps the answer sets in search order, on which no
+check depends.  `best_policy` folds each into per-policy sums and keeps none.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import ApoError, Record, compiler, oracle, set_field
 from .nplp import NpProgram, PInterpretation, render_atom, sort_answer_sets
@@ -231,16 +230,15 @@ class Run:
 
     @cached_property
     def answer_sets(self) -> list[PInterpretation]:
-        # the rules before the CNF, so that a program whose probability
-        # families cannot be split is refused by the stage that splits them
-        return compiler.annotated_answer_sets(self.probability_rules, self.cnf)
+        return list(self.iter_answer_sets())
 
     def iter_answer_sets(self) -> Iterable[PInterpretation]:
-        """The answer sets one at a time: the `answer_sets` list when it is
-        kept already, else a fresh enumeration that keeps none of them, in
-        the time-major search order of `compiler.iter_annotated_answer_sets`."""
+        """The answer sets one at a time, in search order: the `answer_sets`
+        list when it is kept already, else a fresh enumeration that keeps none."""
         if "answer_sets" in self.__dict__:  # where cached_property keeps it
             return self.answer_sets
+        # the rules before the CNF, so that a program whose probability
+        # families cannot be split is refused by the stage that splits them
         return compiler.iter_annotated_answer_sets(self.probability_rules, self.cnf)
 
     @cached_property
@@ -254,6 +252,22 @@ class Run:
     @cached_property
     def policies(self) -> list[dict[State, str]]:
         return oracle.enumerate_policies(self.theory, self.horizon, self.initial)
+
+    @cached_property
+    def oracle_walk(self) -> tuple[set[tuple], list[Fraction]]:
+        """One walk of each policy's oracle trajectories: the set of their keys
+        and, per policy, the initial-belief-weighted sum of their
+        `oracle.trajectory_value`s."""
+        belief = oracle.initial_belief(self.theory, self.initial)
+        keys, values = set(), []
+        for policy in self.policies:
+            value = _ZERO
+            for t in oracle.enumerate_trajectories(self.theory, policy, self.horizon,
+                                                   self.initial):
+                keys.add(_trajectory_key(t.states, t.subs))
+                value += belief[t.states[0]] * oracle.trajectory_value(self.theory, t)
+            values.append(value)
+        return keys, values
 
 
 def best_policy(run: Run) -> PolicyValue:
@@ -292,13 +306,10 @@ class CheckReport(Record):
                 "counterexamples": list(self.counterexamples)}
 
 
-def check_trajectories(theory: ActionTheory, horizon: int,
-                       reports: Sequence[AnswerSetReport],
-                       policies: Sequence[Mapping[State, str]],
-                       initial: Optional[Initial] = None) -> CheckReport:
+def check_trajectories(theory: ActionTheory, reports: Sequence[AnswerSetReport],
+                       oracle_keys: set[tuple]) -> CheckReport:
     """The stationary trajectories of the valid `reports` must equal the
-    oracle trajectories taken over `policies`, every enumerable policy.
-    `initial`, if given, is `oracle.initial_states(theory)`.
+    oracle trajectories of every policy, whose keys `Run.oracle_walk` collects.
 
     Both sides are keyed by their states and sub-outcomes, and only the
     oracle simulates the dynamics (through `oracle.successors`): a report
@@ -307,11 +318,6 @@ def check_trajectories(theory: ActionTheory, horizon: int,
     counterexample.  Answer sets also encode non-stationary action sequences
     (a revisited state may get a different action), which no stationary
     policy generates; those are filtered out before comparing."""
-    oracle_keys = set()
-    for policy in policies:
-        for traj in oracle.enumerate_trajectories(theory, policy, horizon, initial):
-            oracle_keys.add(_trajectory_key(traj.states, traj.subs))
-
     program_keys = {_trajectory_key(report.states, report.occ) for report in reports
                     if stationary_action_map(theory, report) is not None}
 
@@ -326,18 +332,14 @@ def check_trajectories(theory: ActionTheory, horizon: int,
         counterexamples=tuple(examples))
 
 
-def check_policy_values(theory: ActionTheory, horizon: int,
-                        reports: Sequence[AnswerSetReport],
+def check_policy_values(theory: ActionTheory, reports: Sequence[AnswerSetReport],
                         policies: Sequence[Mapping[State, str]],
-                        initial: Optional[Initial] = None) -> CheckReport:
-    """Summed values of the valid `reports` per policy must equal the oracle's
-    belief-weighted value of that policy, exactly.  `initial`, if given, is
-    `oracle.initial_states(theory)`."""
+                        oracle_values: Sequence[Fraction]) -> CheckReport:
+    """Summed values of the valid `reports` per policy must equal, exactly, the
+    oracle's value of that policy at the initial belief (`Run.oracle_walk`)."""
     grouped = group_policies(theory, reports, policies)
-    belief = oracle.initial_belief(theory, initial)
     bad = []
-    for pv in grouped:
-        expected = oracle.belief_value(theory, pv.policy, horizon, belief, initial)
+    for pv, expected in zip(grouped, oracle_values):
         if expected != pv.value:
             bad.append(
                 f"policy {oracle.policy_to_json(pv.policy)}: "
@@ -400,17 +402,18 @@ def check_sat_models(models: Sequence[frozenset],
 
 def cross_check(run: Run) -> list[CheckReport]:
     """The four equivalence checks on the stages of `run`.  Checks 1 and 2
-    share its reports, initial states and policies, checks 3 and 4 its
-    normal answer sets.  The completion models that the answer sets were
-    built from are their atoms of the normal program, so check 4 compares
-    those very models with the normal answer sets, which a search without
-    SAT finds."""
-    theory, horizon = run.theory, run.horizon
+    share its reports and its one walk of the oracle trajectories, checks 3
+    and 4 its normal answer sets.  The completion models that the answer
+    sets were built from are their atoms of the normal program, so check 4
+    compares those very models with the normal answer sets, which a search
+    without SAT finds."""
+    theory = run.theory
     normal_atoms = run.normal.atoms()
     models = [frozenset(a for a in h if a in normal_atoms) for h in run.answer_sets]
+    oracle_keys, oracle_values = run.oracle_walk
     return [
-        check_trajectories(theory, horizon, run.reports, run.policies, run.initial),
-        check_policy_values(theory, horizon, run.reports, run.policies, run.initial),
+        check_trajectories(theory, run.reports, oracle_keys),
+        check_policy_values(theory, run.reports, run.policies, oracle_values),
         check_normal_projection(run.answer_sets, run.normal_sets),
         check_sat_models(models, run.normal_sets),
     ]

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import ApoError, Record, set_field
 
@@ -664,10 +664,19 @@ def close_initial_formula(theory: ActionTheory, formula: frozenset[str]) -> froz
 # validation
 
 
-def _complete_states(fluents: Iterable[str]) -> Iterator[frozenset[str]]:
-    fluents = list(fluents)
-    for signs in itertools.product((True, False), repeat=len(fluents)):
-        yield frozenset(f if pos else "-" + f for f, pos in zip(fluents, signs))
+def _uncovered(fluents: Sequence[str], formulas: list[frozenset[str]],
+               within: frozenset[str]) -> Optional[frozenset[str]]:
+    """The first complete state over `fluents`, positive literals first in their
+    order, that holds `within` and none of `formulas`, or None.  Only the fluents
+    these formulas mention are walked; the first state sets the rest positive."""
+    mentioned = {fluent_of(l) for formula in formulas + [within] for l in formula}
+    walked = [f for f in fluents if f in mentioned]
+    rest = frozenset(fluents) - mentioned
+    for signs in itertools.product((True, False), repeat=len(walked)):
+        state = frozenset(f if pos else "-" + f for f, pos in zip(walked, signs)) | rest
+        if within <= state and not any(f <= state for f in formulas):
+            return state
+    return None
 
 
 def validate_theory(theory: ActionTheory) -> ValidationReport:
@@ -731,12 +740,10 @@ def validate_theory(theory: ActionTheory) -> ValidationReport:
     if len(ids) != len(set(ids)):
         bad("theory", "outcome-uniqueness", "sub-outcome ids are not unique")
 
-    states = list(_complete_states(ground.fluents))
-    for s in states:
-        if not any(a.executability <= s for a in ground.actions):
-            bad("theory", "executability-exhaustiveness",
-                f"no action is executable in state {render_formula(s)}")
-            break
+    state = _uncovered(ground.fluents, [a.executability for a in ground.actions], frozenset())
+    if state is not None:
+        bad("theory", "executability-exhaustiveness",
+            f"no action is executable in state {render_formula(state)}")
     for a in ground.actions:
         per_cond: dict[frozenset[str], Fraction] = {}
         for o in a.outcomes:
@@ -755,11 +762,10 @@ def validate_theory(theory: ActionTheory) -> ValidationReport:
                 bad(a.name, "condition-mutual-exclusion",
                     f"conditions {render_formula(c1)} and {render_formula(c2)} "
                     "both hold in some state")
-        for s in states:
-            if a.executability <= s and not any(c <= s for c in conds):
-                bad(a.name, "condition-exhaustiveness",
-                    f"no outcome condition holds in state {render_formula(s)}")
-                break
+        state = _uncovered(ground.fluents, conds, a.executability)
+        if state is not None:
+            bad(a.name, "condition-exhaustiveness",
+                f"no outcome condition holds in state {render_formula(state)}")
         if a.kind == "sensing":
             for cond in conds:
                 effects = [o.effect for o in a.outcomes if o.condition == cond]
@@ -769,11 +775,10 @@ def validate_theory(theory: ActionTheory) -> ValidationReport:
                             f"reports {render_formula(f1)} and {render_formula(f2)} "
                             f"for condition {render_formula(cond)} are not mutually exclusive")
                 mentioned = sorted({fluent_of(l) for f in effects for l in f})
-                for combo in _complete_states(mentioned):
-                    if not any(f <= combo for f in effects):
-                        bad(a.name, "report-exhaustiveness",
-                            f"reports for condition {render_formula(cond)} do not cover "
-                            f"{render_formula(combo)}")
-                        break
+                combo = _uncovered(mentioned, effects, frozenset())
+                if combo is not None:
+                    bad(a.name, "report-exhaustiveness",
+                        f"reports for condition {render_formula(cond)} do not cover "
+                        f"{render_formula(combo)}")
 
     return ValidationReport(tuple(violations), ground)

@@ -9,7 +9,7 @@ import pytest
 
 from apoplan import compiler
 from apoplan.policies import PolicyValue, stationary_action_map
-from apoplan.nplp import iter_rule_firings, satisfies
+from apoplan.nplp import iter_rule_firings, satisfies, sort_answer_sets
 from apoplan.theory import ActionTheory, parse_theory
 
 REPO = Path(__file__).resolve().parent.parent
@@ -65,12 +65,12 @@ def fresh_python(script: str, *argv, env_vars=None) -> str:
 
 
 def answer_sets_of(program) -> list:
-    """`compiler.annotated_answer_sets` of a hand-built annotated `program`,
-    from its probability rules and the completion of its normal program, in
-    the order in which `policies.Run` computes them."""
-    return compiler.annotated_answer_sets(
+    """The answer sets of a hand-built annotated `program`, from its
+    probability rules and the completion of its normal program as
+    `policies.Run` computes them, in `nplp.answer_set_sort_key` order."""
+    return sort_answer_sets(list(compiler.iter_annotated_answer_sets(
         compiler.probability_rules(program),
-        compiler.to_sat(compiler.normalize(program)))
+        compiler.to_sat(compiler.normalize(program)))))
 
 
 @pytest.fixture(scope="session")

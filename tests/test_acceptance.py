@@ -54,8 +54,8 @@ def test_criterion_2_trajectory_equivalence(tiger):
     t0 = time.monotonic()
     for horizon in (1, 2):
         run = policies.Run(tiger, horizon)
-        report = policies.check_trajectories(tiger, horizon, run.reports,
-                                             run.policies)
+        report = policies.check_trajectories(tiger, run.reports,
+                                             run.oracle_walk[0])
         assert report.ok, report.counterexamples
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0, elapsed
@@ -66,12 +66,13 @@ def test_criterion_2_trajectory_equivalence(tiger):
 def test_criterion_3_policy_value_equivalence(tiger):
     for horizon in (1, 2):
         run = policies.Run(tiger, horizon)
-        report = policies.check_policy_values(tiger, horizon, run.reports,
-                                              run.policies)
+        report = policies.check_policy_values(tiger, run.reports, run.policies,
+                                              run.oracle_walk[1])
         assert report.ok, report.counterexamples
     t0 = time.monotonic()
     run = policies.Run(tiger, 3)
-    report = policies.check_policy_values(tiger, 3, run.reports, run.policies)
+    report = policies.check_policy_values(tiger, run.reports, run.policies,
+                                          run.oracle_walk[1])
     assert report.ok, report.counterexamples
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0, elapsed

@@ -520,6 +520,38 @@ def test_check_runs_each_stage_once(capsys, monkeypatch):
     assert counts["initial_states"] == 1, counts
 
 
+def test_check_walks_each_policys_oracle_trajectories_once(capsys, monkeypatch):
+    counts = _count_calls(
+        monkeypatch, (oracle, "_extend"), (oracle, "enumerate_trajectories"),
+        (oracle, "trajectory_value"), (oracle, "belief_value"))
+    code, out = run(capsys, "check", TIGER, "--horizon", "2")
+    assert code == 0 and json.loads(out)["ok"] is True
+    # 81 policies; checks 1 and 2 read one walk, of 288 trajectories
+    assert counts == {"_extend": 666, "enumerate_trajectories": 81,
+                      "trajectory_value": 288}, counts
+
+
+def test_a_passing_check_sorts_no_answer_sets_and_solve_sorts_what_it_prints(
+        capsys, monkeypatch):
+    sizes = []
+    sort = nplp.sort_answer_sets
+
+    def recorded(sets):
+        sizes.append(len(sets))
+        return sort(sets)
+    for holder in list(sys.modules.values()):
+        if (getattr(holder, "__name__", "").startswith("apoplan")
+                and getattr(holder, "sort_answer_sets", None) is sort):
+            monkeypatch.setattr(holder, "sort_answer_sets", recorded)
+    code, out = run(capsys, "check", TIGER, "--horizon", "2")
+    assert code == 0 and json.loads(out)["ok"] is True
+    assert set(sizes) <= {0}  # only the empty counterexample sets
+    sizes.clear()
+    code, out = run(capsys, "solve", TIGER, "--horizon", "2")
+    assert code == 0 and json.loads(out)["count"] == 128
+    assert sizes == [128]
+
+
 def test_policy_runs_each_stage_once(capsys, monkeypatch):
     counts = _count_calls(
         monkeypatch, (compiler, "to_sat"), (sat, "enumerate_models"),

@@ -6,7 +6,7 @@ from apoplan import oracle
 from apoplan.oracle import (
     OracleError, belief_update, belief_value, enumerate_policies,
     enumerate_trajectories, initial_belief, initial_states, optimal_policy,
-    reachable_states, recursive_value, successors,
+    reachable_states, recursive_value, successors, trajectory_value,
 )
 
 
@@ -78,6 +78,22 @@ def test_trajectory_counts(tiger):
     for traj in trajs:
         assert len(traj.states) == 3 and len(traj.subs) == 2
         assert all(p > 0 for p in traj.probs)
+
+
+def test_trajectory_value_weights_each_reward_by_its_prefix(tiger):
+    policy = uniform_policy(tiger, 2, "listen")
+    traj = next(t for t in enumerate_trajectories(tiger, policy, 2)
+                if t.subs == ("listen_1", "listen_2"))
+    p0, p1 = traj.probs
+    assert trajectory_value(tiger, traj) == p0 * -1 + Fraction(9, 10) * p0 * p1 * -1
+
+
+def test_belief_value_sums_trajectory_values(tiger):
+    belief = initial_belief(tiger)
+    for policy in enumerate_policies(tiger, 2):
+        expected = sum(belief[t.states[0]] * trajectory_value(tiger, t)
+                       for t in enumerate_trajectories(tiger, policy, 2))
+        assert belief_value(tiger, policy, 2, belief) == expected
 
 
 def test_policy_counts(tiger):

@@ -6,6 +6,7 @@ import pytest
 from apoplan import oracle, sat
 from apoplan.compiler import CompileError, decode_model
 from apoplan.fuzz import generate_theory
+from apoplan.nplp import sort_answer_sets
 from apoplan.policies import (
     Run, best_policy, check_normal_projection, check_policy_values,
     check_sat_models, check_trajectories, cross_check,
@@ -113,13 +114,37 @@ def test_cross_check_all_pass(tiger):
         assert all(c.ok for c in checks), [c.detail for c in checks]
 
 
+@pytest.mark.parametrize("old, new, details", [
+    ("initially {tl, htl}: 1/2 ; {-tl, -htl}: 1/2.",
+     "initially {tl, htl}: 1 ; {-tl, -htl}: 0.",
+     {1: ["4 trajectories on each side", "3 policies compared exactly",
+          "8 occ-projections on each side", "16 models = 16 answer sets"],
+      2: ["8 trajectories on each side", "9 policies compared exactly",
+          "64 occ-projections on each side", "128 models = 128 answer sets"]}),
+    ("{tl}: 17/20: -1 sensing {htl} ;\n    {-tl}: 3/20: -1 sensing {htl} ;",
+     "{tl}: 1: -1 sensing {htl} ;\n    {-tl}: 0: -1 sensing {htl} ;",
+     {1: ["7 trajectories on each side", "9 policies compared exactly",
+          "8 occ-projections on each side", "16 models = 16 answer sets"],
+      2: ["11 trajectories on each side", "27 policies compared exactly",
+          "64 occ-projections on each side", "128 models = 128 answer sets"]}),
+], ids=["initial-state", "listen-outcome"])
+def test_cross_check_passes_with_zero_probabilities(tiger_text, old, new, details):
+    # the oracle walk skips a step of probability 0, as `belief_value` does
+    assert old in tiger_text
+    theory = parse_theory(tiger_text.replace(old, new, 1))
+    for n in (1, 2):
+        checks = cross_check(Run(theory, n))
+        assert all(c.ok for c in checks), [c.counterexamples for c in checks]
+        assert [c.detail for c in checks] == details[n]
+
+
 def test_checks_catch_seeded_fault(tiger, tiger_run_n1):
     # drop one answer set: the trajectory and value comparisons must notice
-    broken = tiger_run_n1.answer_sets[:-1]
+    broken = sort_answer_sets(tiger_run_n1.answer_sets)[:-1]
     reports = valid_reports(tiger, broken, 1)
-    policies = oracle.enumerate_policies(tiger, 1)
-    t1 = check_trajectories(tiger, 1, reports, policies)
-    t2 = check_policy_values(tiger, 1, reports, policies)
+    oracle_keys, oracle_values = tiger_run_n1.oracle_walk
+    t1 = check_trajectories(tiger, reports, oracle_keys)
+    t2 = check_policy_values(tiger, reports, tiger_run_n1.policies, oracle_values)
     t5 = check_normal_projection(broken, tiger_run_n1.normal_sets)
     assert not (t1.ok and t2.ok and t5.ok)
     assert any(c.counterexamples for c in (t1, t2, t5) if not c.ok)

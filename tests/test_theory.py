@@ -1,3 +1,6 @@
+import itertools
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from apoplan.fuzz import generate_theory
 from apoplan.theory import (
     ApoError, GroundingError, ParseError, close_initial_formula, ground_theory,
-    negate, parse_theory, serialize_theory, validate_theory,
+    negate, parse_theory, render_formula, serialize_theory, validate_theory,
 )
 
 
@@ -116,6 +119,71 @@ def test_theory_without_actions_is_invalid():
     assert [(v.decl, v.rule, v.message) for v in report.violations] == [
         ("theory", "executability-exhaustiveness",
          "no action is executable in state {f}")]
+
+
+def _random_theory_text(rng: random.Random) -> str:
+    """Up to 10 fluents and 3 non-sensing actions whose executability and
+    outcome conditions are random literal sets, so that some states have no
+    executable action or no holding condition."""
+    fluents = [f"f{i}" for i in range(rng.randint(1, 10))]
+
+    def formula(size):
+        return "{" + ", ".join(rng.choice(("", "-")) + f
+                               for f in rng.sample(fluents, min(size, len(fluents)))) + "}"
+    lines = [f"fluent {', '.join(fluents)}.",
+             f"initially {{{', '.join(fluents)}}}: 1."]
+    for a in range(rng.randint(1, 3)):
+        lines.append(f"executable a{a} if {formula(rng.randint(0, 2))}.")
+        outcomes = [f"{{}}: 1: 0 if {formula(rng.randint(0, 3))}"
+                    for _ in range(rng.randint(1, 3))]
+        lines.append(f"action a{a} causes " + " ; ".join(outcomes) + ".")
+    return "\n".join(lines + ["discount 1/2."]) + "\n"
+
+
+def _exhaustiveness_over_every_state(ground):
+    """The exhaustiveness violations found by walking all 2^|fluents|
+    complete states, positive literals first in declaration order."""
+    states = [frozenset(f if pos else "-" + f for f, pos in zip(ground.fluents, signs))
+              for signs in itertools.product((True, False), repeat=len(ground.fluents))]
+    out = []
+    s = next((s for s in states
+              if not any(a.executability <= s for a in ground.actions)), None)
+    if s is not None:
+        out.append(("theory", "executability-exhaustiveness",
+                    f"no action is executable in state {render_formula(s)}"))
+    for a in ground.actions:
+        conds = {o.condition for o in a.outcomes}
+        s = next((s for s in states if a.executability <= s
+                  and not any(c <= s for c in conds)), None)
+        if s is not None:
+            out.append((a.name, "condition-exhaustiveness",
+                        f"no outcome condition holds in state {render_formula(s)}"))
+    return out
+
+
+def test_exhaustiveness_checks_match_the_walk_over_every_state():
+    rules = {"executability-exhaustiveness", "condition-exhaustiveness"}
+    seen = set()
+    for seed in range(300):
+        report = validate_theory(parse_theory(_random_theory_text(random.Random(seed))))
+        got = [(v.decl, v.rule, v.message) for v in report.violations if v.rule in rules]
+        assert got == _exhaustiveness_over_every_state(report.theory), seed
+        seen.update(rule for _, rule, _ in got)
+    assert seen == rules
+
+
+def test_validation_enumerates_only_the_fluents_checked_formulas_mention():
+    # 2^24 complete states, of which the checks need only the 2 over f0
+    fluents = ", ".join(f"f{i}" for i in range(24))
+    theory = parse_theory(
+        f"fluent {fluents}.\ninitially {{{fluents}}}: 1.\n"
+        "executable a if {}.\n"
+        "action a causes {-f0}: 1: 0 if {f0} ; {f0}: 1: 0 if {-f0}.\n"
+        "discount 1/2.\n")
+    t0 = time.perf_counter()
+    report = validate_theory(theory)
+    assert time.perf_counter() - t0 < 1.0
+    assert report, report.summary()
 
 
 def test_closure_completes_initial_formulas(tiger):
