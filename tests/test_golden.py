@@ -3,8 +3,10 @@
 Each case runs `apoplan.cli.main` in-process and compares its exit code and
 the sha256 of its stdout with recorded values: every command on tiger at
 horizons 1 and 2, the compiling commands but `oracle` on tiger at horizon 3,
-every command on the cross-sensing fixture at horizon 2, and `fuzz` with
-`solve`, `policy` and `check` on fuzz seeds 0-39 at horizons 1 and 2.  A change that means to alter an output re-records the digests with
+every command on the cross-sensing fixture at horizon 2, `solve`, `policy`,
+`oracle` and `check` on bits4 at horizons 1 and 2, and `fuzz` with `solve`,
+`policy` and `check` on fuzz seeds 0-39 at horizons 1 and 2.  A change that
+means to alter an output re-records the digests with
 `python tests/test_golden.py` and says why.
 """
 
@@ -34,6 +36,9 @@ def _cases():
                    ("sat", "--horizon", str(h), "--format", "json"))
     for command in ("compile", "normalize", "sat", "solve", "policy", "check"):
         yield f"tiger-{command}-h3", "tiger", (command, "--horizon", "3")
+    for h in (1, 2):
+        for command in ("solve", "policy", "oracle", "check"):
+            yield f"bits4-{command}-h{h}", "bits4", (command, "--horizon", str(h))
     for seed in FUZZ_SEEDS:
         for h in (1, 2):
             for command in ("solve", "policy", "check"):
@@ -53,7 +58,8 @@ def _run(argv) -> tuple[int, str]:
 
 def _theory_paths(directory: Path) -> dict[str, str]:
     """Theory name -> file; the fuzz theories are written by `apoplan fuzz`."""
-    paths = {name: str(DOMAINS / f"{name}.apo") for name in ("tiger", "cross_sensing")}
+    paths = {name: str(DOMAINS / f"{name}.apo")
+             for name in ("tiger", "cross_sensing", "bits4")}
     for seed in FUZZ_SEEDS:
         path = paths[f"fuzz{seed}"] = str(directory / f"fuzz{seed}.apo")
         assert main(["fuzz", "--seed", str(seed), "--out", path]) == 0
@@ -143,6 +149,14 @@ DIGESTS = {
     'tiger-solve-h3': (0, '0158577547ba9b13738efec26eb1201d3e18d51fb867afca5b8c1a9759196b65'),
     'tiger-policy-h3': (0, 'd83893998cb28c6f5099cb10b204f8ff1818b91f68db7e9dbe2b97064b6dd0b8'),
     'tiger-check-h3': (0, '8b7c7359b78af7077e900af08cf7a8ab8e837c4aedc7716401c46e5467611270'),
+    'bits4-solve-h1': (0, '32ef3150ac1d57bed881204040bbe180a73360107d215bdaf7a91bf617279551'),
+    'bits4-policy-h1': (0, 'cd778ca83ae3ae19dee0a24636e8b128288f9fcf9ceda354d0b5c754a6529990'),
+    'bits4-oracle-h1': (0, 'ecdb165829e0cdf91d0870261a4e5a0b8fa76932526631375d587c19e330ae5c'),
+    'bits4-check-h1': (0, 'de47dcb8b49b6de9bef7c950d05ff30c99ed75e8ade4b807d3feae0a77f364e3'),
+    'bits4-solve-h2': (0, 'c0f1f28ccfda300346844a448e806260ee8f56f3ee40330caadaaafb0a22eae2'),
+    'bits4-policy-h2': (0, '6828be56971170dc152d99ed55d34d969d80afc94e8e65b9c2b229e199911eb9'),
+    'bits4-oracle-h2': (0, 'bc08a7f4575a5bdf1f2da181330f904cacfa47a3cea1ba3babfc6d3ddbd557d9'),
+    'bits4-check-h2': (0, '63b601571bf50ac9171f73c3b6f522dd3e1cf7ed1f97965c0bdfe81b28e64aff'),
     'fuzz0-solve-h1': (0, '8b40ec282bd6a3ea114123731ef6e8f8cf452520cbc28f96031b8b6403ea512b'),
     'fuzz0-policy-h1': (0, '43dd1bb0a2a84a0f4d30d301daf61ea551f480722cd5b92429817fbfd0088292'),
     'fuzz0-check-h1': (0, '87b0a5339576750cede245bb14c9d0c519b2aa2147a03aa1c23b92291e28b3c2'),
