@@ -9,6 +9,7 @@ checked against.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Sequence
 
@@ -133,11 +134,18 @@ def _policy_action(theory: ActionTheory, policy: Policy, state: State) -> Action
 
 
 def _extend(theory: ActionTheory, policy: Policy, traj: Trajectory, depth: int,
-            ) -> Iterator[Trajectory]:
+            branch: bool = False) -> Iterator[Trajectory]:
+    """`traj` extended by `depth` steps of `policy`, or, with `branch`, of its extensions."""
     if depth == 0:
         yield traj
         return
     state = traj.states[-1]
+    if branch and state not in policy:
+        for action in theory.actions:
+            if is_executable(theory, state, action):
+                yield from _extend(theory, {**policy, state: action.name}, traj,
+                                   depth, branch)
+        return
     action = _policy_action(theory, policy, state)
     for sub, nxt, p, r in successors(theory, state, action):
         if p == 0:
@@ -146,12 +154,13 @@ def _extend(theory: ActionTheory, policy: Policy, traj: Trajectory, depth: int,
             theory, policy,
             Trajectory(traj.states + (nxt,), traj.subs + (sub.id,),
                        traj.probs + (p,), traj.rewards + (r,)),
-            depth - 1)
+            depth - 1, branch)
 
 
 def enumerate_trajectories(theory: ActionTheory, policy: Policy, horizon: int,
                            initial: Optional[Initial] = None) -> list[Trajectory]:
-    """All horizon-step trajectories from every positive-probability initial state."""
+    """All horizon-step trajectories from every positive-probability initial state; at a
+    state `policy` leaves unmapped, each executable action is tried and kept."""
     if horizon < 0:
         raise OracleError("horizon must be non-negative")
     if initial is None:
@@ -160,7 +169,7 @@ def enumerate_trajectories(theory: ActionTheory, policy: Policy, horizon: int,
     for s0, p0 in initial:
         if p0 == 0:
             continue
-        out.extend(_extend(theory, policy, Trajectory((s0,), (), (), ()), horizon))
+        out.extend(_extend(theory, policy, Trajectory((s0,), (), (), ()), horizon, True))
     return out
 
 
@@ -266,17 +275,29 @@ def reachable_states(theory: ActionTheory, horizon: int,
     return sorted(seen, key=state_key)
 
 
+def _policy_choices(theory: ActionTheory, horizon: int, initial: Optional[Initial],
+                    ) -> dict[State, list[str]]:
+    """Each reachable state's executable actions, by name."""
+    choices = {}
+    for state in reachable_states(theory, horizon, initial):
+        names = sorted(a.name for a in theory.actions if is_executable(theory, state, a))
+        if not names:
+            raise OracleError(f"no executable action in {render_formula(state)}")
+        choices[state] = names
+    return choices
+
+
+def count_policies(theory: ActionTheory, horizon: int,
+                   initial: Optional[Initial] = None) -> int:
+    """`len(enumerate_policies(...))`, without listing them."""
+    return math.prod(map(len, _policy_choices(theory, horizon, initial).values()))
+
+
 def enumerate_policies(theory: ActionTheory, horizon: int,
                        initial: Optional[Initial] = None) -> list[dict[State, str]]:
     """All maps from reachable states to executable actions, in lexicographic order."""
-    states = reachable_states(theory, horizon, initial)
-    choices = []
-    for state in states:
-        names = [a.name for a in theory.actions if is_executable(theory, state, a)]
-        if not names:
-            raise OracleError(f"no executable action in {render_formula(state)}")
-        choices.append(sorted(names))
-    return [dict(zip(states, combo)) for combo in itertools.product(*choices)]
+    choices = _policy_choices(theory, horizon, initial)
+    return [dict(zip(choices, combo)) for combo in itertools.product(*choices.values())]
 
 
 def optimal_policy(theory: ActionTheory, horizon: int) -> tuple[dict[State, str], Fraction]:

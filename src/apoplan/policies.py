@@ -6,7 +6,8 @@ give the state at each time, the occ-atoms the chosen sub-outcome, the state
 annotation the cumulative trajectory probability (including the initial-state
 weight), and value(v, n) the probability-weighted discounted reward sum.
 Summing values over the answer sets consistent with a policy therefore equals
-the belief-weighted oracle value of that policy.
+the belief-weighted oracle value of that policy.  The checks compare the terms
+of those sums, one per trajectory, which covers every policy without listing any.
 
 `Run` computes each stage of the pipeline once, for the commands, the checks
 and the scripts alike, and keeps the answer sets in search order, on which no
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from . import ApoError, Record, compiler, oracle, set_field
 from .nplp import NpProgram, PInterpretation, render_atom, sort_answer_sets
@@ -233,10 +234,7 @@ class Run:
         return list(self.iter_answer_sets())
 
     def iter_answer_sets(self) -> Iterable[PInterpretation]:
-        """The answer sets one at a time, in search order: the `answer_sets`
-        list when it is kept already, else a fresh enumeration that keeps none."""
-        if "answer_sets" in self.__dict__:  # where cached_property keeps it
-            return self.answer_sets
+        """The answer sets one at a time, in search order, from a fresh enumeration."""
         # the rules before the CNF, so that a program whose probability
         # families cannot be split is refused by the stage that splits them
         return compiler.iter_annotated_answer_sets(self.probability_rules, self.cnf)
@@ -254,20 +252,13 @@ class Run:
         return oracle.enumerate_policies(self.theory, self.horizon, self.initial)
 
     @cached_property
-    def oracle_walk(self) -> tuple[set[tuple], list[Fraction]]:
-        """One walk of each policy's oracle trajectories: the set of their keys
-        and, per policy, the initial-belief-weighted sum of their
-        `oracle.trajectory_value`s."""
+    def oracle_walk(self) -> dict[tuple, Fraction]:
+        """One walk of the trajectories of every policy (under the empty one):
+        each one's key and `oracle.trajectory_value` times its initial belief."""
         belief = oracle.initial_belief(self.theory, self.initial)
-        keys, values = set(), []
-        for policy in self.policies:
-            value = _ZERO
-            for t in oracle.enumerate_trajectories(self.theory, policy, self.horizon,
-                                                   self.initial):
-                keys.add(_trajectory_key(t.states, t.subs))
-                value += belief[t.states[0]] * oracle.trajectory_value(self.theory, t)
-            values.append(value)
-        return keys, values
+        walk = oracle.enumerate_trajectories(self.theory, {}, self.horizon, self.initial)
+        return {_trajectory_key(t.states, t.subs):
+                belief[t.states[0]] * oracle.trajectory_value(self.theory, t) for t in walk}
 
 
 def best_policy(run: Run) -> PolicyValue:
@@ -307,7 +298,7 @@ class CheckReport(Record):
 
 
 def check_trajectories(theory: ActionTheory, reports: Sequence[AnswerSetReport],
-                       oracle_keys: set[tuple]) -> CheckReport:
+                       oracle_keys: AbstractSet[tuple]) -> CheckReport:
     """The stationary trajectories of the valid `reports` must equal the
     oracle trajectories of every policy, whose keys `Run.oracle_walk` collects.
 
@@ -333,22 +324,25 @@ def check_trajectories(theory: ActionTheory, reports: Sequence[AnswerSetReport],
 
 
 def check_policy_values(theory: ActionTheory, reports: Sequence[AnswerSetReport],
-                        policies: Sequence[Mapping[State, str]],
-                        oracle_values: Sequence[Fraction]) -> CheckReport:
-    """Summed values of the valid `reports` per policy must equal, exactly, the
-    oracle's value of that policy at the initial belief (`Run.oracle_walk`)."""
-    grouped = group_policies(theory, reports, policies)
-    bad = []
-    for pv, expected in zip(grouped, oracle_values):
-        if expected != pv.value:
-            bad.append(
-                f"policy {oracle.policy_to_json(pv.policy)}: "
-                f"answer sets give {pv.value}, oracle gives {expected}")
+                        oracle_values: Mapping[tuple, Fraction],
+                        policy_count: int) -> CheckReport:
+    """Per trajectory, the summed values of the stationary valid `reports` must equal
+    the oracle's (`Run.oracle_walk`) exactly, a side without it counting 0.  Each
+    policy's value is a sum of these terms, so this compares all `policy_count`."""
+    program_values: dict[tuple, Fraction] = {}
+    for report in reports:
+        if stationary_action_map(theory, report) is not None:
+            key = _trajectory_key(report.states, report.occ)
+            program_values[key] = program_values.get(key, _ZERO) + report.value
+    bad = sorted(key for key in program_values.keys() | oracle_values.keys()
+                 if program_values.get(key, _ZERO) != oracle_values.get(key, _ZERO))
     return CheckReport(
         name="policy-value-equivalence", ok=not bad,
-        detail=f"{len(grouped)} policies compared exactly" if not bad else
-        f"{len(bad)} of {len(grouped)} policies disagree",
-        counterexamples=tuple(bad[:3]))
+        detail=f"{policy_count} policies compared exactly" if not bad else
+        f"{len(bad)} trajectories disagree",
+        counterexamples=tuple(
+            f"trajectory {key}: answer sets give {program_values.get(key, _ZERO)}, "
+            f"oracle gives {oracle_values.get(key, _ZERO)}" for key in bad[:3]))
 
 
 def _first(atom_sets: set[frozenset], n: int) -> list[frozenset]:
@@ -410,10 +404,10 @@ def cross_check(run: Run) -> list[CheckReport]:
     theory = run.theory
     normal_atoms = run.normal.atoms()
     models = [frozenset(a for a in h if a in normal_atoms) for h in run.answer_sets]
-    oracle_keys, oracle_values = run.oracle_walk
+    policy_count = oracle.count_policies(theory, run.horizon, run.initial)
     return [
-        check_trajectories(theory, run.reports, oracle_keys),
-        check_policy_values(theory, run.reports, run.policies, oracle_values),
+        check_trajectories(theory, run.reports, run.oracle_walk.keys()),
+        check_policy_values(theory, run.reports, run.oracle_walk, policy_count),
         check_normal_projection(run.answer_sets, run.normal_sets),
         check_sat_models(models, run.normal_sets),
     ]

@@ -55,7 +55,7 @@ def test_criterion_2_trajectory_equivalence(tiger):
     for horizon in (1, 2):
         run = policies.Run(tiger, horizon)
         report = policies.check_trajectories(tiger, run.reports,
-                                             run.oracle_walk[0])
+                                             run.oracle_walk.keys())
         assert report.ok, report.counterexamples
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0, elapsed
@@ -63,17 +63,25 @@ def test_criterion_2_trajectory_equivalence(tiger):
           f"horizons 1-2 ({elapsed:.2f}s < 10s)")
 
 
+def _policy_values_disagree(run) -> list:
+    """The policies whose summed answer-set value (`group_policies`) is not
+    exactly their `oracle.belief_value`."""
+    belief = oracle.initial_belief(run.theory, run.initial)
+    return [pv.policy for pv in policies.group_policies(run.theory, run.reports,
+                                                        run.policies)
+            if pv.value != oracle.belief_value(run.theory, pv.policy, run.horizon,
+                                               belief, run.initial)]
+
+
 def test_criterion_3_policy_value_equivalence(tiger):
     for horizon in (1, 2):
         run = policies.Run(tiger, horizon)
-        report = policies.check_policy_values(tiger, run.reports, run.policies,
-                                              run.oracle_walk[1])
-        assert report.ok, report.counterexamples
+        assert _policy_values_disagree(run) == []
+        assert len(run.policies) == 9 ** horizon
     t0 = time.monotonic()
     run = policies.Run(tiger, 3)
-    report = policies.check_policy_values(tiger, run.reports, run.policies,
-                                          run.oracle_walk[1])
-    assert report.ok, report.counterexamples
+    assert _policy_values_disagree(run) == []
+    assert len(run.policies) == 3 ** 4
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0, elapsed
     print(f"\nPASS criterion-3: every policy's summed answer-set value equals "

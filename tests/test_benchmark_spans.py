@@ -39,6 +39,8 @@ def test_traced_check_runs_each_stage_once():
     assert result["code"] == 0
     stages = ("compiler.compile", "compiler.normalize", "compiler.to_sat",
               "compiler.normal_answer_sets", "policies.reports",
-              "sat.enumerate_models")
+              "sat.enumerate_models",
+              # one walk of the oracle's trajectories, and no policy list
+              "oracle.enumerate")
     assert {name: result["calls"].get(name) for name in stages} \
         == dict.fromkeys(stages, 1), result["calls"]

@@ -1,6 +1,7 @@
 import collections
 import json
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from conftest import fresh_python
 
 REPO = Path(__file__).resolve().parent.parent
 TIGER = str(REPO / "domains" / "tiger.apo")
+BITS4 = str(REPO / "domains" / "bits4.apo")
 CROSS_SENSING = str(REPO / "domains" / "cross_sensing.apo")
 SCHEMAS = REPO / "schemas"
 
@@ -515,20 +517,35 @@ def test_check_runs_each_stage_once(capsys, monkeypatch):
     assert counts["normal_answer_sets"] == 1
     assert counts["enumerate_models"] == 1
     assert counts["extract_report"] == 128
-    assert counts["enumerate_policies"] == 1
+    assert counts["enumerate_policies"] == 0  # counted, not listed
     # once, for the oracle: the compiler closes the initial formulas itself
     assert counts["initial_states"] == 1, counts
 
 
-def test_check_walks_each_policys_oracle_trajectories_once(capsys, monkeypatch):
+def test_check_walks_each_oracle_trajectory_once(capsys, monkeypatch):
     counts = _count_calls(
         monkeypatch, (oracle, "_extend"), (oracle, "enumerate_trajectories"),
-        (oracle, "trajectory_value"), (oracle, "belief_value"))
+        (oracle, "trajectory_value"), (oracle, "belief_value"),
+        (oracle, "enumerate_policies"))
     code, out = run(capsys, "check", TIGER, "--horizon", "2")
     assert code == 0 and json.loads(out)["ok"] is True
-    # 81 policies; checks 1 and 2 read one walk, of 288 trajectories
-    assert counts == {"_extend": 666, "enumerate_trajectories": 81,
-                      "trajectory_value": 288}, counts
+    # checks 1 and 2 read one walk of the 16 stationary trajectories (38
+    # `_extend` calls), where a walk per policy made 81 walks of 288 (666)
+    assert counts == {"_extend": 38, "enumerate_trajectories": 1,
+                      "trajectory_value": 16}, counts
+
+
+def test_check_compares_millions_of_policies_without_listing_them(capsys):
+    # bits4 at horizon 3: 4^11 policies over its 11 reachable states, 512
+    # answer sets and 176 stationary trajectories
+    t0 = time.monotonic()
+    code, out = run(capsys, "check", BITS4, "--horizon", "3")
+    elapsed = time.monotonic() - t0
+    payload = json.loads(out)
+    assert code == 0 and payload["ok"] is True
+    assert [c["detail"] for c in payload["checks"][:2]] == [
+        "176 trajectories on each side", "4194304 policies compared exactly"]
+    assert elapsed < 10.0, elapsed
 
 
 def test_a_passing_check_sorts_no_answer_sets_and_solve_sorts_what_it_prints(

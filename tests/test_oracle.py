@@ -4,9 +4,9 @@ import pytest
 
 from apoplan import oracle
 from apoplan.oracle import (
-    OracleError, belief_update, belief_value, enumerate_policies,
+    OracleError, belief_update, belief_value, count_policies, enumerate_policies,
     enumerate_trajectories, initial_belief, initial_states, optimal_policy,
-    reachable_states, recursive_value, successors, trajectory_value,
+    reachable_states, recursive_value, state_key, successors, trajectory_value,
 )
 
 
@@ -132,3 +132,30 @@ def test_unnormalized_belief_rejected(tiger):
     with pytest.raises(OracleError, match="normalized"):
         belief_value(tiger, uniform_policy(tiger, 1, "listen"), 1,
                      {s0: Fraction(1, 3)})
+
+
+def test_belief_value_refuses_a_policy_that_leaves_a_visited_state_unmapped(tiger):
+    belief = initial_belief(tiger)
+    policy = uniform_policy(tiger, 1, "listen")  # the time-0 states only
+    with pytest.raises(OracleError, match="undefined"):
+        belief_value(tiger, policy, 2, belief)
+    with pytest.raises(OracleError, match="undefined"):
+        belief_value(tiger, {}, 1, belief)
+
+
+def _keys(trajectories) -> list:
+    return [(tuple(map(state_key, t.states)), t.subs) for t in trajectories]
+
+
+def test_trajectories_of_the_empty_policy_are_those_of_every_policy(tiger):
+    for horizon in (1, 2, 3):
+        walked = _keys(enumerate_trajectories(tiger, {}, horizon))
+        assert len(walked) == len(set(walked))  # each trajectory once
+        expected = {k for policy in enumerate_policies(tiger, horizon)
+                    for k in _keys(enumerate_trajectories(tiger, policy, horizon))}
+        assert set(walked) == expected
+        assert count_policies(tiger, horizon) == len(enumerate_policies(tiger, horizon))
+    # a partial policy is kept where it maps and branches elsewhere
+    (s0, _), (s1, _) = initial_states(tiger)
+    walked = enumerate_trajectories(tiger, {s0: "openL", s1: "openL"}, 1)
+    assert {t.subs for t in walked} == {("openL_1",), ("openL_2",)}

@@ -97,6 +97,7 @@ def test_best_policy_matches_oracle(tiger, tiger_run_n1):
     best = best_policy(tiger_run_n1)
     policy, value = oracle.optimal_policy(tiger, 1)
     assert best.value == value == 10
+    assert best.contributors == 2  # the safe door's answer set per initial state
     assert best.policy == policy
 
 
@@ -138,16 +139,42 @@ def test_cross_check_passes_with_zero_probabilities(tiger_text, old, new, detail
         assert [c.detail for c in checks] == details[n]
 
 
+def _trajectory_key(report) -> tuple:
+    return (tuple(tuple(sorted(s)) for s in report.states), report.occ)
+
+
 def test_checks_catch_seeded_fault(tiger, tiger_run_n1):
-    # drop one answer set: the trajectory and value comparisons must notice
-    broken = sort_answer_sets(tiger_run_n1.answer_sets)[:-1]
+    # drop the answer set of one valid report: checks 1 and 2 both notice
+    run = tiger_run_n1
+    dropped = sort_answer_sets([h for h in run.answer_sets
+                                if extract_report(tiger, h, 1).valid])[-1]
+    broken = [h for h in run.answer_sets if h is not dropped]
     reports = valid_reports(tiger, broken, 1)
-    oracle_keys, oracle_values = tiger_run_n1.oracle_walk
-    t1 = check_trajectories(tiger, reports, oracle_keys)
-    t2 = check_policy_values(tiger, reports, tiger_run_n1.policies, oracle_values)
-    t5 = check_normal_projection(broken, tiger_run_n1.normal_sets)
-    assert not (t1.ok and t2.ok and t5.ok)
-    assert any(c.counterexamples for c in (t1, t2, t5) if not c.ok)
+    key = _trajectory_key(extract_report(tiger, dropped, 1))
+    t1 = check_trajectories(tiger, reports, run.oracle_walk.keys())
+    t2 = check_policy_values(tiger, reports, run.oracle_walk, 9)
+    assert not (t1.ok or t2.ok)
+    assert t1.counterexamples == (f"oracle-only: {key}",)
+    assert t2.detail == "1 trajectories disagree"
+    assert t2.counterexamples[0].startswith(f"trajectory {key}: answer sets give 0, ")
+
+
+def test_value_check_names_the_trajectory_whose_value_changed(tiger, tiger_run_n1):
+    run = tiger_run_n1
+    reports = list(run.reports)
+    changed = reports[-1]
+    assert stationary_action_map(tiger, changed) is not None
+    reports[-1] = changed.replace(value=changed.value + Fraction(1, 1000))
+    key = _trajectory_key(changed)
+    assert check_trajectories(tiger, reports, run.oracle_walk.keys()).ok
+    values = check_policy_values(tiger, reports, run.oracle_walk, 9)
+    assert not values.ok
+    assert values.detail == "1 trajectories disagree"
+    assert values.counterexamples == (
+        f"trajectory {key}: answer sets give {changed.value + Fraction(1, 1000)}, "
+        f"oracle gives {changed.value}",)
+    assert check_policy_values(tiger, run.reports, run.oracle_walk, 9).detail \
+        == "9 policies compared exactly"
 
 
 def _break_last_step(theory, report, fault):
@@ -251,20 +278,6 @@ def test_best_policy_folds_the_enumeration_as_it_would_the_list(tiger, cross_sen
                                                      listed.policies))
         assert best == expected
         assert best_policy(listed) == expected
-
-
-def test_best_policy_after_cross_check_enumerates_no_more(tiger, monkeypatch):
-    calls = []
-    enumerate_models = sat.enumerate_models
-
-    def counted(*args):
-        calls.append(args)
-        return enumerate_models(*args)
-    monkeypatch.setattr(sat, "enumerate_models", counted)
-    run = Run(tiger, 2)
-    assert all(c.ok for c in cross_check(run))
-    assert best_policy(run).value == 19
-    assert len(calls) == 1
 
 
 def test_set_check_counterexamples_do_not_depend_on_string_hashing():
