@@ -4,8 +4,9 @@ Subcommands mirror the compilation stages: validate, ground, compile,
 normalize, sat, solve, policy, oracle, check, fuzz.  Identical inputs and
 flags produce byte-identical output.
 
-Exit codes: 0 success; 1 unusable input (missing file, parse error, bad
-flags); 2 validation or theorem-check failure; 3 internal invariant breach.
+Exit codes: 0 success; 1 unusable input or output (missing file, parse
+error, bad flags, an `--out` that cannot be written); 2 validation or
+theorem-check failure; 3 internal invariant breach.
 Input takes one path: one `theory.validate_theory` call (in `Run`, if the
 command compiles) grounds and checks it, and `_checked` exits 2 on a failure.
 
@@ -108,12 +109,21 @@ def _emit_chunks(args, chunks: Iterable[str]):
     whatever can fail before it passes a generator."""
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w", encoding="utf-8") as f:
-            for chunk in chunks:
-                f.write(chunk)
+        _write(out, chunks)
     else:
         for chunk in chunks:
             sys.stdout.write(chunk)
+
+
+def _write(path: str, chunks: Iterable[str]):
+    """Write each of `chunks` to the file `path`, which exits 1 naming the
+    path if it cannot be opened or written, as `_read_input` does."""
+    try:
+        with open(path, "w", encoding="utf-8") as f:
+            for chunk in chunks:
+                f.write(chunk)
+    except OSError as e:
+        raise _CliFailure(EXIT_INPUT, f"cannot write {path}: {e}") from None
 
 
 def _emit_json(args, payload):
@@ -185,9 +195,8 @@ def cmd_sat(args) -> int:
         return EXIT_OK
     _emit(args, dimacs)
     if args.out:
-        with open(args.out + ".atoms.json", "w", encoding="utf-8") as f:
-            json.dump(cnf.atom_map_json(), f, indent=2)
-            f.write("\n")
+        _write(args.out + ".atoms.json",
+               (json.dumps(cnf.atom_map_json(), indent=2), "\n"))
     return EXIT_OK
 
 
@@ -195,19 +204,17 @@ def _solve_chunks(horizon: int, discount: Fraction, models: Sequence[PInterpreta
                   ) -> Iterator[str]:
     """The `solve` payload as `json.dumps(payload, indent=2) + "\n"` writes
     it, in chunks: the header, then each answer set with the separator before
-    it, then the footer.  Each distinct atom is rendered and encoded once."""
+    it, then the footer.  Each distinct atom's JSON key is encoded once."""
     from .nplp import render_atom
     header = json.dumps({"horizon": horizon, "discount": float(discount),
                          "count": len(models)}, indent=2)
     yield header[:-2] + ',\n  "answer_sets": ['
-    names: dict = {}  # atom -> its rendering
     keys: dict[str, str] = {}  # rendering -> its JSON key line prefix
     for i, h in enumerate(models):
         items = {}
         for atom, value in h.items():
-            name = names.get(atom)
-            if name is None:
-                name = names[atom] = render_atom(atom)
+            name = render_atom(atom)
+            if name not in keys:
                 keys[name] = "      " + json.dumps(name) + ": "
             items[name] = float(value)
         # json writes a float with repr, and an empty object as {}

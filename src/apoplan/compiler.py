@@ -17,7 +17,9 @@ one at a time, from the completion models, which it searches in a time-major
 renumbering of the CNF: each model is a normal answer set, and the deleted
 rule families add its probabilities, rewards and values as one least model.
 `probability_rules` puts the family rules in dependency order once, so that
-least model is one pass over the rules the model enables.  Both enumerators
+least model is one pass over the rules the model enables, each fired through
+`nplp.iter_rule_firings`; answer sets that share a trajectory prefix reuse
+the firings made there.  Both enumerators
 give their answer sets in search order.  `check_tight` and that dependency
 order share one depth-first search, `_depth_first_order`.
 `policies.Run` chains these stages, each computed once.
@@ -35,8 +37,7 @@ from typing import Iterable, Iterator, Sequence
 from . import ApoError, Record, sat, set_field
 from .nplp import (
     Add, Atom, BLit, Mul, NpProgram, NpRule, Num, ONE, PInterpretation, Ref,
-    atom_is_ground, can_match, eval_expr, head_value, iter_rule_firings,
-    render_atom,
+    atom_is_ground, can_match, iter_rule_firings, render_atom,
 )
 from .theory import (
     ValidationReport, close_initial_formula, negate, reading_literals,
@@ -538,14 +539,12 @@ def decode_model(model: Sequence[bool | None], cnf: CnfFormula) -> frozenset:
 def probability_rules(program: NpProgram) -> list[tuple]:
     """Index the probability-family rules of a compiled program.
 
-    Returns the rules as `(guard, remainder, ground)` triples, ordered so
-    that a rule comes after every rule whose head can match one of its body
-    atoms.  The guard is the set of ground normal atoms a rule's body
-    requires (`holds`, `occ`, `exec`, `observed`); the remainder is the rule
-    over the atoms the probability families derive (`state`, `value`,
-    `factor`, `reward`); `ground` tells whether every atom of the remainder
-    is ground, so that it fires at most once and `_ground_firing` can look
-    its atoms up directly."""
+    Returns the rules as `(guard, remainder)` pairs, ordered so that a rule
+    comes after every rule whose head can match one of its body atoms.  The
+    guard is the set of ground normal atoms a rule's body requires (`holds`,
+    `occ`, `exec`, `observed`); the remainder is the rule over the atoms the
+    probability families derive (`state`, `value`, `factor`, `reward`), which
+    `nplp.iter_rule_firings` fires."""
     def fail(message: str):
         raise CompileError(f"annotated answer sets: {message}")
 
@@ -577,44 +576,23 @@ def probability_rules(program: NpProgram) -> list[tuple]:
                      f"ground atom annotated 1")
         indexed.append((frozenset(guard),
                         NpRule(head=rule.head, head_ann=rule.head_ann,
-                               body=tuple(rest), schema=rule.schema),
-                        atom_is_ground(rule.head)
-                        and all(atom_is_ground(lit.atom) for lit in rest)))
+                               body=tuple(rest), schema=rule.schema)))
 
     # rule i feeds rule j when i's head can match one of j's body atoms
     heads_by_pred: dict[str, list[int]] = {}
-    for i, (_, rule, _) in enumerate(indexed):
+    for i, (_, rule) in enumerate(indexed):
         heads_by_pred.setdefault(rule.head[0], []).append(i)
     feeders = [
         sorted({i for lit in rule.body
                 for i in heads_by_pred.get(lit.atom[0], ())
                 if can_match(lit.atom, indexed[i][1].head)})
-        for _, rule, _ in indexed]
+        for _, rule in indexed]
     order = _depth_first_order(
         range(len(indexed)), feeders.__getitem__,
         lambda cycle: fail("the probability rules for "
                            + " -> ".join(render_atom(indexed[k][1].head) for k in cycle)
                            + " feed each other"))
     return [indexed[j] for j in order]
-
-
-_ZERO = Fraction(0)
-
-
-def _ground_firing(rule: NpRule, h: PInterpretation) -> Fraction | None:
-    """The head value of a rule whose atoms are all ground, as
-    `nplp.iter_rule_firings` would yield it, or None when the body fails: an
-    absent atom is 0, a bare `Ref` annotation not yet bound binds the atom's
-    exact value and any other annotation is a lower bound."""
-    env: dict[str, Fraction] = {}
-    for lit in rule.body:
-        value = h.get(lit.atom, _ZERO)
-        ann = lit.ann
-        if isinstance(ann, Ref) and ann.name not in env:
-            env[ann.name] = value
-        elif eval_expr(ann, env) > value:
-            return None
-    return head_value(rule.head_ann, rule.head, env)
 
 
 # the predicates of the normal atoms whose last argument is a time step
@@ -646,9 +624,9 @@ def iter_annotated_answer_sets(rules: list[tuple], cnf: CnfFormula,
                                ) -> Iterator[PInterpretation]:
     """Yield each answer set of a compiled annotated program once, from its
     `probability_rules` and the completion `cnf = to_sat(normalize(program))`;
-    only the answer set being yielded is held.  They come in the order in
-    which `sat.enumerate_models` lists the models of a time-major renumbering
-    of `cnf` (`_time_major`), which is not the order of `cnf` itself.
+    of the answer sets only the one being yielded is held.  They come in the
+    order in which `sat.enumerate_models` lists the models of a time-major
+    renumbering of `cnf` (`_time_major`), which is not the order of `cnf`.
 
     The probability families have no negation and no other rule reads what
     they derive, so the normal atoms split the program (Lifschitz and Turner
@@ -660,16 +638,32 @@ def iter_annotated_answer_sets(rules: list[tuple], cnf: CnfFormula,
     `itertools.compress` over the atoms of the renumbering.
 
     The family rules are in dependency order, so the least model of each M
-    is one pass over them: every enabled rule fires against the atoms
-    derived so far, which are final for everything it can read, and each
-    head keeps the max of its firings.  A rule is tested only when M holds
-    its `occ` guard atom, or when it has none."""
+    is one pass over them: every enabled rule fires, through
+    `nplp.iter_rule_firings`, against the atoms derived so far, which are
+    final for everything it can read, and each head keeps the max of its
+    firings.  A rule is tested only when M holds its `occ` guard atom, or
+    when it has none.
+
+    What a rule fires depends only on what its body reads: the value of each
+    ground body atom, and each atom, with its value, that can match one of
+    its patterns.  Answer sets that share a trajectory prefix read
+    the same objects there, so one dict per enumeration keeps each rule's
+    firings under the ids of what it read, for reuse.  A hit is exact: atoms
+    and `Fraction`s are immutable, and each entry holds the objects of its
+    key, so no id is reused while the dict lives."""
     search = _time_major(cnf)
     unguarded: list[int] = []
     by_occ: dict[Atom, list[int]] = {}
-    for i, (guard, _, _) in enumerate(rules):
+    # per rule, its ground body atoms and its patterns
+    reads: list[tuple] = []
+    for i, (guard, rule) in enumerate(rules):
         occ = next((a for a in guard if a[0] == "occ"), None)
         (unguarded if occ is None else by_occ.setdefault(occ, [])).append(i)
+        reads.append((
+            tuple(lit.atom for lit in rule.body if atom_is_ground(lit.atom)),
+            tuple(lit.atom for lit in rule.body if not atom_is_ground(lit.atom))))
+    # (rule, ids of what it read) -> (what it read, its firings)
+    fired: dict[tuple, tuple[list, list]] = {}
     one = Fraction(1)
     for model in sat.enumerate_models(search.clauses, search.variable_count):
         atoms = decode_model(model, search)
@@ -681,15 +675,20 @@ def iter_annotated_answer_sets(rules: list[tuple], cnf: CnfFormula,
         enabled = sorted(unguarded + [i for occ, ids in by_occ.items()
                                       if occ in atoms for i in ids])
         for i in enabled:
-            guard, rule, ground = rules[i]
+            guard, rule = rules[i]
             if not guard <= atoms:
                 continue
-            if ground:
-                value = _ground_firing(rule, h)
-                firings = () if value is None else ((rule.head, value),)
-            else:
-                firings = list(iter_rule_firings(rule, h, by_pred))
-            for head, value in firings:
+            ground, patterns = reads[i]
+            read = [h.get(atom) for atom in ground]
+            for pattern in patterns:
+                for atom in by_pred.get(pattern[0], ()):
+                    if can_match(pattern, atom):
+                        read += (atom, h[atom])
+            key = (i, *map(id, read))
+            entry = fired.get(key)
+            if entry is None:
+                entry = fired[key] = (read, list(iter_rule_firings(rule, h, by_pred)))
+            for head, value in entry[1]:
                 old = h.get(head)
                 if old is None:
                     # an atom at 0 is absent, as in `nplp.least_model`

@@ -9,10 +9,11 @@ An answer set is the least model of the program's reduct by that set; here
 `enumerate_answer_sets` tries every set of negated atoms, both written as the
 definitions, for tests.  The CLI gets the answer sets of compiled programs
 from `compiler.iter_annotated_answer_sets`, which decodes them from SAT
-models and fires the probability rules in one pass per model (through
-`iter_rule_firings` where a rule has a pattern atom such as `value(V, t)`),
-and the normal answer sets from the boolean search in
-`compiler.normal_answer_sets`, both in the order their search finds them.
+models and fires the probability rules in one pass per model through
+`iter_rule_firings`, the one firing path (reusing a rule's firings where
+answer sets share what it reads), and the normal answer sets from the
+boolean search in `compiler.normal_answer_sets`, both in the order their
+search finds them.
 
 Atoms are tuples `(pred, arg, ...)`; arguments are strings, ints, Fractions, or
 (in rule patterns) term variables.  Head terms and annotations are written in
@@ -28,6 +29,7 @@ terms (value bookkeeping) are evaluated at firing time.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional
 
@@ -180,7 +182,11 @@ def render_term(t) -> str:
     return str(t)
 
 
+@functools.cache
 def render_atom(atom: Atom) -> str:
+    """The text of `atom`, rendered once per process for each distinct atom:
+    atoms that compare equal, such as `("v", 1)` and `("v", Fraction(1))`,
+    render alike."""
     if len(atom) == 1:
         return atom[0]
     return f"{atom[0]}({', '.join(render_term(a) for a in atom[1:])})"
@@ -217,17 +223,13 @@ def answer_set_sort_key(h: PInterpretation) -> list[str]:
 
 
 def sort_answer_sets(sets: list) -> list:
-    """`sets` (frozensets or dicts of atoms) sorted by `answer_set_sort_key`,
-    rendering each distinct atom once: an atom's rank is the place of its
-    rendering among all of them, so atoms that render alike share a rank and
-    sorted rank lists compare as the sorted rendered lists do."""
-    names: dict[Atom, str] = {}
-    for h in sets:
-        for atom in h:
-            if atom not in names:
-                names[atom] = render_atom(atom)
-    place = {name: i for i, name in enumerate(sorted(set(names.values())))}
-    rank = {atom: place[name] for atom, name in names.items()}
+    """`sets` (frozensets or dicts of atoms) sorted by `answer_set_sort_key`:
+    an atom's rank is the place of its rendering among all of them, so atoms
+    that render alike share a rank and sorted rank lists compare as the
+    sorted rendered lists do."""
+    atoms = set().union(*sets)
+    place = {name: i for i, name in enumerate(sorted(set(map(render_atom, atoms))))}
+    rank = {atom: place[render_atom(atom)] for atom in atoms}
     keys = [sorted(map(rank.__getitem__, h)) for h in sets]
     return [sets[i] for i in sorted(range(len(sets)), key=keys.__getitem__)]
 

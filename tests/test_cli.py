@@ -329,6 +329,37 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert "% schema" in target.read_text()
 
 
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+@pytest.mark.parametrize("command", THEORY_COMMANDS + ["fuzz"])
+def test_unwritable_out_exits_1_naming_the_path(capsys, tmp_path, command, target):
+    out = tmp_path / "missing" / "x.out" if target == "missing-directory" else tmp_path
+    argv = ["fuzz", "--seed", "7"] if command == "fuzz" else _theory_argv(command, TIGER)
+    code = main(argv + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: cannot write {out}: "), err
+    assert "Traceback" not in err
+
+
+def test_unwritable_sat_atom_map_exits_1_naming_the_path(capsys, tmp_path):
+    out = tmp_path / "t.cnf"
+    (tmp_path / "t.cnf.atoms.json").mkdir()
+    code = main(["sat", TIGER, "--horizon", "1", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: cannot write {out}.atoms.json: "), err
+    assert out.read_text().startswith("p cnf ")
+
+
+def test_solve_renders_each_distinct_atom_once(capsys):
+    nplp.render_atom.cache_clear()
+    code, out = run(capsys, "solve", TIGER, "--horizon", "2")
+    assert code == 0 and json.loads(out)["count"] == 128
+    # `to_sat`, `sort_answer_sets` and the payload each rendered every atom
+    # they met, 309 renders of these 114 atoms
+    assert nplp.render_atom.cache_info().misses == 114
+
+
 def test_format_ignores_the_environment(capsys, monkeypatch):
     monkeypatch.setenv("APOPLAN_FORMAT", "json")
     assert run(capsys, "validate", TIGER) == (0, "ok\n")

@@ -3,9 +3,9 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from apoplan import sat
+from apoplan import compiler, sat
 from apoplan.compiler import (
     CompileError, NonTightError, NormalProgram, check_tight, compile_theory,
     decode_model, iter_annotated_answer_sets, normal_answer_sets, normalize,
@@ -13,7 +13,7 @@ from apoplan.compiler import (
 )
 from apoplan.fuzz import generate_theory
 from apoplan.nplp import (
-    BLit, Mul, NplpError, NpProgram, NpRule, Num, ONE, Ref,
+    Add, BLit, Mul, NplpError, NpProgram, NpRule, Num, ONE, Ref,
     answer_set_sort_key, enumerate_answer_sets, format_rule, iter_rule_firings,
     least_model, reduct, render_atom, sort_answer_sets,
 )
@@ -352,40 +352,110 @@ _PROBABILITIES = st.sampled_from(
     [Fraction(1, 2), Fraction(1, 3), Fraction(3, 4), Fraction(1)])
 
 
+_STEPS = st.sampled_from([Fraction(1), Fraction(-2), Fraction(9, 10)])
+_REWARDS = st.sampled_from([Fraction(-1), Fraction(10)])
+
+
+def _value_rule(t: int, c: Fraction, r: Fraction, guards=()) -> NpRule:
+    """`value(V + c*U, t + 1) <- value(V, t), state(t + 1) : U,
+    reward(r, t + 1)`, with the body literals `guards` added."""
+    return NpRule(
+        head=("value", Add((Ref("V"), Mul((Num(c), Ref("U"))))), t + 1),
+        body=(BLit(atom=("value", Ref("V"), t)),
+              BLit(atom=("state", t + 1), ann=Ref("U")),
+              BLit(atom=("reward", r, t + 1))) + guards,
+        schema="23")
+
+
 @st.composite
 def compiled_shape_programs(draw):
-    """A tight normal part over at most 6 atoms, tagged as a non-probability
-    schema, plus `state` family rules: facts `state(0) : p` and steps
-    `state(t + 1) : p*U <- state(t) : U`, each with ground normal guards,
-    which need not be atoms of the normal part.  A head often has several
-    rules, so the max of their firings matters."""
+    """A tight normal part over at most 6 atoms and up to two choices,
+    tagged as a non-probability schema, plus `state` family rules: facts
+    `state(0) : p` and steps `state(t + 1) : p*U <- state(t) : U`, each with
+    ground normal guards, drawn from the normal atoms and `g`, which is none
+    of them.  A head often has several rules, so the max of their firings
+    matters.  Some programs add the value chain: `value(0, 0)`, and rules
+    `value(V + c*U, t + 1) <- value(V, t), state(t + 1) : U, reward(r, t + 1)`,
+    each with a guarded fact `reward(r, t + 1)`; the first of these rules is
+    drawn twice, under guards drawn again, so that two rules have one head."""
+    # up to two choices between `x_k` and `y_k`, as schemas 27 and 28 choose
+    # one sub-outcome per step, so that answer sets share what they chose
+    normal = NormalProgram(rules=draw(tight_normal_programs()).rules + tuple(
+        rule for k in range(draw(st.integers(0, 2)))
+        for rule in ((("x", k), (), (("y", k),)), (("y", k), (), (("x", k),)))))
     rules = [NpRule(head=head,
                     body=tuple(BLit(atom=a) for a in pos)
                     + tuple(BLit(atom=a, neg=True) for a in neg),
                     schema="25")
-             for head, pos, neg in draw(tight_normal_programs()).rules]
-    guards = st.lists(st.sampled_from([(name,) for name in "abcdef"]),
+             for head, pos, neg in normal.rules]
+    # `g` is never an atom of the normal part
+    guards = st.lists(st.sampled_from(sorted(normal.atoms(), key=repr) + [("g",)]),
                       max_size=2, unique=True)
-    for _ in range(draw(st.integers(0, 3))):
+
+    def guarded():
+        return tuple(BLit(atom=a) for a in draw(guards))
+
+    steps = [(draw(st.integers(0, 1)), draw(_STEPS), draw(_REWARDS))
+             for _ in range(draw(st.integers(0, 4)))]
+    # a value rule reads `state` as a family atom only if some rule heads it
+    for _ in range(draw(st.integers(1 if steps else 0, 3))):
         rules.append(NpRule(
             head=("state", 0), head_ann=Num(draw(_PROBABILITIES)),
-            body=tuple(BLit(atom=a) for a in draw(guards)), schema="15"))
+            body=guarded(), schema="15"))
     for _ in range(draw(st.integers(0, 6))):
         t = draw(st.integers(0, 1))
         rules.append(NpRule(
             head=("state", t + 1),
             head_ann=Mul((Num(draw(_PROBABILITIES)), Ref("U"))),
-            body=(BLit(atom=("state", t), ann=Ref("U")),)
-            + tuple(BLit(atom=a) for a in draw(guards)),
+            body=(BLit(atom=("state", t), ann=Ref("U")),) + guarded(),
             schema="18"))
+    if steps:
+        rules.append(NpRule(head=("value", Fraction(0), 0), schema="value-base"))
+    for t, c, r in steps + steps[:1]:
+        rules.append(NpRule(head=("reward", r, t + 1), body=guarded(), schema="22"))
+        rules.append(_value_rule(t, c, r, guarded()))
     return NpProgram(rules=tuple(draw(st.permutations(rules))))
+
+
+# the answer sets {a} and {b} read equal ground atoms at step 1 but different
+# value(V, 1) atoms, so the step-1 value rule fires in each of them
+_SHARED_STEP_PROGRAM = NpProgram(rules=(
+    NpRule(head=("a",), body=(BLit(atom=("b",), neg=True),), schema="25"),
+    NpRule(head=("b",), body=(BLit(atom=("a",), neg=True),), schema="25"),
+    NpRule(head=("state", 0), head_ann=Num(Fraction(1, 2)), schema="15"),
+    NpRule(head=("state", 1), head_ann=Mul((Num(Fraction(1, 2)), Ref("U"))),
+           body=(BLit(atom=("state", 0), ann=Ref("U")),), schema="18"),
+    NpRule(head=("value", Fraction(0), 0), schema="value-base"),
+    NpRule(head=("reward", Fraction(-1), 1), schema="22"),
+    NpRule(head=("reward", Fraction(-1), 2), schema="22"),
+    _value_rule(0, Fraction(1), Fraction(-1), (BLit(atom=("a",)),)),
+    _value_rule(0, Fraction(-2), Fraction(-1), (BLit(atom=("b",)),)),
+    _value_rule(1, Fraction(1), Fraction(-1))))
 
 
 @settings(max_examples=200, deadline=None)
 @given(compiled_shape_programs())
+@example(_SHARED_STEP_PROGRAM)
 def test_annotated_answer_sets_match_the_definition(program):
     # same list in the same order, with equal exact values
     assert answer_sets_of(program) == enumerate_answer_sets(program)
+
+
+@pytest.mark.parametrize("name, horizon, count, firings", [
+    ("tiger", 2, 128, 116), ("tiger", 3, 1024, 396), ("cross_sensing", 2, 64, 67)])
+def test_answer_sets_that_share_a_prefix_share_its_firings(
+        request, monkeypatch, name, horizon, count, firings):
+    calls = 0
+    fire = compiler.iter_rule_firings
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return fire(*args)
+    monkeypatch.setattr(compiler, "iter_rule_firings", counted)
+    assert len(Run(request.getfixturevalue(name), horizon).answer_sets) == count
+    # firing every enabled rule once per answer set made 896, 9,216 and 448
+    assert calls == firings
 
 
 _A, _B, _C, _D, _E = (("a",), ("b",), ("c",), ("d",), ("e",))
@@ -485,7 +555,7 @@ def _fired_in_dimacs_order(rules, cnf):
         atoms = decode_model(model, cnf)
         h = dict.fromkeys(atoms, Fraction(1))
         by_pred = {}
-        for guard, rule, _ in rules:
+        for guard, rule in rules:
             if not guard <= atoms:
                 continue
             for head, value in list(iter_rule_firings(rule, h, by_pred)):
