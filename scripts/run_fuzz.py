@@ -3,7 +3,9 @@
 
 For every seed: the theory validates, transition/observation rows sum to one,
 closures give complete consistent states, belief updates stay normalized, and
-the four oracle cross-checks of `apoplan check` pass at horizon 1; for
+the four oracle cross-checks of `apoplan check` pass at horizon 1, where the
+policy that `apoplan policy` searches for must also be `oracle.optimal_policy`,
+with the same exact value; for
 a subset of seeds the compiled program's answer sets, as the CLI computes
 them, are checked for exactly one occ atom per step and no complementary
 holds-literals, and against the definition: each is the least model of the
@@ -41,9 +43,14 @@ def check_theory(theory) -> None:
 
 
 def check_against_oracle(theory, seed: int) -> None:
-    failed = [c for c in policies.cross_check(policies.Run(theory, 1)) if not c.ok]
+    run = policies.Run(theory, 1)
+    failed = [c for c in policies.cross_check(run) if not c.ok]
     assert not failed, f"seed {seed} fails " + "; ".join(
         f"{c.name} ({c.detail})" for c in failed)
+    best = policies.best_policy(run)
+    policy, value = oracle.optimal_policy(theory, 1)
+    assert (best.policy, best.value) == (policy, value), \
+        f"seed {seed}: best_policy gives value {best.value}, the oracle {value}"
 
 
 def check_answer_sets(theory, horizon: int) -> None:

@@ -4,9 +4,9 @@ Subcommands mirror the compilation stages: validate, ground, compile,
 normalize, sat, solve, policy, oracle, check, fuzz.  Identical inputs and
 flags produce byte-identical output.
 
-Exit codes: 0 success; 1 unusable input or output (missing file, parse
-error, bad flags, an `--out` that cannot be written); 2 validation or
-theorem-check failure; 3 internal invariant breach.
+Exit codes: 0 success; 1 unusable input or output (a missing or non-UTF-8
+file, parse error, bad flags, an `--out` that cannot be written); 2
+validation or theorem-check failure; 3 internal invariant breach.
 Input takes one path: one `theory.validate_theory` call (in `Run`, if the
 command compiles) grounds and checks it, and `_checked` exits 2 on a failure.
 
@@ -26,8 +26,8 @@ Output is held only as far as it must be.  `solve` is the one command that
 needs every answer set at once, to sort them: it lists them before it opens
 its output, so a stage that fails writes nothing, and then writes its JSON
 one answer set per write call, never building the whole text.  `policy`
-folds each answer set into per-policy sums as it is enumerated
-(`policies.best_policy`) and keeps none.
+folds each answer set into per-map sums as it is enumerated, keeps none,
+and searches those maps for the best policy (`policies.best_policy`).
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ def _read_input(args) -> str:
     try:
         with open(args.input, encoding="utf-8") as f:
             return f.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise _CliFailure(EXIT_INPUT, f"cannot read {args.input}: {e}") from None
 
 

