@@ -55,7 +55,7 @@ def check_against_oracle(theory, seed: int) -> None:
 
 def check_answer_sets(theory, horizon: int) -> None:
     run = policies.Run(theory, horizon)
-    answer_sets = run.answer_sets
+    answer_sets = list(run.iter_answer_sets())
     for h in answer_sets:
         assert least_model(reduct(run.program, h)) == h, \
             "an annotated answer set is not the least model of its reduct"

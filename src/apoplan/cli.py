@@ -22,12 +22,12 @@ all after any of these commands has run.
 Every error the stages raise on purpose derives from `apoplan.ApoError`, so
 `main` maps them to exit 3 without importing the stage modules.
 
-Output is held only as far as it must be.  `solve` is the one command that
-needs every answer set at once, to sort them: it lists them before it opens
-its output, so a stage that fails writes nothing, and then writes its JSON
-one answer set per write call, never building the whole text.  `policy`
-folds each answer set into per-map sums as it is enumerated, keeps none,
-and searches those maps for the best policy (`policies.best_policy`).
+Output is held only as far as it must be.  `solve` alone needs every answer
+set at once, to sort them: it lists them before it opens its output, so a
+stage that fails writes nothing, and writes its JSON one answer set per
+write call.  `policy` and `check` read each answer set once, as it is
+enumerated, and keep none (`policies.best_policy`, `policies.cross_check`).
+`oracle` lists every policy, so it refuses more than `oracle.MAX_POLICIES`.
 """
 
 from __future__ import annotations
@@ -229,7 +229,7 @@ def cmd_solve(args) -> int:
     run = _run(args)
     # listed and sorted before the output is opened: a failing stage writes nothing
     _emit_chunks(args, _solve_chunks(args.horizon, run.theory.discount,
-                                     sort_answer_sets(run.answer_sets)))
+                                     sort_answer_sets(list(run.iter_answer_sets()))))
     return EXIT_OK
 
 
@@ -245,6 +245,9 @@ def cmd_policy(args) -> int:
 def cmd_oracle(args) -> int:
     from . import oracle
     theory = _validated(args)
+    count = oracle.count_policies(theory, args.horizon)
+    if count > oracle.MAX_POLICIES:
+        raise _CliFailure(EXIT_INPUT, f"{count} policies to list, more than {oracle.MAX_POLICIES}")
     policy, value = oracle.optimal_policy(theory, args.horizon)
     _emit_json(args, {
         "horizon": args.horizon,

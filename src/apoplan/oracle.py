@@ -287,6 +287,10 @@ def _policy_choices(theory: ActionTheory, horizon: int, initial: Optional[Initia
     return choices
 
 
+# `apoplan oracle` refuses to list and evaluate more policies than this
+MAX_POLICIES = 100_000
+
+
 def count_policies(theory: ActionTheory, horizon: int,
                    initial: Optional[Initial] = None) -> int:
     """`len(enumerate_policies(...))`, without listing them."""
@@ -301,15 +305,10 @@ def enumerate_policies(theory: ActionTheory, horizon: int,
 
 
 def optimal_policy(theory: ActionTheory, horizon: int) -> tuple[dict[State, str], Fraction]:
-    """Argmax of the belief-weighted value; ties broken lexicographically."""
+    """Argmax of the belief-weighted value; ties broken lexicographically, as
+    `max` keeps the first best of the policies, which come in that order."""
     initial = initial_states(theory)
     belief = initial_belief(theory, initial)
-    best: tuple[dict, Fraction] | None = None
-    for policy in enumerate_policies(theory, horizon, initial):
-        value = belief_value(theory, policy, horizon, belief, initial)
-        if best is None or value > best[1] or (
-                value == best[1] and policy_sort_key(policy) < policy_sort_key(best[0])):
-            best = (policy, value)
-    if best is None:
-        raise OracleError("no policies to evaluate")
-    return best
+    return max(((policy, belief_value(theory, policy, horizon, belief, initial))
+                for policy in enumerate_policies(theory, horizon, initial)),
+               key=lambda pv: pv[1])

@@ -9,10 +9,10 @@ Summing values over the answer sets consistent with a policy therefore equals
 the belief-weighted oracle value of that policy.  The checks compare the terms
 of those sums, one per trajectory, which covers every policy without listing any.
 
-`Run` computes each stage of the pipeline once, for the commands, the checks
-and the scripts alike, and keeps the answer sets in search order, on which no
-check depends.  `best_policy` folds them, keeping none, into a sum per action
-map, and searches the maps, not a list of policies, for the best policy.
+`Run` computes each stage of the pipeline once and keeps no answer set.
+`best_policy` folds them, as they are enumerated, into a sum per action map
+and searches the maps, not a list of policies, for the best policy;
+`cross_check` reads them once for all four checks.
 """
 
 from __future__ import annotations
@@ -114,10 +114,9 @@ def extract_report(theory: ActionTheory, h: PInterpretation, horizon: int,
         value=value, valid=not reasons, reasons=tuple(reasons))
 
 
-def valid_reports(theory: ActionTheory, answer_sets: Sequence[PInterpretation],
+def valid_reports(theory: ActionTheory, answer_sets: Iterable[PInterpretation],
                   horizon: int) -> list[AnswerSetReport]:
-    reports = [extract_report(theory, h, horizon) for h in answer_sets]
-    return [r for r in reports if r.valid]
+    return [r for r in (extract_report(theory, h, horizon) for h in answer_sets) if r.valid]
 
 
 def stationary_action_map(theory: ActionTheory, report: AnswerSetReport,
@@ -209,19 +208,11 @@ class Run:
     def normal_sets(self) -> list[frozenset]:
         return compiler.normal_answer_sets(self.normal)
 
-    @cached_property
-    def answer_sets(self) -> list[PInterpretation]:
-        return list(self.iter_answer_sets())
-
     def iter_answer_sets(self) -> Iterable[PInterpretation]:
         """The answer sets one at a time, in search order, from a fresh enumeration."""
         # the rules before the CNF, so that a program whose probability
         # families cannot be split is refused by the stage that splits them
         return compiler.iter_annotated_answer_sets(self.probability_rules, self.cnf)
-
-    @cached_property
-    def reports(self) -> list[AnswerSetReport]:
-        return valid_reports(self.theory, self.answer_sets, self.horizon)
 
     @cached_property
     def initial(self) -> Initial:
@@ -248,8 +239,7 @@ def best_policy(run: Run) -> PolicyValue:
     first.  Finding a policy is NP-complete, so this is exponential in the
     worst case."""
     theory = run.theory
-    answer_sets = run.iter_answer_sets()  # the compiling stages first
-    reports = (extract_report(theory, h, run.horizon) for h in answer_sets)
+    reports = (extract_report(theory, h, run.horizon) for h in run.iter_answer_sets())
     states, sums = group_policies(theory, reports)
     order = sorted(states, key=oracle.state_key)
     actions = [sorted(a.name for a in theory.actions if a.executability <= state)
@@ -297,21 +287,17 @@ class CheckReport(Record):
                 "counterexamples": list(self.counterexamples)}
 
 
-def check_trajectories(theory: ActionTheory, reports: Sequence[AnswerSetReport],
+def check_trajectories(program_keys: AbstractSet[tuple],
                        oracle_keys: AbstractSet[tuple]) -> CheckReport:
-    """The stationary trajectories of the valid `reports` must equal the
-    oracle trajectories of every policy, whose keys `Run.oracle_walk` collects.
+    """The trajectories of the stationary valid reports must equal the oracle
+    trajectories of every policy, whose keys `Run.oracle_walk` collects.
 
     Both sides are keyed by their states and sub-outcomes, and only the
     oracle simulates the dynamics (through `oracle.successors`): a report
     whose action is not executable, whose condition fails or whose successor
     is wrong has a key the oracle never makes, a `program-only`
-    counterexample.  Answer sets also encode non-stationary action sequences
-    (a revisited state may get a different action), which no stationary
-    policy generates; those are filtered out before comparing."""
-    program_keys = {_trajectory_key(report.states, report.occ) for report in reports
-                    if stationary_action_map(theory, report) is not None}
-
+    counterexample.  Non-stationary answer sets, where a revisited state gets
+    a different action, are left out: no stationary policy makes them."""
     missing = sorted(oracle_keys - program_keys)
     extra = sorted(program_keys - oracle_keys)
     examples = [f"oracle-only: {k}" for k in missing[:3]] \
@@ -323,17 +309,11 @@ def check_trajectories(theory: ActionTheory, reports: Sequence[AnswerSetReport],
         counterexamples=tuple(examples))
 
 
-def check_policy_values(theory: ActionTheory, reports: Sequence[AnswerSetReport],
-                        oracle_values: Mapping[tuple, Fraction],
-                        policy_count: int) -> CheckReport:
-    """Per trajectory, the summed values of the stationary valid `reports` must equal
-    the oracle's (`Run.oracle_walk`) exactly, a side without it counting 0.  Each
-    policy's value is a sum of these terms, so this compares all `policy_count`."""
-    program_values: dict[tuple, Fraction] = {}
-    for report in reports:
-        if stationary_action_map(theory, report) is not None:
-            key = _trajectory_key(report.states, report.occ)
-            program_values[key] = program_values.get(key, _ZERO) + report.value
+def check_policy_values(program_values: Mapping[tuple, Fraction],
+                        oracle_values: Mapping[tuple, Fraction], policy_count: int) -> CheckReport:
+    """Per trajectory, the summed values of the stationary valid reports must
+    equal the oracle's (`Run.oracle_walk`) exactly, a missing side counting 0.
+    A policy's value is a sum of these terms: this compares all `policy_count`."""
     bad = sorted(key for key in program_values.keys() | oracle_values.keys()
                  if program_values.get(key, _ZERO) != oracle_values.get(key, _ZERO))
     return CheckReport(
@@ -352,13 +332,12 @@ def _first(atom_sets: set[frozenset], n: int) -> list[frozenset]:
     return sort_answer_sets(list(atom_sets))[:n]
 
 
-def check_normal_projection(answer_sets: Sequence[PInterpretation],
+def check_normal_projection(models: Iterable[frozenset],
                             normal_sets: Sequence[frozenset]) -> CheckReport:
     """Dropping the probability/reward/value rules must preserve the set of
-    occ-projections: `answer_sets` are the annotated program's answer sets,
-    `normal_sets` those of its normal program."""
-    annotated = {frozenset(a for a, v in h.items() if a[0] == "occ" and v >= 1)
-                 for h in answer_sets}
+    occ-projections: `models` are the completion models the annotated answer
+    sets were decoded from, `normal_sets` the normal program's answer sets."""
+    annotated = {frozenset(a for a in m if a[0] == "occ") for m in models}
     normal = {frozenset(a for a in m if a[0] == "occ") for m in normal_sets}
     missing = annotated - normal
     extra = normal - annotated
@@ -371,43 +350,61 @@ def check_normal_projection(answer_sets: Sequence[PInterpretation],
         counterexamples=tuple(examples))
 
 
-def check_sat_models(models: Sequence[frozenset],
+def check_sat_models(models: Mapping[frozenset, int],
                      normal_sets: Sequence[frozenset]) -> CheckReport:
-    """The decoded CNF `models` of a normal program must be its answer sets
-    `normal_sets`, one-to-one: no model listed twice, none missing, none
-    extra."""
-    decoded = set(models)
+    """The decoded CNF `models` of a normal program, each with the number of
+    times it was listed, must be its answer sets `normal_sets`, one-to-one:
+    no model listed twice, none missing, none extra."""
     expected = set(normal_sets)
-    missing = expected - decoded
-    extra = decoded - expected
+    missing = expected - models.keys()
+    extra = models.keys() - expected
     examples = [f"answer-set-only: {sorted(map(render_atom, k))[:6]}" for k in _first(missing, 2)] \
         + [f"model-only: {sorted(map(render_atom, k))[:6]}" for k in _first(extra, 2)]
-    duplicated = len(models) - len(decoded)
+    duplicated = sum(models.values()) - len(models)
     ok = not examples and not duplicated
     if ok:
-        detail = f"{len(decoded)} models = {len(expected)} answer sets"
+        detail = f"{len(models)} models = {len(expected)} answer sets"
     else:
         detail = f"{len(missing)} missing, {len(extra)} extra"
         if duplicated:
-            detail += f", {duplicated} of {len(models)} models repeated"
+            detail += f", {duplicated} of {sum(models.values())} models repeated"
     return CheckReport(name="sat-model-equivalence", ok=ok, detail=detail,
                        counterexamples=tuple(examples))
 
 
+class _Reading:
+    """One reading of `answer_sets` that counts, in `models`, each one's atoms
+    of the normal program: the completion model it was decoded from.  Its
+    length is the number read, which `perfbench/spans.py` records."""
+
+    def __init__(self, answer_sets: Iterable[PInterpretation], normal_atoms: AbstractSet):
+        self.answer_sets, self.normal_atoms, self.models = answer_sets, normal_atoms, {}
+
+    def __iter__(self) -> Iterator[PInterpretation]:
+        for h in self.answer_sets:
+            model = frozenset(a for a in h if a in self.normal_atoms)
+            self.models[model] = self.models.get(model, 0) + 1
+            yield h
+
+    def __len__(self) -> int:
+        return sum(self.models.values())
+
+
 def cross_check(run: Run) -> list[CheckReport]:
-    """The four equivalence checks on the stages of `run`.  Checks 1 and 2
-    share its reports and its one walk of the oracle trajectories, checks 3
-    and 4 its normal answer sets.  The completion models that the answer
-    sets were built from are their atoms of the normal program, so check 4
-    compares those very models with the normal answer sets, which a search
-    without SAT finds."""
+    """The four equivalence checks on the stages of `run`, from one reading of
+    its answer sets, none of which it keeps: checks 1 and 2 read one sum per
+    stationary valid trajectory, checks 3 and 4 the completion models."""
     theory = run.theory
-    normal_atoms = run.normal.atoms()
-    models = [frozenset(a for a in h if a in normal_atoms) for h in run.answer_sets]
+    reading = _Reading(run.iter_answer_sets(), run.normal.atoms())
+    values: dict[tuple, Fraction] = {}
+    for report in valid_reports(theory, reading, run.horizon):
+        if stationary_action_map(theory, report) is not None:
+            key = _trajectory_key(report.states, report.occ)
+            values[key] = values.get(key, _ZERO) + report.value
     policy_count = oracle.count_policies(theory, run.horizon, run.initial)
     return [
-        check_trajectories(theory, run.reports, run.oracle_walk.keys()),
-        check_policy_values(theory, run.reports, run.oracle_walk, policy_count),
-        check_normal_projection(run.answer_sets, run.normal_sets),
-        check_sat_models(models, run.normal_sets),
+        check_trajectories(values.keys(), run.oracle_walk.keys()),
+        check_policy_values(values, run.oracle_walk, policy_count),
+        check_normal_projection(reading.models, run.normal_sets),
+        check_sat_models(reading.models, run.normal_sets),
     ]

@@ -5,6 +5,7 @@ stated; the only tolerance used anywhere is 1e-9 at rendered boundaries.
 Runtime budgets are asserted per criterion.
 """
 
+import collections
 import itertools
 import random
 import time
@@ -26,7 +27,7 @@ def uniform_policy(theory, horizon, action):
 def test_criterion_1_one_step_values_three_ways(tiger):
     t0 = time.monotonic()
     belief = oracle.initial_belief(tiger)
-    reports = policies.Run(tiger, 1).reports
+    reports = policies.valid_reports(tiger, policies.Run(tiger, 1).iter_answer_sets(), 1)
 
     expected = {"listen": Fraction(-1), "openL": Fraction(-45),
                 "openR": Fraction(-45)}
@@ -53,9 +54,8 @@ def test_criterion_1_one_step_values_three_ways(tiger):
 def test_criterion_2_trajectory_equivalence(tiger):
     t0 = time.monotonic()
     for horizon in (1, 2):
-        run = policies.Run(tiger, horizon)
-        report = policies.check_trajectories(tiger, run.reports,
-                                             run.oracle_walk.keys())
+        report = policies.cross_check(policies.Run(tiger, horizon))[0]
+        assert report.name == "trajectory-equivalence"
         assert report.ok, report.counterexamples
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0, elapsed
@@ -67,7 +67,8 @@ def _policy_values_disagree(run, listed) -> list:
     """The `listed` policies whose summed answer-set value
     (`group_policies_reference`) is not exactly their `oracle.belief_value`."""
     belief = oracle.initial_belief(run.theory, run.initial)
-    return [pv.policy for pv in group_policies_reference(run.theory, run.reports, listed)
+    reports = policies.valid_reports(run.theory, run.iter_answer_sets(), run.horizon)
+    return [pv.policy for pv in group_policies_reference(run.theory, reports, listed)
             if pv.value != oracle.belief_value(run.theory, pv.policy, run.horizon,
                                                belief, run.initial)]
 
@@ -93,7 +94,8 @@ def test_criterion_3_policy_value_equivalence(tiger):
 def test_tiger_horizon_4_closed_form(tiger):
     t0 = time.monotonic()
     run = policies.Run(tiger, 4)
-    answer_sets, reports = run.answer_sets, run.reports
+    answer_sets = list(run.iter_answer_sets())
+    reports = policies.valid_reports(tiger, answer_sets, 4)
     best = policies.best_policy(run)
     policy, value = oracle.optimal_policy(tiger, 4)
     elapsed = time.monotonic() - t0
@@ -118,7 +120,9 @@ def test_criterion_4_normal_program_equivalence(tiger):
         t0 = time.monotonic()
         normal_sets = run.normal_sets
         elapsed = time.monotonic() - t0
-        report = policies.check_normal_projection(run.answer_sets, normal_sets)
+        atoms = run.normal.atoms()
+        models = [frozenset(a for a in h if a in atoms) for h in run.iter_answer_sets()]
+        report = policies.check_normal_projection(models, normal_sets)
         assert report.ok, report.counterexamples
     assert len(normal_sets) == 1024
     assert elapsed < 1.0, elapsed
@@ -133,7 +137,7 @@ def test_criterion_5_sat_equivalence(tiger):
         run = policies.Run(tiger, horizon)
         models = [compiler.decode_model(m, run.cnf) for m in
                   sat.enumerate_models(run.cnf.clauses, run.cnf.variable_count)]
-        report = policies.check_sat_models(models, run.normal_sets)
+        report = policies.check_sat_models(collections.Counter(models), run.normal_sets)
         assert report.ok, report.counterexamples
         details.append(f"h{horizon}: {report.detail}")
     print(f"\nPASS criterion-5: exhaustive DIMACS models decode bijectively "
@@ -206,7 +210,7 @@ def test_criterion_6_fuzzed_invariant_suites():
     deep_seeds = 40
     for seed in range(deep_seeds):
         theory = generate_theory(seed)
-        for h in policies.Run(theory, horizon).answer_sets:
+        for h in policies.Run(theory, horizon).iter_answer_sets():
             for t in range(horizon):
                 occ = [a for a, v in h.items()
                        if a[0] == "occ" and a[2] == t and v >= 1]

@@ -1,5 +1,7 @@
 import collections
 import json
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -461,6 +463,9 @@ _PEAK_SCRIPT = ("import sys, tracemalloc\n"
     ("policy", 1.5),
     # the payload dicts and the whole JSON text built: 22.9 MB; streamed: 4.1 MB
     ("solve", 8.0),
+    # the answer sets, their reports and their models listed, and each valid
+    # report's trajectory derived twice: 9.1 MB; one reading, none kept: 6.1 MB
+    ("check", 7.5),
 ])
 def test_horizon_3_memory_is_bounded(tmp_path, command, bound_mb):
     peak = int(fresh_python(_PEAK_SCRIPT, command, TIGER, str(tmp_path / "out"),
@@ -550,6 +555,7 @@ def test_check_runs_each_stage_once(capsys, monkeypatch):
         monkeypatch, (compiler, "compile_theory"), (compiler, "normalize"),
         (compiler, "to_sat"), (compiler, "normal_answer_sets"),
         (sat, "enumerate_models"), (policies, "extract_report"),
+        (policies, "stationary_action_map"),
         (oracle, "enumerate_policies"), (oracle, "initial_states"))
     code, out = run(capsys, "check", TIGER, "--horizon", "2")
     assert code == 0 and json.loads(out)["ok"] is True
@@ -559,9 +565,24 @@ def test_check_runs_each_stage_once(capsys, monkeypatch):
     assert counts["normal_answer_sets"] == 1
     assert counts["enumerate_models"] == 1
     assert counts["extract_report"] == 128
+    # once per valid report, for checks 1 and 2 together
+    assert counts["stationary_action_map"] == 32
     assert counts["enumerate_policies"] == 0  # counted, not listed
     # once, for the oracle: the compiler closes the initial formulas itself
     assert counts["initial_states"] == 1, counts
+
+
+def test_oracle_refuses_a_policy_space_it_cannot_list():
+    # bits4 at horizon 3: 4^11 policies, which `optimal_policy` would list
+    # and evaluate one by one for minutes
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run([sys.executable, "-m", "apoplan.cli", "oracle", BITS4,
+                           "--horizon", "3"], capture_output=True, text=True,
+                          env=env, timeout=10)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: 4194304 policies"), proc.stderr
+    assert str(oracle.MAX_POLICIES) in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_check_walks_each_oracle_trajectory_once(capsys, monkeypatch):

@@ -164,7 +164,7 @@ def test_annotated_answer_sets_are_least_models_of_their_reducts(tiger, cross_se
     cases += [(generate_theory(s), n) for s in range(12) for n in (1, 2)]
     for theory, horizon in cases:
         run = Run(theory, horizon)
-        got = run.answer_sets
+        got = list(run.iter_answer_sets())
         for h in got:
             assert least_model(reduct(run.program, h)) == h, horizon
         assert all(type(v) is Fraction for h in got for v in h.values())
@@ -201,7 +201,7 @@ def test_annotated_answer_sets_match_least_models(tiger, cross_sensing):
     cases += [(generate_theory(s), n) for s in range(12) for n in (1, 2)]
     for theory, horizon in cases:
         run = Run(theory, horizon)
-        got = run.answer_sets
+        got = list(run.iter_answer_sets())
         # same list once sorted, with equal exact values
         assert sort_answer_sets(got) == _least_models_per_completion_model(run.program), \
             horizon
@@ -453,7 +453,7 @@ def test_answer_sets_that_share_a_prefix_share_its_firings(
         calls += 1
         return fire(*args)
     monkeypatch.setattr(compiler, "iter_rule_firings", counted)
-    assert len(Run(request.getfixturevalue(name), horizon).answer_sets) == count
+    assert len(list(Run(request.getfixturevalue(name), horizon).iter_answer_sets())) == count
     # firing every enabled rule once per answer set made 896, 9,216 and 448
     assert calls == firings
 
@@ -493,7 +493,7 @@ def test_normal_answer_sets_are_least_models_of_their_reducts(tiger, cross_sensi
 def test_normal_projections_match_annotated(tiger):
     run = Run(tiger, 1)
     annotated = {frozenset(a for a, v in h.items() if a[0] == "occ" and v >= 1)
-                 for h in run.answer_sets}
+                 for h in run.iter_answer_sets()}
     normal = {frozenset(a for a in m if a[0] == "occ") for m in run.normal_sets}
     assert annotated == normal
 

@@ -53,7 +53,7 @@ def test_answer_set_structural_invariants():
     horizon = 2
     for seed in range(12):
         theory = generate_theory(seed)
-        for h in Run(theory, horizon).answer_sets:
+        for h in Run(theory, horizon).iter_answer_sets():
             for t in range(horizon):
                 occ = [a for a, v in h.items()
                        if a[0] == "occ" and a[2] == t and v >= 1]
@@ -86,7 +86,7 @@ def test_read_reported_varying_literal_is_guessed_at_time_0():
         run = Run(theory, horizon)
         checks = cross_check(run)
         assert all(c.ok for c in checks), (horizon, [c.detail for c in checks])
-        assert len(run.answer_sets) == 32 * 8 ** (horizon - 1)
+        assert len(list(run.iter_answer_sets())) == 32 * 8 ** (horizon - 1)
         if horizon < 3:
             values[horizon] = best_policy(run).value
             assert values[horizon] == oracle.optimal_policy(theory, horizon)[1]

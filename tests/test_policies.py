@@ -1,16 +1,16 @@
+import collections
 import json
 from fractions import Fraction
 from functools import cache
 
 import pytest
 
-from apoplan import oracle, sat
+from apoplan import oracle, policies, sat
 from apoplan.compiler import CompileError, decode_model
 from apoplan.fuzz import generate_theory
 from apoplan.nplp import sort_answer_sets
 from apoplan.policies import (
-    PolicyValue, Run, best_policy, check_normal_projection, check_policy_values,
-    check_sat_models, check_trajectories, cross_check,
+    PolicyValue, Run, best_policy, check_sat_models, cross_check,
     extract_report, group_policies, stationary_action_map, valid_reports,
 )
 from apoplan.theory import ground_theory, negate, parse_theory
@@ -24,12 +24,12 @@ def tiger_run_n1(tiger):
 
 @pytest.fixture(scope="module")
 def tiger_sets_n1(tiger_run_n1):
-    return tiger_run_n1.answer_sets
+    return list(tiger_run_n1.iter_answer_sets())
 
 
 @pytest.fixture(scope="module")
 def tiger_sets_n2(tiger):
-    return Run(tiger, 2).answer_sets
+    return list(Run(tiger, 2).iter_answer_sets())
 
 
 def test_answer_set_count(tiger_sets_n1, tiger_sets_n2):
@@ -177,38 +177,46 @@ def _trajectory_key(report) -> tuple:
     return (tuple(tuple(sorted(s)) for s in report.states), report.occ)
 
 
-def test_checks_catch_seeded_fault(tiger, tiger_run_n1):
+def _cross_check_with(monkeypatch, run, change):
+    """`cross_check(run)` with the list of its valid reports passed through
+    `change` before checks 1 and 2 read it."""
+    original = policies.valid_reports
+    monkeypatch.setattr(policies, "valid_reports", lambda *args: change(original(*args)))
+    return cross_check(run)
+
+
+def test_checks_catch_seeded_fault(tiger, tiger_sets_n1, monkeypatch):
     # drop the answer set of one valid report: checks 1 and 2 both notice
-    run = tiger_run_n1
-    dropped = sort_answer_sets([h for h in run.answer_sets
+    run = Run(tiger, 1)
+    dropped = sort_answer_sets([h for h in tiger_sets_n1
                                 if extract_report(tiger, h, 1).valid])[-1]
-    broken = [h for h in run.answer_sets if h is not dropped]
-    reports = valid_reports(tiger, broken, 1)
+    broken = [h for h in tiger_sets_n1 if h is not dropped]
+    monkeypatch.setattr(run, "iter_answer_sets", lambda: iter(broken))
     key = _trajectory_key(extract_report(tiger, dropped, 1))
-    t1 = check_trajectories(tiger, reports, run.oracle_walk.keys())
-    t2 = check_policy_values(tiger, reports, run.oracle_walk, 9)
+    t1, t2 = cross_check(run)[:2]
     assert not (t1.ok or t2.ok)
     assert t1.counterexamples == (f"oracle-only: {key}",)
     assert t2.detail == "1 trajectories disagree"
     assert t2.counterexamples[0].startswith(f"trajectory {key}: answer sets give 0, ")
 
 
-def test_value_check_names_the_trajectory_whose_value_changed(tiger, tiger_run_n1):
+def test_value_check_names_the_trajectory_whose_value_changed(
+        tiger, tiger_run_n1, tiger_sets_n1, monkeypatch):
     run = tiger_run_n1
-    reports = list(run.reports)
-    changed = reports[-1]
+    changed = valid_reports(tiger, tiger_sets_n1, 1)[-1]
     assert stationary_action_map(tiger, changed) is not None
-    reports[-1] = changed.replace(value=changed.value + Fraction(1, 1000))
     key = _trajectory_key(changed)
-    assert check_trajectories(tiger, reports, run.oracle_walk.keys()).ok
-    values = check_policy_values(tiger, reports, run.oracle_walk, 9)
+    assert cross_check(run)[1].detail == "9 policies compared exactly"
+    trajectories, values = _cross_check_with(
+        monkeypatch, run,
+        lambda reports: [r.replace(value=r.value + Fraction(1, 1000)) if r == changed else r
+                         for r in reports])[:2]
+    assert trajectories.ok
     assert not values.ok
     assert values.detail == "1 trajectories disagree"
     assert values.counterexamples == (
         f"trajectory {key}: answer sets give {changed.value + Fraction(1, 1000)}, "
         f"oracle gives {changed.value}",)
-    assert check_policy_values(tiger, run.reports, run.oracle_walk, 9).detail \
-        == "9 policies compared exactly"
 
 
 def _break_last_step(theory, report, fault):
@@ -236,20 +244,20 @@ def _break_last_step(theory, report, fault):
 
 @pytest.mark.parametrize("fault", ["not-executable", "condition-fails",
                                    "wrong-successor"])
-def test_check_reports_a_step_that_breaks_the_dynamics(tiger_text, fault):
+def test_check_reports_a_step_that_breaks_the_dynamics(tiger_text, fault, monkeypatch):
     # tiger with a precondition, so that some step is not executable
     text = tiger_text.replace("executable openL if {}.", "executable openL if {htl}.")
     theory = parse_theory(text)
     run = Run(theory, 2)
-    for report in run.reports:
+    for report in valid_reports(theory, run.iter_answer_sets(), 2):
         if stationary_action_map(theory, report) is None:
             continue
         broken = _break_last_step(theory, report, fault)
         if broken is not None:
             break
     assert broken is not None and broken != report
-    run.reports = [r for r in run.reports if r != report] + [broken]
-    checks = cross_check(run)
+    checks = _cross_check_with(
+        monkeypatch, run, lambda reports: [r for r in reports if r != report] + [broken])
     assert len(checks) == 4
     trajectories = checks[0]
     assert not trajectories.ok
@@ -264,19 +272,24 @@ def _completion_models(cnf):
 
 
 def test_check_report_json(tiger_run_n1):
-    payload = check_sat_models(_completion_models(tiger_run_n1.cnf),
+    payload = check_sat_models(collections.Counter(_completion_models(tiger_run_n1.cnf)),
                                tiger_run_n1.normal_sets).to_json()
     assert set(payload) == {"check", "ok", "detail", "counterexamples"}
     assert payload["ok"] is True
 
 
-def test_sat_check_catches_a_repeated_model(tiger_run_n1):
+def test_sat_check_catches_a_repeated_model(tiger, tiger_run_n1, tiger_sets_n1, monkeypatch):
     models = _completion_models(tiger_run_n1.cnf)
     normal_sets = tiger_run_n1.normal_sets
-    assert check_sat_models(models, normal_sets).detail == "16 models = 16 answer sets"
-    report = check_sat_models(models + models[:1], normal_sets)
+    counted = collections.Counter(models)
+    assert check_sat_models(counted, normal_sets).detail == "16 models = 16 answer sets"
+    report = check_sat_models(counted + collections.Counter(models[:1]), normal_sets)
     assert not report.ok
     assert report.detail == "0 missing, 0 extra, 1 of 17 models repeated"
+    # an answer set listed twice by the enumeration: check 4 counts its model twice
+    run = Run(tiger, 1)
+    monkeypatch.setattr(run, "iter_answer_sets", lambda: iter(tiger_sets_n1 + tiger_sets_n1[:1]))
+    assert cross_check(run)[3].detail == "0 missing, 0 extra, 1 of 17 models repeated"
 
 
 
@@ -305,7 +318,7 @@ def test_group_policies_fold_equals_the_per_report_loop(tiger, cross_sensing):
     degenerate = non_stationary = 0
     for theory, n in cases:
         run = Run(theory, n)
-        reports = [extract_report(theory, h, n) for h in run.answer_sets]
+        reports = [extract_report(theory, h, n) for h in run.iter_answer_sets()]
         valid = [r for r in reports if r.valid]
         degenerate += len(reports) - len(valid)
         non_stationary += sum(stationary_action_map(theory, r) is None for r in valid)
@@ -329,7 +342,8 @@ def test_best_policy_folds_the_enumeration_as_it_would_the_list(tiger, cross_sen
         assert "answer_sets" not in vars(fresh)  # folded, never listed
         listed = Run(theory, n)
         expected = _best_of(group_policies_reference(
-            theory, listed.reports, oracle.enumerate_policies(theory, n)))
+            theory, valid_reports(theory, listed.iter_answer_sets(), n),
+            oracle.enumerate_policies(theory, n)))
         assert best == expected
         assert best_policy(listed) == expected
 
@@ -337,16 +351,17 @@ def test_best_policy_folds_the_enumeration_as_it_would_the_list(tiger, cross_sen
 def test_set_check_counterexamples_do_not_depend_on_string_hashing():
     # 60 of the 128 answer sets: checks 3 and 4 each find more differences
     # than they list
-    script = ("import json, sys\n"
+    script = ("import collections, itertools, json, sys\n"
               "from apoplan import policies\n"
               "from apoplan.theory import parse_theory\n"
               "with open(sys.argv[1], encoding='utf-8') as f:\n"
               "    run = policies.Run(parse_theory(f.read()), 2)\n"
-              "kept = run.answer_sets[:60]\n"
+              "kept = itertools.islice(run.iter_answer_sets(), 60)\n"
               "atoms = run.normal.atoms()\n"
-              "models = [frozenset(a for a in h if a in atoms) for h in kept]\n"
+              "models = collections.Counter(frozenset(a for a in h if a in atoms)\n"
+              "                             for h in kept)\n"
               "print(json.dumps([\n"
-              "    policies.check_normal_projection(kept, run.normal_sets).to_json(),\n"
+              "    policies.check_normal_projection(models, run.normal_sets).to_json(),\n"
               "    policies.check_sat_models(models, run.normal_sets).to_json()]))\n")
     outputs = [fresh_python(script, str(TIGER_PATH), env_vars={"PYTHONHASHSEED": seed})
                for seed in ("1", "2", "3")]
