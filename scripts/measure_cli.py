@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
-"""Wall time and peak memory of one apoplan command, each run in a fresh process.
+"""Wall time, CPU time and peak memory of one apoplan command, each run in a fresh process.
 
     python3 scripts/measure_cli.py --runs 5 -- policy domains/tiger.apo --horizon 3
 
 Runs `python -m apoplan.cli ARGS` with the `src` directory of the checkout
 that holds this script on the path, `--runs` times one after another, with
 its output discarded.  Prints one JSON object: the median wall time, the
-largest resident set size of any run (`ru_maxrss` from `os.wait4`), and each
-run's figures.  Exits 1 if any run exits non-zero.
+median CPU time (`ru_utime + ru_stime` from `os.wait4`), the largest resident
+set size of any run (`ru_maxrss`), and each run's figures.  CPU time waits
+for no other process on the host, so it varies less between runs than wall
+time.  Exits 1 if any run exits non-zero.
 
 With `--label L`, the object, tagged with `--side`, is also appended to the
 `measurements` of `BENCH_L.json` in the current directory, which is created
@@ -27,8 +29,9 @@ import time
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
-def run_once(args: list[str]) -> tuple[int, float, float]:
-    """(exit code, wall seconds, peak resident set in MB) of one fresh run."""
+def run_once(args: list[str]) -> tuple[int, float, float, float]:
+    """(exit code, wall seconds, peak resident set in MB, CPU seconds) of one
+    fresh run."""
     env = dict(os.environ, PYTHONPATH=SRC)
     start = time.perf_counter()
     proc = subprocess.Popen([sys.executable, "-m", "apoplan.cli", *args], env=env,
@@ -36,7 +39,8 @@ def run_once(args: list[str]) -> tuple[int, float, float]:
     _, status, usage = os.wait4(proc.pid, 0)
     wall = time.perf_counter() - start
     proc.returncode = os.waitstatus_to_exitcode(status)  # reaped: Popen must not wait
-    return proc.returncode, wall, usage.ru_maxrss / 1024  # ru_maxrss is in KB
+    return (proc.returncode, wall, usage.ru_maxrss / 1024,  # ru_maxrss is in KB
+            usage.ru_utime + usage.ru_stime)
 
 
 def measure(args: list[str], runs: int) -> dict:
@@ -45,9 +49,11 @@ def measure(args: list[str], runs: int) -> dict:
         "command": args,
         "runs": runs,
         "wall_s": statistics.median(r[1] for r in results),
+        "cpu_s": statistics.median(r[3] for r in results),
         "max_rss_mb": max(r[2] for r in results),
         "exit_codes": [r[0] for r in results],
         "wall_s_each": [round(r[1], 4) for r in results],
+        "cpu_s_each": [round(r[3], 4) for r in results],
         "rss_mb_each": [r[2] for r in results],
     }
 
@@ -58,9 +64,10 @@ def append_record(path: str, result: dict):
             record = json.load(f)
     else:
         record = {
-            "description": "Figures of scripts/measure_cli.py: the median wall time and "
-                           "the largest ru_maxrss of fresh `python -m apoplan.cli` runs, "
-                           "output discarded, one run after another.",
+            "description": "Figures of scripts/measure_cli.py: the median wall time, the "
+                           "median CPU time (ru_utime + ru_stime) and the largest "
+                           "ru_maxrss of fresh `python -m apoplan.cli` runs, output "
+                           "discarded, one run after another.",
             "host": f"{platform.system()} {platform.machine()}, {os.cpu_count()} CPUs, "
                     f"Python {platform.python_version()}",
             "measurements": [],

@@ -10,7 +10,18 @@ validation or theorem-check failure; 3 internal invariant breach.
 Input takes one path: one `theory.validate_theory` call (in `Run`, if the
 command compiles) grounds and checks it, and `_checked` exits 2 on a failure.
 
-Each run is a fresh process, so a command imports only the modules it runs:
+One table, `_COMMANDS`, names each command's arguments and help; `_parse_args`
+reads `argv` from it and `_help` prints it.  A flag takes its value as
+`--flag value` or `--flag=value`, may be shortened to a unique prefix, and
+may come before or after the input; the last of a repeated flag wins.  A bad
+command line exits 1 with the command's usage line, and `-h`/`--help` prints
+the help and exits 0.
+
+Each run is a fresh process, so a command imports only the modules it runs,
+and start-up, not planning, is most of the time of a small run.  The table
+replaces argparse, which with `gettext` and `locale` cost each process
+several milliseconds, and `json` is imported only where JSON is written, so
+`validate --format text`, `ground`, `compile` and `normalize` never load it.
 `validate` and `ground` load `theory`, `oracle` adds `oracle`, and `fuzz`
 adds `fuzz`.  The commands that compile (`compile`, `normalize`, `sat`,
 `solve`, `policy`, `check`) read their stages from one `policies.Run`, which
@@ -32,10 +43,9 @@ enumerated, and keep none (`policies.best_policy`, `policies.cross_check`).
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .theory import (
@@ -127,6 +137,7 @@ def _write(path: str, chunks: Iterable[str]):
 
 
 def _emit_json(args, payload):
+    import json  # loaded only by the commands that write JSON
     _emit(args, json.dumps(payload, indent=2, sort_keys=False) + "\n")
 
 
@@ -195,6 +206,7 @@ def cmd_sat(args) -> int:
         return EXIT_OK
     _emit(args, dimacs)
     if args.out:
+        import json
         _write(args.out + ".atoms.json",
                (json.dumps(cnf.atom_map_json(), indent=2), "\n"))
     return EXIT_OK
@@ -205,6 +217,7 @@ def _solve_chunks(horizon: int, discount: Fraction, models: Sequence[PInterpreta
     """The `solve` payload as `json.dumps(payload, indent=2) + "\n"` writes
     it, in chunks: the header, then each answer set with the separator before
     it, then the footer.  Each distinct atom's JSON key is encoded once."""
+    import json
     from .nplp import render_atom
     header = json.dumps({"horizon": horizon, "discount": float(discount),
                          "count": len(models)}, indent=2)
@@ -245,10 +258,10 @@ def cmd_policy(args) -> int:
 def cmd_oracle(args) -> int:
     from . import oracle
     theory = _validated(args)
-    count = oracle.count_policies(theory, args.horizon)
-    if count > oracle.MAX_POLICIES:
-        raise _CliFailure(EXIT_INPUT, f"{count} policies to list, more than {oracle.MAX_POLICIES}")
-    policy, value = oracle.optimal_policy(theory, args.horizon)
+    try:
+        policy, value = oracle.optimal_policy(theory, args.horizon, oracle.MAX_POLICIES)
+    except oracle.PolicySpaceTooLarge as e:
+        raise _CliFailure(EXIT_INPUT, str(e)) from None
     _emit_json(args, {
         "horizon": args.horizon,
         "discount": float(theory.discount),
@@ -280,64 +293,174 @@ def cmd_fuzz(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+# the command line: one table, read by the parser and by the help
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="apoplan",
-        description="Compile partially observable action theories to annotated "
-        "logic programs, normal programs, and SAT; solve and cross-check them.")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"invalid int value: {text!r}") from None
 
-    def common(p, horizon=False, discount=True, formats=False):
-        p.add_argument("input", help="theory file (.apo)")
-        if horizon:
-            p.add_argument("--horizon", type=int, required=True,
-                           help="number of decision steps (>= 1)")
-        if discount:
-            p.add_argument("--discount", default=None,
-                           help="override the theory's discount factor")
-        if formats:
-            p.add_argument("--format", choices=["text", "json"],
-                           default="text")
-        p.add_argument("--out", default=None, help="write output to a file")
 
-    common(sub.add_parser("validate", help="check theory well-formedness"),
-           discount=False, formats=True)
-    common(sub.add_parser("ground", help="expand variables over their domains"))
-    common(sub.add_parser("compile", help="emit the annotated program"),
-           horizon=True)
-    common(sub.add_parser("normalize", help="emit the classical normal program"),
-           horizon=True)
-    common(sub.add_parser("sat", help="emit DIMACS CNF with an atom-map sidecar"),
-           horizon=True, formats=True)
-    common(sub.add_parser("solve", help="enumerate probabilistic answer sets"),
-           horizon=True)
-    common(sub.add_parser("policy", help="best policy by answer-set aggregation"),
-           horizon=True)
-    common(sub.add_parser("oracle", help="optimal policy by brute-force search"),
-           horizon=True)
-    common(sub.add_parser("check", help="cross-check pipeline against the oracle"),
-           horizon=True)
+def _horizon(text: str) -> int:
+    horizon = _int(text)
+    if horizon < 1:
+        raise ValueError(f"must be >= 1, not {horizon}")
+    return horizon
 
-    pf = sub.add_parser("fuzz", help="generate a random valid theory")
-    pf.add_argument("--seed", type=int, required=True)
-    pf.add_argument("--out", default=None)
 
-    return parser
+def _format(text: str) -> str:
+    if text not in ("text", "json"):
+        raise ValueError(f"invalid choice: {text!r} (choose from 'text', 'json')")
+    return text
+
+
+# Each argument: its help, the function that reads its value (raising
+# ValueError on a bad one), and its default.  `input` is the one positional
+# argument; every flag takes one value.
+_ARGUMENTS = {
+    "input": ("theory file (.apo)", str, None),
+    "--horizon": ("number of decision steps (>= 1)", _horizon, None),
+    "--discount": ("override the theory's discount factor", str, None),
+    "--format": ("text or json (default: text)", _format, "text"),
+    "--out": ("write output to a file", str, None),
+    "--seed": ("seed of the random theory", _int, None),
+}
+_REQUIRED = ("input", "--horizon", "--seed")
+_PLANNING = ("input", "--horizon", "--discount", "--out")
+
+# Each command: its help, and its arguments in the order its help lists them.
+# `main` runs the command NAME as `cmd_NAME`.
+_COMMANDS = {
+    "validate": ("check theory well-formedness", ("input", "--format", "--out")),
+    "ground": ("expand variables over their domains", ("input", "--discount", "--out")),
+    "compile": ("emit the annotated program", _PLANNING),
+    "normalize": ("emit the classical normal program", _PLANNING),
+    "sat": ("emit DIMACS CNF with an atom-map sidecar",
+            ("input", "--horizon", "--discount", "--format", "--out")),
+    "solve": ("enumerate probabilistic answer sets", _PLANNING),
+    "policy": ("best policy by answer-set aggregation", _PLANNING),
+    "oracle": ("optimal policy by brute-force search", _PLANNING),
+    "check": ("cross-check pipeline against the oracle", _PLANNING),
+    "fuzz": ("generate a random valid theory", ("--seed", "--out")),
+}
+
+_DESCRIPTION = """\
+Compile partially observable action theories to annotated logic programs,
+normal programs, and SAT; solve and cross-check them."""
+
+
+def _shown(name: str) -> str:
+    return name if name == "input" else f"{name} {name[2:].upper()}"
+
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        return "usage: apoplan [-h] <command> ..."
+    return " ".join([f"usage: apoplan {command} [-h]"] + [
+        _shown(name) if name in _REQUIRED else f"[{_shown(name)}]"
+        for name in _COMMANDS[command][1]])
+
+
+def _table(rows: list[tuple[str, str]]) -> str:
+    width = max(len(left) for left, _ in rows)
+    return "".join(f"  {left:<{width}}  {right}\n" for left, right in rows)
+
+
+def _help(command: str | None) -> str:
+    """The text of `apoplan --help`, or of `apoplan COMMAND --help`."""
+    if command is None:
+        return (f"{_usage(None)}\n\n{_DESCRIPTION}\n\ncommands:\n"
+                + _table([(name, text) for name, (text, _) in _COMMANDS.items()])
+                + "\nRun `apoplan <command> --help` for the arguments of a command.\n")
+    text, names = _COMMANDS[command]
+    rows = [(_shown(name), _ARGUMENTS[name][0]) for name in names]
+    rows.append(("-h, --help", "show this help and exit"))
+    return f"{_usage(command)}\n\n{text}\n\narguments:\n{_table(rows)}"
+
+
+class _Usage(Exception):
+    """What `main` prints in place of running a command, and its exit code:
+    a help text on standard output, or a usage line and an error on standard
+    error."""
+
+    def __init__(self, code: int, text: str):
+        super().__init__(text)
+        self.code = code
+
+
+def _usage_error(command: str | None, message: str) -> _Usage:
+    prog = "apoplan" if command is None else f"apoplan {command}"
+    return _Usage(EXIT_INPUT, f"{_usage(command)}\n{prog}: error: {message}\n")
+
+
+def _parse_args(argv: list[str]) -> SimpleNamespace:
+    """The command that `argv[0]` names, and its arguments read from the rest
+    by the table above.  A flag's value follows it or an `=`, and may begin
+    with `-`; a flag may be shortened to a unique prefix, and the last of a
+    repeated flag wins.  Flags and the input come in any order, and every
+    argument after `--` is positional."""
+    if not argv:
+        raise _usage_error(None, "the following arguments are required: <command>")
+    command, rest = argv[0], argv[1:]
+    if command == "-h" or (len(command) > 2 and "--help".startswith(command)):
+        raise _Usage(EXIT_OK, _help(None))
+    if command not in _COMMANDS:
+        raise _usage_error(None, f"invalid command: {command!r} "
+                                 f"(choose from {', '.join(_COMMANDS)})")
+    names = _COMMANDS[command][1]
+    flags = [name for name in names if name != "input"] + ["--help"]
+    values: dict[str, object] = {}
+    positionals: list[str] = []
+    tokens = iter(rest)
+    for token in tokens:
+        if token == "--":
+            positionals.extend(tokens)
+            break
+        if token == "-" or not token.startswith("-"):
+            positionals.append(token)
+            continue
+        if token == "-h":
+            raise _Usage(EXIT_OK, _help(command))
+        flag, eq, value = token.partition("=")
+        matches = [f for f in flags if f == flag] or [
+            f for f in flags if flag.startswith("--") and len(flag) > 2 and f.startswith(flag)]
+        if not matches:
+            raise _usage_error(command, f"unrecognized arguments: {token}")
+        if len(matches) > 1:
+            raise _usage_error(command, f"ambiguous option: {flag} could match "
+                                        f"{', '.join(matches)}")
+        flag = matches[0]
+        if flag == "--help":
+            raise _Usage(EXIT_OK, _help(command))
+        if not eq:
+            value = next(tokens, None)
+            if value is None:
+                raise _usage_error(command, f"argument {flag}: expected one argument")
+        try:
+            values[flag] = _ARGUMENTS[flag][1](value)
+        except ValueError as e:
+            raise _usage_error(command, f"argument {flag}: {e}") from None
+    if positionals and "input" in names:
+        values["input"] = positionals.pop(0)
+    if positionals:
+        raise _usage_error(command, f"unrecognized arguments: {' '.join(positionals)}")
+    missing = [name for name in names if name in _REQUIRED and name not in values]
+    if missing:
+        raise _usage_error(command, "the following arguments are required: "
+                                    + ", ".join(missing))
+    return SimpleNamespace(command=command, **{
+        name.lstrip("-"): values.get(name, _ARGUMENTS[name][2]) for name in names})
 
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit as e:  # argparse exits 2 on bad flags, 0 after --help
-        return EXIT_INPUT if e.code else EXIT_OK
-    if getattr(args, "horizon", None) is not None and args.horizon < 1:
-        print("error: --horizon must be >= 1", file=sys.stderr)
-        return EXIT_INPUT
-    handler = globals()[f"cmd_{args.command}"]
-    try:
-        return handler(args)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+        return globals()[f"cmd_{args.command}"](args)
+    except _Usage as e:
+        (sys.stdout if e.code == EXIT_OK else sys.stderr).write(str(e))
+        return e.code
     except BrokenPipeError:
         return EXIT_OK
     except _CliFailure as e:

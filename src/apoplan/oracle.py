@@ -24,6 +24,10 @@ class OracleError(ApoError):
     pass
 
 
+class PolicySpaceTooLarge(OracleError):
+    """More policies than a caller's limit: refused before any is listed."""
+
+
 State = frozenset
 
 
@@ -61,10 +65,6 @@ def policy_to_json(policy: Policy) -> list[dict]:
         {"state": sorted(s), "action": policy[s]}
         for s in sorted(policy, key=state_key)
     ]
-
-
-def policy_sort_key(policy: Policy) -> tuple:
-    return tuple(sorted((state_key(s), a) for s, a in policy.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -291,24 +291,35 @@ def _policy_choices(theory: ActionTheory, horizon: int, initial: Optional[Initia
 MAX_POLICIES = 100_000
 
 
+def _count(choices: Mapping[State, Sequence[str]]) -> int:
+    return math.prod(map(len, choices.values()))
+
+
 def count_policies(theory: ActionTheory, horizon: int,
                    initial: Optional[Initial] = None) -> int:
     """`len(enumerate_policies(...))`, without listing them."""
-    return math.prod(map(len, _policy_choices(theory, horizon, initial).values()))
+    return _count(_policy_choices(theory, horizon, initial))
 
 
 def enumerate_policies(theory: ActionTheory, horizon: int,
-                       initial: Optional[Initial] = None) -> list[dict[State, str]]:
-    """All maps from reachable states to executable actions, in lexicographic order."""
+                       initial: Optional[Initial] = None,
+                       max_policies: Optional[int] = None) -> list[dict[State, str]]:
+    """All maps from reachable states to executable actions, in lexicographic
+    order.  More than `max_policies` of them raise `PolicySpaceTooLarge`
+    before any is listed."""
     choices = _policy_choices(theory, horizon, initial)
+    if max_policies is not None and (count := _count(choices)) > max_policies:
+        raise PolicySpaceTooLarge(f"{count} policies to list, more than {max_policies}")
     return [dict(zip(choices, combo)) for combo in itertools.product(*choices.values())]
 
 
-def optimal_policy(theory: ActionTheory, horizon: int) -> tuple[dict[State, str], Fraction]:
+def optimal_policy(theory: ActionTheory, horizon: int, max_policies: Optional[int] = None,
+                   ) -> tuple[dict[State, str], Fraction]:
     """Argmax of the belief-weighted value; ties broken lexicographically, as
-    `max` keeps the first best of the policies, which come in that order."""
+    `max` keeps the first best of the policies, which come in that order.
+    More than `max_policies` policies raise `PolicySpaceTooLarge`."""
     initial = initial_states(theory)
     belief = initial_belief(theory, initial)
     return max(((policy, belief_value(theory, policy, horizon, belief, initial))
-                for policy in enumerate_policies(theory, horizon, initial)),
+                for policy in enumerate_policies(theory, horizon, initial, max_policies)),
                key=lambda pv: pv[1])

@@ -192,6 +192,10 @@ def test_non_utf8_input_exits_1_naming_the_path(capsys, tmp_path, command):
 
 def test_bad_horizon_exit_code(capsys):
     assert main(["solve", TIGER, "--horizon", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: apoplan solve")
+    assert " error: argument --horizon: must be >= 1" in captured.err
 
 
 @pytest.mark.parametrize("argv", [
@@ -199,7 +203,17 @@ def test_bad_horizon_exit_code(capsys):
     ["policy", TIGER],
     ["policy", TIGER, "--horizon", "x"],
     ["policy", TIGER, "--horizon", "1", "--format", "json"],  # validate and sat only
-], ids=["unknown-flag", "missing-horizon", "non-integer-horizon", "format-on-policy"])
+    [],
+    ["plan", TIGER, "--horizon", "1"],
+    ["policy", TIGER, "--h", "1"],  # --horizon or --help
+    ["policy", TIGER, "--horizon"],
+    ["policy", TIGER, TIGER, "--horizon", "1"],
+    ["fuzz", "--seed", "7", "--discount", "1/2"],
+    ["validate", TIGER, "--format", "xml"],
+    ["fuzz", TIGER, "--seed", "7"],
+], ids=["unknown-flag", "missing-horizon", "non-integer-horizon", "format-on-policy",
+        "no-command", "unknown-command", "ambiguous-prefix", "missing-value",
+        "extra-positional", "discount-on-fuzz", "unknown-format", "input-on-fuzz"])
 def test_bad_flags_exit_1_with_usage(capsys, argv):
     assert main(argv) == 1
     captured = capsys.readouterr()
@@ -211,6 +225,63 @@ def test_bad_flags_exit_1_with_usage(capsys, argv):
 def test_help_exits_0(capsys):
     assert main(["policy", "--help"]) == 0
     assert capsys.readouterr().out.startswith("usage: apoplan policy")
+
+
+# the flags of each command, each with the help it has always had (any help
+# where it had none)
+HORIZON_FLAGS = {"--horizon": "number of decision steps (>= 1)",
+                 "--discount": "override the theory's discount factor",
+                 "--out": "write output to a file"}
+COMMAND_HELP = {
+    "validate": ("check theory well-formedness", {"--format": "", "--out": HORIZON_FLAGS["--out"]}),
+    "ground": ("expand variables over their domains",
+               {k: v for k, v in HORIZON_FLAGS.items() if k != "--horizon"}),
+    "compile": ("emit the annotated program", HORIZON_FLAGS),
+    "normalize": ("emit the classical normal program", HORIZON_FLAGS),
+    "sat": ("emit DIMACS CNF with an atom-map sidecar", {**HORIZON_FLAGS, "--format": ""}),
+    "solve": ("enumerate probabilistic answer sets", HORIZON_FLAGS),
+    "policy": ("best policy by answer-set aggregation", HORIZON_FLAGS),
+    "oracle": ("optimal policy by brute-force search", HORIZON_FLAGS),
+    "check": ("cross-check pipeline against the oracle", HORIZON_FLAGS),
+    "fuzz": ("generate a random valid theory", {"--seed": "", "--out": ""}),
+}
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"]] + [[c, "--help"] for c in COMMAND_HELP]
+                         + [["validate", "-h"], ["solve", TIGER, "--hel"]])
+def test_help_lists_every_command_and_flag(capsys, argv):
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    if argv[0] in COMMAND_HELP:
+        command = argv[0]
+        assert out.startswith(f"usage: apoplan {command} [-h] ")
+        text, flags = COMMAND_HELP[command]
+        assert f"\n{text}\n" in out
+        if command != "fuzz":
+            assert "  input " in out and "theory file (.apo)" in out
+        for flag, help_text in flags.items():
+            assert f"  {flag} {flag[2:].upper()}  " in out and help_text in out, flag
+    else:
+        assert out.startswith("usage: apoplan [-h] ")
+        for command, (text, _) in COMMAND_HELP.items():
+            assert f"  {command} " in out and text in out, command
+
+
+@pytest.mark.parametrize("argv, same_as", [
+    (["policy", TIGER, "--horizon=1"], ["policy", TIGER, "--horizon", "1"]),
+    (["policy", TIGER, "--hor", "1"], ["policy", TIGER, "--horizon", "1"]),
+    (["policy", "--horizon", "1", TIGER], ["policy", TIGER, "--horizon", "1"]),
+    (["policy", TIGER, "--horizon", "3", "--horizon", "1"], ["policy", TIGER, "--horizon", "1"]),
+    (["solve", "--disc=1/2", "--ho=1", TIGER], ["solve", TIGER, "--horizon", "1", "--discount", "1/2"]),
+    (["validate", "--f", "json", "--", TIGER], ["validate", TIGER, "--format", "json"]),
+    (["fuzz", "--seed", "-1"], ["fuzz", "--seed=-1"]),
+], ids=["equals", "prefix", "flags-first", "last-wins", "equals-prefix",
+        "double-dash", "negative-seed"])
+def test_argument_forms_read_alike(capsys, argv, same_as):
+    code, out = run(capsys, *argv)
+    assert (code, out) == run(capsys, *same_as)
+    assert code == 0 and out
 
 
 def test_ground_round_trips(capsys):
@@ -473,16 +544,28 @@ def test_horizon_3_memory_is_bounded(tmp_path, command, bound_mb):
     assert peak < bound_mb * 1e6, f"{command}: tracemalloc peak {peak / 1e6:.2f} MB"
 
 
+# Runs `main` on each argument, split at newlines, and prints the exit codes
+# and then every module loaded; it imports nothing that `main` might not.
+_MAIN_SCRIPT = ("import io, sys\n"
+                "from apoplan.cli import main\n"
+                "out, sys.stdout = sys.stdout, io.StringIO()\n"
+                "codes = [main(argv.split('\\n')) for argv in sys.argv[1:]]\n"
+                "print(*codes, file=out)\n"
+                "print(*sys.modules, file=out)\n")
+
+
+def _run_fresh(*argvs: list[str]) -> tuple[list[int], set[str]]:
+    """The exit code of `main(argv)` for each of `argvs`, run one after
+    another in one fresh process, and the modules loaded after the last."""
+    codes, modules = fresh_python(_MAIN_SCRIPT, *map("\n".join, argvs)).splitlines()
+    return [int(c) for c in codes.split()], set(modules.split())
+
+
 def _loaded_modules(tmp_path, *argv) -> set[str]:
     """The apoplan modules in `sys.modules` after `main(argv)`."""
-    script = ("import json, sys\n"
-              "from apoplan.cli import main\n"
-              "code = main(sys.argv[1:])\n"
-              "print(json.dumps(sorted(m for m in sys.modules\n"
-              "    if m == 'apoplan' or m.startswith('apoplan.'))))\n"
-              "sys.exit(code)\n")
-    return set(json.loads(
-        fresh_python(script, *argv, "--out", str(tmp_path / "out"))))
+    codes, modules = _run_fresh([*argv, "--out", str(tmp_path / "out")])
+    assert codes == [0]
+    return {m for m in modules if m == "apoplan" or m.startswith("apoplan.")}
 
 
 def test_commands_import_only_what_they_run(tmp_path, spans):
@@ -495,6 +578,22 @@ def test_commands_import_only_what_they_run(tmp_path, spans):
     # all, `policies` included
     wrapped = {modname for modname, _, _, _ in spans.SPANS}
     assert wrapped <= _loaded_modules(tmp_path, "sat", TIGER, "--horizon", "1")
+
+
+def test_no_command_loads_argparse_and_only_json_writers_load_json(tmp_path):
+    out = ["--out", str(tmp_path / "out")]
+    h1 = ["--horizon", "1"]
+    codes, modules = _run_fresh(["validate", TIGER, *out], ["ground", TIGER, *out],
+                                ["compile", TIGER, *h1, *out], ["normalize", TIGER, *h1, *out])
+    assert codes == [0] * 4
+    assert not {"json", "argparse", "gettext", "locale"} & modules
+    codes, modules = _run_fresh(
+        *([command, TIGER, *h1, *out] for command in ("sat", "solve", "policy", "oracle", "check")),
+        ["validate", TIGER, "--format", "json", *out], ["fuzz", "--seed", "7", *out],
+        ["--help"], ["check", "--help"], ["check", TIGER, "--bogus"])
+    assert codes == [0] * 9 + [1]
+    assert "json" in modules
+    assert not {"argparse", "gettext", "locale"} & modules
 
 
 def test_package_imports_neither_dataclasses_nor_inspect():
@@ -570,6 +669,15 @@ def test_check_runs_each_stage_once(capsys, monkeypatch):
     assert counts["enumerate_policies"] == 0  # counted, not listed
     # once, for the oracle: the compiler closes the initial formulas itself
     assert counts["initial_states"] == 1, counts
+
+
+def test_oracle_computes_the_policy_space_once(capsys, monkeypatch):
+    counts = _count_calls(monkeypatch, (oracle, "initial_states"),
+                          (oracle, "_policy_choices"), (oracle, "reachable_states"))
+    code, out = run(capsys, "oracle", TIGER, "--horizon", "2")
+    assert code == 0 and json.loads(out)["value"] == 19.0
+    assert counts == {"initial_states": 1, "_policy_choices": 1,
+                      "reachable_states": 1}, counts
 
 
 def test_oracle_refuses_a_policy_space_it_cannot_list():

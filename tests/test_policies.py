@@ -330,8 +330,12 @@ def test_group_policies_fold_equals_the_per_report_loop(tiger, cross_sensing):
     assert degenerate and non_stationary
 
 
+def _policy_sort_key(policy) -> tuple:
+    return tuple(sorted((oracle.state_key(s), a) for s, a in policy.items()))
+
+
 def _best_of(grouped):
-    return min(grouped, key=lambda pv: (-pv.value, oracle.policy_sort_key(pv.policy)))
+    return min(grouped, key=lambda pv: (-pv.value, _policy_sort_key(pv.policy)))
 
 
 def test_best_policy_folds_the_enumeration_as_it_would_the_list(tiger, cross_sensing):

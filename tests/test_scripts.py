@@ -34,5 +34,6 @@ def test_measure_cli_one_run(tmp_path):
     result = json.loads(proc.stdout)
     assert result["side"] == "after" and result["exit_codes"] == [0]
     assert result["wall_s"] > 0 and result["max_rss_mb"] > 0
+    assert result["cpu_s"] > 0 and result["cpu_s_each"] == [round(result["cpu_s"], 4)]
     record = json.loads((tmp_path / "BENCH_smoke.json").read_text())
     assert record["measurements"] == [result]
