@@ -259,7 +259,7 @@ def cmd_oracle(args) -> int:
     from . import oracle
     theory = _validated(args)
     try:
-        policy, value = oracle.optimal_policy(theory, args.horizon, oracle.MAX_POLICIES)
+        policy, value = oracle.optimal_policy(theory, args.horizon)
     except oracle.PolicySpaceTooLarge as e:
         raise _CliFailure(EXIT_INPUT, str(e)) from None
     _emit_json(args, {
@@ -303,13 +303,6 @@ def _int(text: str) -> int:
         raise ValueError(f"invalid int value: {text!r}") from None
 
 
-def _horizon(text: str) -> int:
-    horizon = _int(text)
-    if horizon < 1:
-        raise ValueError(f"must be >= 1, not {horizon}")
-    return horizon
-
-
 def _format(text: str) -> str:
     if text not in ("text", "json"):
         raise ValueError(f"invalid choice: {text!r} (choose from 'text', 'json')")
@@ -321,7 +314,7 @@ def _format(text: str) -> str:
 # argument; every flag takes one value.
 _ARGUMENTS = {
     "input": ("theory file (.apo)", str, None),
-    "--horizon": ("number of decision steps (>= 1)", _horizon, None),
+    "--horizon": ("number of decision steps (>= 1)", _int, None),
     "--discount": ("override the theory's discount factor", str, None),
     "--format": ("text or json (default: text)", _format, "text"),
     "--out": ("write output to a file", str, None),
@@ -450,6 +443,9 @@ def _parse_args(argv: list[str]) -> SimpleNamespace:
     if missing:
         raise _usage_error(command, "the following arguments are required: "
                                     + ", ".join(missing))
+    if values.get("--horizon", 1) < 1:
+        raise _usage_error(command, f"argument --horizon: must be >= 1, "
+                                    f"not {values['--horizon']}")
     return SimpleNamespace(command=command, **{
         name.lstrip("-"): values.get(name, _ARGUMENTS[name][2]) for name in names})
 

@@ -25,7 +25,7 @@ class OracleError(ApoError):
 
 
 class PolicySpaceTooLarge(OracleError):
-    """More policies than a caller's limit: refused before any is listed."""
+    """More than `MAX_POLICIES` policies: refused before any is listed."""
 
 
 State = frozenset
@@ -287,7 +287,7 @@ def _policy_choices(theory: ActionTheory, horizon: int, initial: Optional[Initia
     return choices
 
 
-# `apoplan oracle` refuses to list and evaluate more policies than this
+# `enumerate_policies` refuses to list more policies than this
 MAX_POLICIES = 100_000
 
 
@@ -302,24 +302,21 @@ def count_policies(theory: ActionTheory, horizon: int,
 
 
 def enumerate_policies(theory: ActionTheory, horizon: int,
-                       initial: Optional[Initial] = None,
-                       max_policies: Optional[int] = None) -> list[dict[State, str]]:
+                       initial: Optional[Initial] = None) -> list[dict[State, str]]:
     """All maps from reachable states to executable actions, in lexicographic
-    order.  More than `max_policies` of them raise `PolicySpaceTooLarge`
+    order.  More than `MAX_POLICIES` of them raise `PolicySpaceTooLarge`
     before any is listed."""
     choices = _policy_choices(theory, horizon, initial)
-    if max_policies is not None and (count := _count(choices)) > max_policies:
-        raise PolicySpaceTooLarge(f"{count} policies to list, more than {max_policies}")
+    if (count := _count(choices)) > MAX_POLICIES:
+        raise PolicySpaceTooLarge(f"{count} policies to list, more than {MAX_POLICIES}")
     return [dict(zip(choices, combo)) for combo in itertools.product(*choices.values())]
 
 
-def optimal_policy(theory: ActionTheory, horizon: int, max_policies: Optional[int] = None,
-                   ) -> tuple[dict[State, str], Fraction]:
+def optimal_policy(theory: ActionTheory, horizon: int) -> tuple[dict[State, str], Fraction]:
     """Argmax of the belief-weighted value; ties broken lexicographically, as
-    `max` keeps the first best of the policies, which come in that order.
-    More than `max_policies` policies raise `PolicySpaceTooLarge`."""
+    `max` keeps the first best of the policies, which come in that order."""
     initial = initial_states(theory)
     belief = initial_belief(theory, initial)
     return max(((policy, belief_value(theory, policy, horizon, belief, initial))
-                for policy in enumerate_policies(theory, horizon, initial, max_policies)),
+                for policy in enumerate_policies(theory, horizon, initial)),
                key=lambda pv: pv[1])

@@ -276,8 +276,9 @@ def test_help_lists_every_command_and_flag(capsys, argv):
     (["solve", "--disc=1/2", "--ho=1", TIGER], ["solve", TIGER, "--horizon", "1", "--discount", "1/2"]),
     (["validate", "--f", "json", "--", TIGER], ["validate", TIGER, "--format", "json"]),
     (["fuzz", "--seed", "-1"], ["fuzz", "--seed=-1"]),
+    (["policy", TIGER, "--horizon", "0", "--horizon", "1"], ["policy", TIGER, "--horizon", "1"]),
 ], ids=["equals", "prefix", "flags-first", "last-wins", "equals-prefix",
-        "double-dash", "negative-seed"])
+        "double-dash", "negative-seed", "last-wins-over-bad-horizon"])
 def test_argument_forms_read_alike(capsys, argv, same_as):
     code, out = run(capsys, *argv)
     assert (code, out) == run(capsys, *same_as)
