@@ -20,7 +20,7 @@ import argparse
 import time
 from fractions import Fraction
 
-from apoplan import oracle, policies
+from apoplan import compiler, oracle, policies
 from apoplan.fuzz import generate_theory
 from apoplan.nplp import answer_set_sort_key, least_model, reduct, sort_answer_sets
 from apoplan.theory import validate_theory
@@ -64,8 +64,9 @@ def check_answer_sets(theory, horizon: int) -> None:
         "sort_answer_sets disagrees with answer_set_sort_key"
     atoms = run.normal.atoms()
     normal_atoms = [frozenset(a for a in h if a in atoms) for h in answer_sets]
+    normal_sets = [compiler.atoms_of_key(k, run.cnf.atoms) for k in run.normal_sets]
     # sorted lists, not sets, so that a repeated answer set still fails
-    assert sort_answer_sets(run.normal_sets) == sort_answer_sets(normal_atoms), \
+    assert sort_answer_sets(normal_sets) == sort_answer_sets(normal_atoms), \
         "normal_answer_sets differs from the normal atoms of the annotated answer sets"
     for h in answer_sets:
         for t in range(horizon):

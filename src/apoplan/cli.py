@@ -17,28 +17,21 @@ may come before or after the input; the last of a repeated flag wins.  A bad
 command line exits 1 with the command's usage line, and `-h`/`--help` prints
 the help and exits 0.
 
-Each run is a fresh process, so a command imports only the modules it runs,
-and start-up, not planning, is most of the time of a small run.  The table
-replaces argparse, which with `gettext` and `locale` cost each process
-several milliseconds, and `json` is imported only where JSON is written, so
-`validate --format text`, `ground`, `compile` and `normalize` never load it.
-`validate` and `ground` load `theory`, `oracle` adds `oracle`, and `fuzz`
-adds `fuzz`.  The commands that compile (`compile`, `normalize`, `sat`,
-`solve`, `policy`, `check`) read their stages from one `policies.Run`, which
-`_run` builds, so each stage is computed once per command and the order of
-the stages is written down in `Run` alone.  Importing `policies` loads the
-whole pipeline, so every compiling command loads the same modules: a tracer
-that wraps the pipeline's functions, such as `perfbench/spans.py`, finds them
-all after any of these commands has run.
+Each run is a fresh process, so a command imports only the modules it runs
+(no argparse; `json` only where JSON is written): start-up is most of the
+time of a small run.  The commands that compile read their stages from one
+`policies.Run`, which `_run` builds, so each stage is computed once;
+importing `policies` loads the whole pipeline, so a tracer that wraps its
+functions, such as `perfbench/spans.py`, finds them all.
 Every error the stages raise on purpose derives from `apoplan.ApoError`, so
 `main` maps them to exit 3 without importing the stage modules.
 
 Output is held only as far as it must be.  `solve` alone needs every answer
-set at once, to sort them: it lists them before it opens its output, so a
-stage that fails writes nothing, and writes its JSON one answer set per
-write call.  `policy` and `check` read each answer set once, as it is
-enumerated, and keep none (`policies.best_policy`, `policies.cross_check`).
-`oracle` lists every policy, so it refuses more than `oracle.MAX_POLICIES`.
+set at once, to sort them: it lists them as dicts before it opens its output,
+so a stage that fails writes nothing, and `nplp.answer_sets_json` sorts and
+writes them from one rank table.  `policy` and `check` read each answer set
+once, from its layers, and keep none.  `oracle` refuses more than
+`oracle.MAX_POLICIES` policies, which it would list.
 """
 
 from __future__ import annotations
@@ -46,7 +39,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 from .theory import (
     ActionTheory, ApoError, ValidationReport, parse_theory, serialize_theory,
@@ -55,7 +48,6 @@ from .theory import (
 
 if TYPE_CHECKING:
     from .compiler import NormalProgram
-    from .nplp import PInterpretation
     from .policies import Run
 
 EXIT_OK = 0
@@ -212,37 +204,12 @@ def cmd_sat(args) -> int:
     return EXIT_OK
 
 
-def _solve_chunks(horizon: int, discount: Fraction, models: Sequence[PInterpretation],
-                  ) -> Iterator[str]:
-    """The `solve` payload as `json.dumps(payload, indent=2) + "\n"` writes
-    it, in chunks: the header, then each answer set with the separator before
-    it, then the footer.  Each distinct atom's JSON key is encoded once."""
-    import json
-    from .nplp import render_atom
-    header = json.dumps({"horizon": horizon, "discount": float(discount),
-                         "count": len(models)}, indent=2)
-    yield header[:-2] + ',\n  "answer_sets": ['
-    keys: dict[str, str] = {}  # rendering -> its JSON key line prefix
-    for i, h in enumerate(models):
-        items = {}
-        for atom, value in h.items():
-            name = render_atom(atom)
-            if name not in keys:
-                keys[name] = "      " + json.dumps(name) + ": "
-            items[name] = float(value)
-        # json writes a float with repr, and an empty object as {}
-        body = ",\n".join(keys[n] + repr(v) for n, v in sorted(items.items()))
-        yield ("\n    " if i == 0 else ",\n    ") \
-            + ("{\n" + body + "\n    }" if body else "{}")
-    yield "\n  ]\n}\n" if models else "]\n}\n"
-
-
 def cmd_solve(args) -> int:
-    from .nplp import sort_answer_sets
+    from .nplp import answer_sets_json
     run = _run(args)
-    # listed and sorted before the output is opened: a failing stage writes nothing
-    _emit_chunks(args, _solve_chunks(args.horizon, run.theory.discount,
-                                     sort_answer_sets(list(run.iter_answer_sets()))))
+    # listed before the output is opened: a failing stage writes nothing
+    answer_sets = list(run.iter_answer_sets())
+    _emit_chunks(args, answer_sets_json(args.horizon, run.theory.discount, answer_sets))
     return EXIT_OK
 
 

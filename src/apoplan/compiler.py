@@ -5,24 +5,13 @@ answer sets decoded from the last one.
    trajectories, state probabilities, rewards, and running values.
 2. `normalize` deletes the probability/reward/value bookkeeping rules, leaving a
    classical normal program over the same trajectory skeleton.
-3. `to_sat` Clark-completes the (tight) normal program into CNF; `decode_model`
-   maps SAT models back to atom sets.
+3. `to_sat` Clark-completes the (tight) normal program into CNF.
 
 `normal_answer_sets` lists the answer sets of the normal program by a search
-of its own, which uses neither the completion nor the annotated engine, so
-the checks can compare it with both.
-
-`iter_annotated_answer_sets` yields the answer sets of the annotated program
-one at a time, from the completion models, which it searches in a time-major
-renumbering of the CNF: each model is a normal answer set, and the deleted
-rule families add its probabilities, rewards and values as one least model.
-`probability_rules` puts the family rules in dependency order once, so that
-least model is one pass over the rules the model enables, each fired through
-`nplp.iter_rule_firings`; answer sets that share a trajectory prefix reuse
-the firings made there.  Both enumerators
-give their answer sets in search order.  `check_tight` and that dependency
-order share one depth-first search, `_depth_first_order`.
-`policies.Run` chains these stages, each computed once.
+of its own, so the checks can compare it with the completion.
+`iter_answer_set_layers` derives the annotated answer sets from the
+completion models one time step (layer) at a time, keeping the layers a model
+shares with the one before it.  `policies.Run` chains these stages.
 
 Every emitted rule carries a schema tag so later stages can delete exactly the
 right rule families.
@@ -31,13 +20,16 @@ right rule families.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from . import ApoError, Record, sat, set_field
 from .nplp import (
-    Add, Atom, BLit, Mul, NpProgram, NpRule, Num, ONE, PInterpretation, Ref,
-    atom_is_ground, can_match, iter_rule_firings, render_atom,
+    GROUND_TERMS, Add, Atom, BLit, Mul, NpProgram, NpRule, Num, ONE,
+    PInterpretation, Ref, atom_is_ground, can_match, iter_rule_firings,
+    render_atom,
 )
 from .theory import (
     ValidationReport, close_initial_formula, negate, reading_literals,
@@ -221,12 +213,7 @@ class NormalProgram(Record):
         set_field(self, "rules", rules)
 
     def atoms(self) -> set[Atom]:
-        out: set[Atom] = set()
-        for head, pos, neg in self.rules:
-            out.add(head)
-            out.update(pos)
-            out.update(neg)
-        return out
+        return {a for head, pos, neg in self.rules for a in (head, *pos, *neg)}
 
 
 def normalize(program: NpProgram) -> NormalProgram:
@@ -239,7 +226,8 @@ def normalize(program: NpProgram) -> NormalProgram:
                                "normalize applies to compiler output only")
         if rule.schema in _PROBABILITY_SCHEMAS:
             continue
-        if rule.head_ann != ONE or any(b.ann != ONE for b in rule.body):
+        # most annotations are ONE itself, which `is` tells faster than `==`
+        if any(a is not ONE and a != ONE for a in (rule.head_ann, *(b.ann for b in rule.body))):
             raise CompileError(
                 f"non-unit annotation survives outside the deleted schemas: "
                 f"{render_atom(rule.head)}")
@@ -249,27 +237,24 @@ def normalize(program: NpProgram) -> NormalProgram:
     return NormalProgram(rules=tuple(out))
 
 
-def normal_answer_sets(program: NormalProgram) -> list[frozenset]:
-    """All answer sets of a tight normal program, in search order.
+def normal_answer_sets(program: NormalProgram) -> list[int]:
+    """All answer sets of a tight normal program, in search order, each as a
+    key whose bit i is atom i in `render_atom` order, as `to_sat` numbers
+    them (`atoms_of_key`).
 
     A boolean search over the negated atoms that uses neither the completion
     nor the annotated least models, so the checks that compare its result with
     theirs compare independent computations.  Each node keeps two bounds on
-    the answer sets below it (Simons, Niemelä and Soininen 2002):
-
-    - the lower bound, the least model of the rules whose negated atoms are
-      all false, kept with a count per rule of the body literals it still
-      needs;
-    - the upper bound, the least model of the rules none of whose negated
-      atoms is true, kept with a count per atom of the rules that still
-      support it.  Dropping an atom whose count reaches 0 gives that least
-      model only because the program is tight: no positive loop can support
-      itself.
-
-    A negated atom that enters the lower bound is true and one that leaves
-    the upper bound is false; a true atom that leaves the upper bound, or a
-    false atom that enters the lower bound, ends the branch.  Once every
-    negated atom is assigned the two bounds are one set, the answer set."""
+    the answer sets below it (Simons, Niemelä and Soininen 2002): the lower
+    bound, the least model of the rules whose negated atoms are all false,
+    with a count per rule of the body literals it still needs; and the upper
+    bound, the least model of the rules none of whose negated atoms is true,
+    with a count per atom of the rules that still support it (dropping an
+    atom at 0 gives that least model because the program is tight).  A
+    negated atom that enters the lower bound is true and one that leaves the
+    upper bound is false; a true atom that leaves the upper bound, or a false
+    one that enters the lower bound, ends the branch.  Once every negated
+    atom is assigned the two bounds are one set, the answer set."""
     check_tight(program)
     atoms = sorted(program.atoms(), key=render_atom)
     index = {a: i for i, a in enumerate(atoms)}
@@ -352,12 +337,13 @@ def normal_answer_sets(program: NormalProgram) -> list[frozenset]:
             fire.append(neg_occ[a])
     state = (value, [False] * n, need, gone, support)
     stack = [state] if propagate(*state, fire, []) else []
-    found: list[tuple[int, ...]] = []
+    bits = [1 << i for i in range(n)]
+    found: list[int] = []
     while stack:
         state = stack.pop()
         branch = next((a for a in negated if not state[0][a]), None)
         if branch is None:
-            found.append(tuple(itertools.compress(range(n), state[1])))
+            found.append(sum(itertools.compress(bits, state[1])))
             continue
         # an unassigned atom is inside the upper bound and outside the lower
         # one, so either value is consistent until propagation says otherwise
@@ -370,7 +356,13 @@ def normal_answer_sets(program: NormalProgram) -> list[frozenset]:
             if propagate(*child, fire, kill):
                 stack.append(child)
 
-    return [frozenset(map(atoms.__getitem__, ids)) for ids in found]
+    return found
+
+
+def atoms_of_key(key: int, atoms: Sequence[Atom]) -> frozenset:
+    """The atoms of a model key: those `atoms[i]` whose bit i is set.  With
+    the atoms of `to_sat`'s CNF, bit i is variable i + 1."""
+    return frozenset(a for i, a in enumerate(atoms) if key >> i & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -453,19 +445,13 @@ def to_sat(program: NormalProgram) -> CnfFormula:
 
     Each rule gives the forward clause `body -> head`.  The only-if direction
     `head -> body_1 v ... v body_k` is distributed into one clause per choice
-    of a literal from each body, so its size is the product of the body
-    lengths.  Two reductions keep that product small:
-
-    - Atoms forced true by negation-free rules (facts and their closure) are
-      pinned by unit clauses and dropped from bodies, which removes
-      always-true guard atoms.
-    - A body containing `not head` is false whenever the head is true, so it
-      is left out of the head's only-if clauses without changing the formula.
-      When every body is left out the product is empty and the head gets the
-      unit clause `-head`.  This keeps constraint rules such as
-      `inconsistent <- not inconsistent, holds(f, t), holds(-f, t)` from
-      multiplying into 3^(bodies) clauses; the CNF grows linearly with the
-      horizon."""
+    of a literal from each body.  Two reductions keep that product small.
+    Atoms forced true by negation-free rules are pinned by unit clauses and
+    dropped from bodies.  A body containing `not head` is false whenever the
+    head is true, so it is left out of the head's only-if clauses; when every
+    body is, the head gets the unit clause `-head`.  Constraint rules such as
+    `inconsistent <- not inconsistent, holds(f, t), holds(-f, t)` then add no
+    3^(bodies) clauses, and the CNF grows linearly with the horizon."""
     check_tight(program)
     atoms = sorted(program.atoms(), key=render_atom)
     var = {a: i + 1 for i, a in enumerate(atoms)}
@@ -522,10 +508,8 @@ def to_sat(program: NormalProgram) -> CnfFormula:
 
 
 def decode_model(model: Sequence[bool | None], cnf: CnfFormula) -> frozenset:
-    """True-atom set of a total SAT model of `cnf` in the form that
-    `sat.enumerate_models` yields: a sequence whose item v is the value of
-    variable v, item 0 unused.  A model of another length is refused, since
-    it cannot belong to `cnf`."""
+    """True-atom set of a total SAT model of `cnf` as `sat.enumerate_models`
+    yields it (item v the value of variable v); another length is refused."""
     if len(model) != cnf.variable_count + 1:
         raise CompileError(f"model of {len(model)} items for "
                            f"{cnf.variable_count} variables and the unused item 0")
@@ -537,14 +521,11 @@ def decode_model(model: Sequence[bool | None], cnf: CnfFormula) -> frozenset:
 
 
 def probability_rules(program: NpProgram) -> list[tuple]:
-    """Index the probability-family rules of a compiled program.
-
-    Returns the rules as `(guard, remainder)` pairs, ordered so that a rule
-    comes after every rule whose head can match one of its body atoms.  The
-    guard is the set of ground normal atoms a rule's body requires (`holds`,
-    `occ`, `exec`, `observed`); the remainder is the rule over the atoms the
-    probability families derive (`state`, `value`, `factor`, `reward`), which
-    `nplp.iter_rule_firings` fires."""
+    """The probability-family rules of a compiled program as `(guard,
+    remainder)` pairs, a rule after every rule whose head can match one of
+    its body atoms.  The guard is the set of normal atoms its body requires;
+    the remainder, the rule over the atoms the families derive (`state`,
+    `value`, `factor`, `reward`), which `nplp.iter_rule_firings` fires."""
     def fail(message: str):
         raise CompileError(f"annotated answer sets: {message}")
 
@@ -568,7 +549,7 @@ def probability_rules(program: NpProgram) -> list[tuple]:
                      f"has the negated literal not {render_atom(lit.atom)}")
             if lit.atom[0] in derived:
                 rest.append(lit)
-            elif atom_is_ground(lit.atom) and lit.ann == ONE:
+            elif atom_is_ground(lit.atom) and (lit.ann is ONE or lit.ann == ONE):
                 guard.append(lit.atom)
             else:
                 fail(f"schema {rule.schema} rule for {render_atom(rule.head)} "
@@ -578,15 +559,7 @@ def probability_rules(program: NpProgram) -> list[tuple]:
                         NpRule(head=rule.head, head_ann=rule.head_ann,
                                body=tuple(rest), schema=rule.schema)))
 
-    # rule i feeds rule j when i's head can match one of j's body atoms
-    heads_by_pred: dict[str, list[int]] = {}
-    for i, (_, rule) in enumerate(indexed):
-        heads_by_pred.setdefault(rule.head[0], []).append(i)
-    feeders = [
-        sorted({i for lit in rule.body
-                for i in heads_by_pred.get(lit.atom[0], ())
-                if can_match(lit.atom, indexed[i][1].head)})
-        for _, rule in indexed]
+    feeders = _feeders(indexed)
     order = _depth_first_order(
         range(len(indexed)), feeders.__getitem__,
         lambda cycle: fail("the probability rules for "
@@ -595,21 +568,41 @@ def probability_rules(program: NpProgram) -> list[tuple]:
     return [indexed[j] for j in order]
 
 
+def _feeders(rules: Sequence[tuple]) -> list[list[int]]:
+    """Per rule of `rules`, `(guard, remainder)` pairs, the positions of the
+    rules whose head can match one of its body atoms, in order.  The heads
+    are indexed by predicate and ground last argument (the time step), so a
+    body atom is tested only against the heads that can agree with it."""
+    def last(atom: Atom):
+        return atom[-1] if len(atom) > 1 and isinstance(atom[-1], GROUND_TERMS) else None
+
+    heads: dict[str, dict] = {}
+    for i, (_, rule) in enumerate(rules):
+        heads.setdefault(rule.head[0], {}).setdefault(last(rule.head), []).append(i)
+
+    def fed(atom: Atom) -> set[int]:
+        by_last, t = heads.get(atom[0], {}), last(atom)
+        groups = by_last.values() if t is None else (by_last.get(t, ()), by_last.get(None, ()))
+        return {i for group in groups for i in group if can_match(atom, rules[i][1].head)}
+
+    return [sorted(set().union(*(fed(lit.atom) for lit in rule.body))) for _, rule in rules]
+
+
 # the predicates of the normal atoms whose last argument is a time step
 _STEP_PREDICATES = frozenset({"holds", "occ", "abocc", "exec", "observed"})
 
 
+def _step(atom: Atom) -> int | None:
+    return atom[-1] if atom[0] in _STEP_PREDICATES and isinstance(atom[-1], int) else None
+
+
 def _time_major(cnf: CnfFormula) -> CnfFormula:
-    """`cnf` with its variables renumbered in time-major order: first the
-    atoms without a time step, then those of step 0, 1, ..., `occ` first
-    within a step, each group in the order of `cnf`.  Branching on the lowest
-    unassigned variable then settles a trajectory one step after another, so
-    the models that share a prefix share the search above it."""
+    """`cnf` renumbered time-major: the atoms without a time step, then those
+    of step 0, 1, ..., `occ` first within a step, each group in the order of
+    `cnf`.  The search then settles a trajectory one step after another."""
     def key(i: int) -> tuple:
-        atom = cnf.atoms[i]
-        if atom[0] in _STEP_PREDICATES and isinstance(atom[-1], int):
-            return (1, atom[-1], atom[0] != "occ", i)
-        return (0, 0, False, i)
+        step = _step(cnf.atoms[i])
+        return (0, 0, False, i) if step is None else (1, step, cnf.atoms[i][0] != "occ", i)
 
     order = sorted(range(cnf.variable_count), key=key)
     renumbered = [0] * (cnf.variable_count + 1)
@@ -620,82 +613,105 @@ def _time_major(cnf: CnfFormula) -> CnfFormula:
     return CnfFormula(clauses=clauses, atoms=tuple(cnf.atoms[i] for i in order))
 
 
-def iter_annotated_answer_sets(rules: list[tuple], cnf: CnfFormula,
-                               ) -> Iterator[PInterpretation]:
-    """Yield each answer set of a compiled annotated program once, from its
-    `probability_rules` and the completion `cnf = to_sat(normalize(program))`;
-    of the answer sets only the one being yielded is held.  They come in the
-    order in which `sat.enumerate_models` lists the models of a time-major
-    renumbering of `cnf` (`_time_major`), which is not the order of `cnf`.
+# Time step t of an answer set: `held`, the values of its variables, the holds
+# atoms of t and the other atoms of step t - 1 (in layer 0, also those without
+# a step); `atoms`, the true ones; `key`, their bits (`atoms_of_key` over the
+# CNF's atoms); `state` and `occ`, its holds literals and occ sub-outcome ids;
+# `values` and `by_pred`, the atoms derived up to it, by value and predicate.
+Layer = namedtuple("Layer", "held atoms key state occ values by_pred")
+
+
+def _kept(stack: list[Layer], pick: list, model: list) -> int:
+    """How many layers of `stack` `model` keeps: those below the first whose
+    variables (`pick`) it holds otherwise."""
+    return next((k for k, layer in enumerate(stack) if pick[k](model) != layer.held),
+                len(stack))
+
+
+def iter_answer_set_layers(rules: list[tuple], cnf: CnfFormula,
+                           ) -> Iterator[tuple[Layer, ...]]:
+    """Yield each answer set of a compiled program once, as a tuple of one
+    `Layer` per time step, from its `probability_rules` and the completion
+    `cnf = to_sat(normalize(program))`, in the order in which
+    `sat.enumerate_models` lists the models of `_time_major(cnf)`.
 
     The probability families have no negation and no other rule reads what
     they derive, so the normal atoms split the program (Lifschitz and Turner
-    1994): an answer set is an answer set M of the normal program, its atoms
-    at 1, joined with the least model of the family rules whose guards M
-    holds.  The normal program is tight, so its answer sets are the models of
-    its completion (Fages 1994), which `sat.enumerate_models` lists, each as
-    one list indexed by variable; `decode_model` takes M from it with one
-    `itertools.compress` over the atoms of the renumbering.
+    1994): an answer set is a model M of the completion (the normal program
+    is tight: Fages 1994), its atoms at 1, joined with the least model of the
+    family rules whose guards M holds: one pass over them in dependency
+    order, each head keeping the max of its firings.
 
-    The family rules are in dependency order, so the least model of each M
-    is one pass over them: every enabled rule fires, through
-    `nplp.iter_rule_firings`, against the atoms derived so far, which are
-    final for everything it can read, and each head keeps the max of its
-    firings.  A rule is tested only when M holds its `occ` guard atom, or
-    when it has none.
-
-    What a rule fires depends only on what its body reads: the value of each
-    ground body atom, and each atom, with its value, that can match one of
-    its patterns.  Answer sets that share a trajectory prefix read
-    the same objects there, so one dict per enumeration keeps each rule's
-    firings under the ids of what it read, for reuse.  A hit is exact: atoms
-    and `Fraction`s are immutable, and each entry holds the objects of its
-    key, so no id is reused while the dict lives."""
+    A rule's layer is the latest among its guard atoms and the rules before
+    it, which include those that feed it.  The search is time-major, so a
+    model mostly differs from the one before only in its last step: it keeps
+    the layers below the first one whose atoms differ, and derives the rest."""
     search = _time_major(cnf)
-    unguarded: list[int] = []
-    by_occ: dict[Atom, list[int]] = {}
-    # per rule, its ground body atoms and its patterns
-    reads: list[tuple] = []
-    for i, (guard, rule) in enumerate(rules):
-        occ = next((a for a in guard if a[0] == "occ"), None)
-        (unguarded if occ is None else by_occ.setdefault(occ, [])).append(i)
-        reads.append((
-            tuple(lit.atom for lit in rule.body if atom_is_ground(lit.atom)),
-            tuple(lit.atom for lit in rule.body if not atom_is_ground(lit.atom))))
-    # (rule, ids of what it read) -> (what it read, its firings)
-    fired: dict[tuple, tuple[list, list]] = {}
-    one = Fraction(1)
-    for model in sat.enumerate_models(search.clauses, search.variable_count):
-        atoms = decode_model(model, search)
-        h = dict.fromkeys(atoms, one)
-        # the remainders read only the atoms the families derive, which
-        # by_pred indexes, so they fire against h itself
-        by_pred: dict[str, list[Atom]] = {}
-        # the rules M may enable, in dependency order
-        enabled = sorted(unguarded + [i for occ, ids in by_occ.items()
-                                      if occ in atoms for i in ids])
-        for i in enabled:
-            guard, rule = rules[i]
-            if not guard <= atoms:
-                continue
-            ground, patterns = reads[i]
-            read = [h.get(atom) for atom in ground]
-            for pattern in patterns:
-                for atom in by_pred.get(pattern[0], ()):
-                    if can_match(pattern, atom):
-                        read += (atom, h[atom])
-            key = (i, *map(id, read))
-            entry = fired.get(key)
-            if entry is None:
-                entry = fired[key] = (read, list(iter_rule_firings(rule, h, by_pred)))
-            for head, value in entry[1]:
-                old = h.get(head)
-                if old is None:
-                    # an atom at 0 is absent, as in `nplp.least_model`
-                    if value:
-                        h[head] = value
-                        by_pred.setdefault(head[0], []).append(head)
-                elif value > old:
-                    h[head] = value
-        yield h
+    atoms = search.atoms
+    # per variable - 1: its layer, the step of a holds atom, one more than that
+    # of the other atoms with a step, and 0
+    layer = [0 if _step(a) is None else _step(a) + (a[0] != "holds") for a in atoms]
+    count = max(layer, default=0) + 1
+    members = [[v for v, k in enumerate(layer, 1) if k == g] for g in range(count)]
+    # per layer: the values of its variables in a model, their atoms and
+    # key bits, and the places of its holds and occ atoms among them
+    pick = [itemgetter(*vs) if len(vs) > 1 else (lambda model, vs=vs: tuple(model[v] for v in vs))
+            for vs in members]
+    layer_atoms = [tuple(atoms[v - 1] for v in vs) for vs in members]
+    bit = {a: 1 << i for i, a in enumerate(cnf.atoms)}
+    layer_bits = [tuple(map(bit.__getitem__, a)) for a in layer_atoms]
+    holds, occ = ([[(i, a[1]) for i, a in enumerate(group) if a[0] == pred]
+                   for group in layer_atoms] for pred in ("holds", "occ"))
 
+    var = {a: v for v, a in enumerate(atoms, 1)}
+    # per layer, its rules with their guard variables, the occ one first
+    rules_of: list[list[tuple]] = [[] for _ in range(count)]
+    latest = 0
+    for j, (guard, _) in enumerate(rules):
+        vs = [var.get(a, 0) for a in guard]
+        latest = max([latest] + [layer[v - 1] for v in vs if v])
+        if 0 not in vs:  # else a guard atom that no model holds
+            rules_of[latest].append((j, sorted(vs, key=lambda v: atoms[v - 1][0] != "occ")))
+
+    constant: dict[int, list] = {}  # the firings of the rules whose bodies read nothing
+    stack: list[Layer] = []
+    for model in sat.enumerate_models(search.clauses, search.variable_count):
+        del stack[_kept(stack, pick, model):]
+        for k in range(len(stack), count):
+            values, by_pred = (stack[-1].values, stack[-1].by_pred) if stack else ({}, {})
+            copied = False
+            for j, vs in rules_of[k]:
+                # most fail on their occ variable: another sub-outcome's
+                if vs and not model[vs[0]] or not all(map(model.__getitem__, vs)):
+                    continue
+                rule = rules[j][1]
+                fired = constant.get(j) or list(iter_rule_firings(rule, values, by_pred))
+                if not rule.body:
+                    constant[j] = fired
+                for head, value in fired:
+                    old = values.get(head)
+                    # an atom at 0 is absent, as in `nplp.least_model`
+                    if not value if old is None else value <= old:
+                        continue
+                    if not copied:  # the layers below keep theirs
+                        values, by_pred, copied = dict(values), dict(by_pred), True
+                    if old is None:
+                        by_pred[head[0]] = by_pred.get(head[0], ()) + (head,)
+                    values[head] = value
+            held = pick[k](model)
+            stack.append(Layer(
+                held, tuple(itertools.compress(layer_atoms[k], held)),
+                sum(itertools.compress(layer_bits[k], held)),
+                frozenset([lit for i, lit in holds[k] if held[i]]),
+                tuple([o for i, o in occ[k] if held[i]]), values, by_pred))
+        yield tuple(stack)
+
+
+def iter_annotated_answer_sets(rules: list[tuple], cnf: CnfFormula,
+                               ) -> Iterator[PInterpretation]:
+    """The answer sets of `iter_answer_set_layers`, in its order, each as
+    one dict: the true normal atoms at 1, the derived atoms at their values."""
+    for layers in iter_answer_set_layers(rules, cnf):
+        h = dict.fromkeys(itertools.chain.from_iterable([l.atoms for l in layers]), ONE.value)
+        h.update(layers[-1].values)
+        yield h

@@ -1,19 +1,13 @@
 """Ground annotated logic programs and their probabilistic answer sets.
 
 Rules attach probability annotations to atoms; several firings deriving the
-same atom are combined by max, the one composition rule (in the programs that
-`compiler.compile_theory` emits each annotated atom fires at most once per
-answer set, so no other disjunctive strategy would change an answer set).
-An answer set is the least model of the program's reduct by that set; here
-`least_model` is Kleene iteration of the one-step operator and
-`enumerate_answer_sets` tries every set of negated atoms, both written as the
-definitions, for tests.  The CLI gets the answer sets of compiled programs
-from `compiler.iter_annotated_answer_sets`, which decodes them from SAT
-models and fires the probability rules in one pass per model through
-`iter_rule_firings`, the one firing path (reusing a rule's firings where
-answer sets share what it reads), and the normal answer sets from the
-boolean search in `compiler.normal_answer_sets`, both in the order their
-search finds them.
+same atom are combined by max, the one composition rule (in compiled programs
+each annotated atom fires at most once per answer set).  An answer set is the
+least model of the program's reduct by that set; `least_model` (Kleene
+iteration) and `enumerate_answer_sets` (every set of negated atoms) are the
+definitions, for tests.  The CLI gets its answer sets from
+`compiler.iter_answer_set_layers`, which fires the probability rules through
+`iter_rule_firings`, the one firing path; `answer_sets_json` writes them.
 
 Atoms are tuples `(pred, arg, ...)`; arguments are strings, ints, Fractions, or
 (in rule patterns) term variables.  Head terms and annotations are written in
@@ -31,6 +25,8 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from itertools import compress, repeat
+from operator import is_not
 from typing import Iterable, Iterator, Mapping, Optional
 
 from . import ApoError, Record, set_field
@@ -86,11 +82,13 @@ def eval_expr(expr, env: Mapping[str, Fraction]) -> Fraction:
             v = env[expr.name]
         except KeyError:
             raise NplpError(f"unbound variable {expr.name}") from None
+        if type(v) is Fraction:
+            return v
         if not isinstance(v, (int, Fraction)):
             raise NplpError(f"variable {expr.name} bound to non-numeric {v!r}")
         return Fraction(v)
     if isinstance(expr, Add):
-        return sum((eval_expr(p, env) for p in expr.parts), Fraction(0))
+        return sum((eval_expr(p, env) for p in expr.parts), _ZERO)
     if isinstance(expr, Mul):
         out = Fraction(1)
         for p in expr.parts:
@@ -99,6 +97,7 @@ def eval_expr(expr, env: Mapping[str, Fraction]) -> Fraction:
     raise NplpError(f"cannot evaluate {expr!r}")
 
 
+_ZERO = Fraction(0)
 ONE = Num(Fraction(1))
 
 
@@ -222,21 +221,61 @@ def answer_set_sort_key(h: PInterpretation) -> list[str]:
     return sorted(render_atom(a) for a in h)
 
 
+def _ranked(sets: list) -> tuple[list[str], dict[int, int], list[list[int]]]:
+    """The distinct renderings of the atoms of `sets` in order; each atom's
+    rank, the place of its rendering, by its id (hashing an atom that holds a
+    Fraction is slow); and each set's sorted rank list.  Atoms that render
+    alike share a rank, so rank lists compare as the rendered lists do."""
+    distinct: dict[int, Atom] = {}
+    for h in sets:
+        distinct.update(zip(map(id, h), h))
+    names = dict(zip(distinct, map(render_atom, distinct.values())))
+    order = sorted(set(names.values()))
+    place = {name: i for i, name in enumerate(order)}
+    rank = {k: place[name] for k, name in names.items()}
+    return order, rank, [sorted(map(rank.__getitem__, map(id, h))) for h in sets]
+
+
 def sort_answer_sets(sets: list) -> list:
-    """`sets` (frozensets or dicts of atoms) sorted by `answer_set_sort_key`:
-    an atom's rank is the place of its rendering among all of them, so atoms
-    that render alike share a rank and sorted rank lists compare as the
-    sorted rendered lists do."""
-    atoms = set().union(*sets)
-    place = {name: i for i, name in enumerate(sorted(set(map(render_atom, atoms))))}
-    rank = {atom: place[render_atom(atom)] for atom in atoms}
-    keys = [sorted(map(rank.__getitem__, h)) for h in sets]
+    """`sets` (frozensets or dicts of atoms) sorted by `answer_set_sort_key`."""
+    keys = _ranked(sets)[2]
     return [sets[i] for i in sorted(range(len(sets)), key=keys.__getitem__)]
 
 
+def answer_sets_json(horizon: int, discount: Fraction, sets: list[PInterpretation],
+                     ) -> Iterator[str]:
+    """The `solve` payload for `sets`, sorted by `answer_set_sort_key`, as
+    `json.dumps(payload, indent=2) + "\n"` writes it, in chunks: the header,
+    each answer set, and the footer.  Each distinct atom is rendered once, as
+    is each value object; a set's sorted rank list is both its sort key and
+    the order of its keys.  Each atom's line at `ONE.value` is made once."""
+    import json
+    names, rank, keys = _ranked(sets)
+    quoted = ["      " + json.dumps(name) + ": " for name in names]
+    one = ONE.value
+    ones = [q + repr(float(one)) for q in quoted]  # as json writes a float
+    text: dict[int, str] = {}
+    header = json.dumps({"horizon": horizon, "discount": float(discount),
+                         "count": len(sets)}, indent=2)
+    yield header[:-2] + ',\n  "answer_sets": ['
+    for n, i in enumerate(sorted(range(len(sets)), key=keys.__getitem__)):
+        h, order = sets[i], keys[i]
+        # of two atoms that render alike, the later one is written, once
+        alike = len(set(order)) < len(order)
+        other = [True] * len(h) if alike else list(map(is_not, h.values(), repeat(one)))
+        lines = {rank[id(a)]: quoted[rank[id(a)]] + (
+                     text.get(id(v)) or text.setdefault(id(v), repr(float(v))))
+                 for a, v in zip(compress(h, other), compress(h.values(), other))}
+        order = sorted(lines) if alike else order
+        body = ",\n".join(map(lines.get, order, map(ones.__getitem__, order)))
+        yield ("\n    " if n == 0 else ",\n    ") + ("{\n" + body + "\n    }" if body else "{}")
+    yield "\n  ]\n}\n" if sets else "]\n}\n"
+
+
 def _substitute_atom(atom: Atom, binding: Mapping) -> Atom:
-    return (atom[0], *(binding.get(a.name, a) if isinstance(a, Ref) else a
-                       for a in atom[1:]))
+    if not binding:
+        return atom
+    return (atom[0], *[binding.get(a.name, a) if isinstance(a, Ref) else a for a in atom[1:]])
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +316,10 @@ def iter_rule_firings(rule: NpRule, h: Mapping[Atom, Fraction],
             candidates = [c for c in atoms_by_pred.get(atom[0], ())
                           if can_match(atom, c)]
         for cand in candidates:
-            env2 = _bind(atom, cand, env)
+            env2 = env if cand is atom else _bind(atom, cand, env)
             if env2 is None:
                 continue
-            value = h.get(cand, Fraction(0))
+            value = h.get(cand, _ZERO)
             ann = lit.ann
             if isinstance(ann, Ref) and ann.name not in env2:
                 env2 = dict(env2)

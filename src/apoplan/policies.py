@@ -9,10 +9,11 @@ Summing values over the answer sets consistent with a policy therefore equals
 the belief-weighted oracle value of that policy.  The checks compare the terms
 of those sums, one per trajectory, which covers every policy without listing any.
 
-`Run` computes each stage of the pipeline once and keeps no answer set.
-`best_policy` folds them, as they are enumerated, into a sum per action map
-and searches the maps, not a list of policies, for the best policy;
-`cross_check` reads them once for all four checks.
+`Run` computes each stage of the pipeline once and keeps no answer set;
+`extract_report` reads one from its layers as it is enumerated.
+`best_policy` folds the reports into a sum per action map and searches the
+maps, not a list of policies; `cross_check` reads them once for all four
+checks, keying each completion model as an integer.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from functools import cached_property
 from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
 
 from . import ApoError, Record, compiler, oracle, set_field
+from .compiler import Layer
 from .nplp import NpProgram, PInterpretation, render_atom, sort_answer_sets
 from .oracle import Initial, State
 from .theory import ActionTheory, fluent_of, is_consistent, validate_theory
@@ -52,53 +54,35 @@ class AnswerSetReport(Record):
         set_field(self, "reasons", reasons)
 
 
-def extract_report(theory: ActionTheory, h: PInterpretation, horizon: int,
+def extract_report(theory: ActionTheory, layers: Sequence[Layer], horizon: int,
                    ) -> AnswerSetReport:
-    """Read the trajectory encoded by answer set `h`.
-
-    The report is invalid (rather than an error) when the answer set is
-    degenerate: a chosen sub-outcome whose condition failed leaves no successor
-    probability and no horizon value."""
+    """Read the trajectory encoded by an answer set from its layers
+    (`compiler.iter_answer_set_layers`).  The report is invalid (rather than
+    an error) when the answer set is degenerate: a chosen sub-outcome whose
+    condition failed leaves no successor probability and no horizon value."""
     reasons: list[str] = []
-
-    # one pass over h, bucketing the atoms at 1 by predicate and time
-    holds: dict[int, set] = {}
-    occ_at: dict[int, list] = {}
-    values = []
-    for atom, v in h.items():
-        pred = atom[0]
-        if pred == "holds":
-            if v >= 1:
-                holds.setdefault(atom[2], set()).add(atom[1])
-        elif pred == "occ":
-            if v >= 1:
-                occ_at.setdefault(atom[2], []).append(atom[1])
-        elif pred == "value":
-            if atom[2] == horizon and v >= 1:
-                values.append(atom[1])
-
     fluents = set(theory.fluents)
-    states = []
-    for t in range(horizon + 1):
-        state = frozenset(holds.get(t, ()))
-        states.append(state)
-        if not is_consistent(state):
-            reasons.append(f"inconsistent holds-literals at time {t}")
-        elif {fluent_of(l) for l in state} != fluents:
-            reasons.append(f"incomplete holds-literals at time {t}")
+    states = tuple(layer.state for layer in layers[:horizon + 1])
+    for t, state in enumerate(states):
+        # one literal of each fluent, so consistent and complete
+        if len(state) != len(fluents) or {fluent_of(l) for l in state} != fluents:
+            reasons.append(f"{'incomplete' if is_consistent(state) else 'inconsistent'} "
+                           f"holds-literals at time {t}")
 
-    occ = []
-    for t in range(horizon):
-        chosen = sorted(occ_at.get(t, ()))
+    occ = [sorted(layer.occ) for layer in layers[1:horizon + 1]]
+    for t, chosen in enumerate(occ):
         if len(chosen) != 1:
-            raise PolicyError(
-                f"expected exactly one occ atom at time {t}, found {chosen}")
-        occ.append(chosen[0])
+            raise PolicyError(f"expected exactly one occ atom at time {t}, found {chosen}")
 
-    probs = []
-    for t in range(horizon + 1):
-        p = h.get(("state", t))
-        probs.append(p)
+    # read without hashing an atom: a `value` atom holds a Fraction
+    probs: list[Fraction | None] = [None] * (horizon + 1)
+    values: list[Fraction] = []
+    for atom, v in layers[horizon].values.items():
+        if atom[0] == "state":
+            probs[atom[1]] = v
+        elif atom[0] == "value" and atom[2] == horizon and v >= 1:
+            values.append(atom[1])
+    for t, p in enumerate(probs):
         if p is None or p <= 0:
             reasons.append(f"no positive state probability at time {t}")
 
@@ -110,13 +94,13 @@ def extract_report(theory: ActionTheory, h: PInterpretation, horizon: int,
         reasons.append("no value atom at the horizon")
 
     return AnswerSetReport(
-        states=tuple(states), occ=tuple(occ), state_probs=tuple(probs),
+        states=states, occ=tuple(c[0] for c in occ), state_probs=tuple(probs),
         value=value, valid=not reasons, reasons=tuple(reasons))
 
 
-def valid_reports(theory: ActionTheory, answer_sets: Iterable[PInterpretation],
+def valid_reports(theory: ActionTheory, answer_sets: Iterable[Sequence[Layer]],
                   horizon: int) -> list[AnswerSetReport]:
-    return [r for r in (extract_report(theory, h, horizon) for h in answer_sets) if r.valid]
+    return [r for r in (extract_report(theory, l, horizon) for l in answer_sets) if r.valid]
 
 
 def stationary_action_map(theory: ActionTheory, report: AnswerSetReport,
@@ -205,13 +189,18 @@ class Run:
         return compiler.to_sat(self.normal)
 
     @cached_property
-    def normal_sets(self) -> list[frozenset]:
+    def normal_sets(self) -> list[int]:
+        """The normal program's answer sets, as keys over `cnf.atoms`."""
         return compiler.normal_answer_sets(self.normal)
 
-    def iter_answer_sets(self) -> Iterable[PInterpretation]:
-        """The answer sets one at a time, in search order, from a fresh enumeration."""
+    def iter_layers(self) -> Iterator[tuple[Layer, ...]]:
+        """The answer sets, as layers, in search order, freshly enumerated."""
         # the rules before the CNF, so that a program whose probability
         # families cannot be split is refused by the stage that splits them
+        return compiler.iter_answer_set_layers(self.probability_rules, self.cnf)
+
+    def iter_answer_sets(self) -> Iterator[PInterpretation]:
+        """The answer sets of `iter_layers`, each as one dict."""
         return compiler.iter_annotated_answer_sets(self.probability_rules, self.cnf)
 
     @cached_property
@@ -239,7 +228,7 @@ def best_policy(run: Run) -> PolicyValue:
     first.  Finding a policy is NP-complete, so this is exponential in the
     worst case."""
     theory = run.theory
-    reports = (extract_report(theory, h, run.horizon) for h in run.iter_answer_sets())
+    reports = (extract_report(theory, layers, run.horizon) for layers in run.iter_layers())
     states, sums = group_policies(theory, reports)
     order = sorted(states, key=oracle.state_key)
     actions = [sorted(a.name for a in theory.actions if a.executability <= state)
@@ -325,24 +314,25 @@ def check_policy_values(program_values: Mapping[tuple, Fraction],
             f"oracle gives {oracle_values.get(key, _ZERO)}" for key in bad[:3]))
 
 
-def _first(atom_sets: set[frozenset], n: int) -> list[frozenset]:
-    """The first `n` of `atom_sets` in the order of their sorted rendered
-    atoms, which, unlike the order of a set, does not depend on string
-    hashing."""
-    return sort_answer_sets(list(atom_sets))[:n]
+def _first(keys: set[int], n: int, atoms: Sequence) -> list[frozenset]:
+    """The atom sets of the first `n` model `keys`, in the order of their
+    sorted rendered atoms, which does not depend on string hashing."""
+    return sort_answer_sets([compiler.atoms_of_key(k, atoms) for k in keys])[:n] if keys else []
 
 
-def check_normal_projection(models: Iterable[frozenset],
-                            normal_sets: Sequence[frozenset]) -> CheckReport:
+def check_normal_projection(models: Iterable[int], normal_sets: Sequence[int],
+                            atoms: Sequence) -> CheckReport:
     """Dropping the probability/reward/value rules must preserve the set of
-    occ-projections: `models` are the completion models the annotated answer
-    sets were decoded from, `normal_sets` the normal program's answer sets."""
-    annotated = {frozenset(a for a in m if a[0] == "occ") for m in models}
-    normal = {frozenset(a for a in m if a[0] == "occ") for m in normal_sets}
+    occ-projections: `models` are the keys (`compiler.atoms_of_key` over
+    `atoms`) of the completion models of the annotated answer sets,
+    `normal_sets` those of the normal program's answer sets."""
+    occ = sum(1 << i for i, a in enumerate(atoms) if a[0] == "occ")
+    annotated = {k & occ for k in models}
+    normal = {k & occ for k in normal_sets}
     missing = annotated - normal
     extra = normal - annotated
-    examples = [f"annotated-only: {sorted(map(render_atom, k))}" for k in _first(missing, 3)] \
-        + [f"normal-only: {sorted(map(render_atom, k))}" for k in _first(extra, 3)]
+    examples = [f"annotated-only: {sorted(map(render_atom, k))}" for k in _first(missing, 3, atoms)] \
+        + [f"normal-only: {sorted(map(render_atom, k))}" for k in _first(extra, 3, atoms)]
     return CheckReport(
         name="normal-projection-equivalence", ok=not examples,
         detail=f"{len(annotated)} occ-projections on each side" if not examples
@@ -350,16 +340,16 @@ def check_normal_projection(models: Iterable[frozenset],
         counterexamples=tuple(examples))
 
 
-def check_sat_models(models: Mapping[frozenset, int],
-                     normal_sets: Sequence[frozenset]) -> CheckReport:
-    """The decoded CNF `models` of a normal program, each with the number of
-    times it was listed, must be its answer sets `normal_sets`, one-to-one:
-    no model listed twice, none missing, none extra."""
+def check_sat_models(models: Mapping[int, int], normal_sets: Sequence[int],
+                     atoms: Sequence) -> CheckReport:
+    """The keys over `atoms` of the CNF `models` of a normal program, each with
+    the number of times it was listed, must be those of its answer sets
+    `normal_sets`, one-to-one: none listed twice, none missing, none extra."""
     expected = set(normal_sets)
     missing = expected - models.keys()
     extra = models.keys() - expected
-    examples = [f"answer-set-only: {sorted(map(render_atom, k))[:6]}" for k in _first(missing, 2)] \
-        + [f"model-only: {sorted(map(render_atom, k))[:6]}" for k in _first(extra, 2)]
+    examples = [f"answer-set-only: {sorted(map(render_atom, k))[:6]}" for k in _first(missing, 2, atoms)] \
+        + [f"model-only: {sorted(map(render_atom, k))[:6]}" for k in _first(extra, 2, atoms)]
     duplicated = sum(models.values()) - len(models)
     ok = not examples and not duplicated
     if ok:
@@ -373,18 +363,18 @@ def check_sat_models(models: Mapping[frozenset, int],
 
 
 class _Reading:
-    """One reading of `answer_sets` that counts, in `models`, each one's atoms
-    of the normal program: the completion model it was decoded from.  Its
-    length is the number read, which `perfbench/spans.py` records."""
+    """One reading of the layered `answer_sets` that counts, in `models`,
+    each one's completion model key.  Its length is the number read, which
+    `perfbench/spans.py` records."""
 
-    def __init__(self, answer_sets: Iterable[PInterpretation], normal_atoms: AbstractSet):
-        self.answer_sets, self.normal_atoms, self.models = answer_sets, normal_atoms, {}
+    def __init__(self, answer_sets: Iterable[tuple[Layer, ...]]):
+        self.answer_sets, self.models = answer_sets, {}
 
-    def __iter__(self) -> Iterator[PInterpretation]:
-        for h in self.answer_sets:
-            model = frozenset(a for a in h if a in self.normal_atoms)
-            self.models[model] = self.models.get(model, 0) + 1
-            yield h
+    def __iter__(self) -> Iterator[tuple[Layer, ...]]:
+        for layers in self.answer_sets:
+            key = sum(layer.key for layer in layers)
+            self.models[key] = self.models.get(key, 0) + 1
+            yield layers
 
     def __len__(self) -> int:
         return sum(self.models.values())
@@ -395,7 +385,7 @@ def cross_check(run: Run) -> list[CheckReport]:
     its answer sets, none of which it keeps: checks 1 and 2 read one sum per
     stationary valid trajectory, checks 3 and 4 the completion models."""
     theory = run.theory
-    reading = _Reading(run.iter_answer_sets(), run.normal.atoms())
+    reading = _Reading(run.iter_layers())
     values: dict[tuple, Fraction] = {}
     for report in valid_reports(theory, reading, run.horizon):
         if stationary_action_map(theory, report) is not None:
@@ -405,6 +395,6 @@ def cross_check(run: Run) -> list[CheckReport]:
     return [
         check_trajectories(values.keys(), run.oracle_walk.keys()),
         check_policy_values(values, run.oracle_walk, policy_count),
-        check_normal_projection(reading.models, run.normal_sets),
-        check_sat_models(reading.models, run.normal_sets),
+        check_normal_projection(reading.models, run.normal_sets, run.cnf.atoms),
+        check_sat_models(reading.models, run.normal_sets, run.cnf.atoms),
     ]

@@ -13,23 +13,15 @@ then every clause true at level 0 is dropped, every literal false at level 0
 is removed, and every clause that contains another clause is dropped
 (subsumption, as in SatELite: Een and Biere 2005).  Level 0 is never undone,
 so each branch of the search sees the same constraints, through fewer
-clauses: of the 570 clauses of tiger at horizon 3, 43 of them units, the
-search reads 343.  Per model it then visits 68 watch-list entries instead
-of 251 in the DIMACS numbering at horizon 3, and 33 instead of 64 in the
-time-major numbering of `compiler.iter_annotated_answer_sets` at horizon 4;
-that search, with decoding, went from 0.50 to 0.30 s at horizon 4 and from
-4.1 to 2.6 s at horizon 5 on a 2-CPU shared host (`BENCH_reduce.json`).
+clauses: tiger at horizon 3 keeps 343 of its 570 (`BENCH_reduce.json`).
 
 Propagating an assignment visits only the clauses that can become unit by it,
 never the whole formula.  A 2-literal clause is kept as two implications, in
-the implication list of each of its literals: when that literal becomes false,
-the other one must be true.  A longer clause watches two of its literals
-(Moskewicz et al. 2001, Chaff) and sits in the watch list of each; a watch
-list is rewritten only after one of its clauses moved its watch to another
-literal, so a clause already satisfied by its other watch costs one visit and
-no write.  Unit propagation reaches the same fixpoint, or a conflict, in any
-order, so the order in which the two kinds of list are read does not change
-the models or their order.
+the implication list of each of its literals.  A longer clause watches two of
+its literals (Moskewicz et al. 2001, Chaff) and sits in the watch list of
+each; a watch list is rewritten only after one of its clauses moved its
+watch.  Unit propagation reaches the same fixpoint, or a conflict, in any
+order, so the order in which the lists are read does not change the models.
 
 A model is a list indexed by variable, item v the bool value of variable v and
 item 0 None: one slice of the literal-indexed truth array, whose first items
@@ -68,14 +60,10 @@ def _index(clauses: list[list[int]], nvars: int,
 def _reduce(clauses: list[list[int]], truth: list[bool | None],
             ) -> list[list[int]]:
     """`clauses` under the level-0 assignment `truth`, a fixpoint of unit
-    propagation without a conflict: the clauses it leaves open, shortest
-    first, each without its false literals (removed in place), less every
-    clause that contains another one.  At that fixpoint an open clause
-    keeps two or more literals.
-
-    Each kept clause is indexed under its first literal, so a kept clause
-    inside a later one is found through that literal, one of the later
-    clause's own."""
+    propagation without a conflict: the clauses it leaves open (each keeps
+    two or more literals), shortest first, each without its false literals
+    (removed in place), less every clause that contains another one, which
+    is found through the first literal of the kept clause inside it."""
     open_clauses = [lits for lits in clauses if not any(map(truth.__getitem__, lits))]
     for lits in open_clauses:
         if False in map(truth.__getitem__, lits):

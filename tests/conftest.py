@@ -9,7 +9,7 @@ import pytest
 
 from apoplan import compiler
 from apoplan.policies import PolicyValue, stationary_action_map
-from apoplan.nplp import iter_rule_firings, satisfies, sort_answer_sets
+from apoplan.nplp import iter_rule_firings, render_atom, satisfies, sort_answer_sets
 from apoplan.theory import ActionTheory, parse_theory
 
 REPO = Path(__file__).resolve().parent.parent
@@ -72,6 +72,24 @@ def answer_sets_of(program) -> list:
     return sort_answer_sets(list(compiler.iter_annotated_answer_sets(
         compiler.probability_rules(program),
         compiler.to_sat(compiler.normalize(program)))))
+
+
+def model_key(model) -> int:
+    """The key of a model as `sat.enumerate_models` yields it: bit v - 1 for
+    each true variable v, as `compiler.atoms_of_key` reads it."""
+    return sum(1 << i for i, value in enumerate(model[1:]) if value)
+
+
+def answer_set_key(layers) -> int:
+    """The key of the completion model of a layered answer set."""
+    return sum(layer.key for layer in layers)
+
+
+def normal_sets_of(program) -> list:
+    """The answer sets of a normal `program`, from `compiler.normal_answer_sets`,
+    as sets of atoms."""
+    atoms = sorted(program.atoms(), key=render_atom)
+    return [compiler.atoms_of_key(k, atoms) for k in compiler.normal_answer_sets(program)]
 
 
 @pytest.fixture(scope="session")

@@ -15,7 +15,7 @@ from apoplan import compiler, oracle, policies, sat
 from apoplan.fuzz import generate_theory
 from apoplan.nplp import BLit, NpProgram, NpRule, Num, least_model, reduct
 
-from conftest import group_policies_reference, satisfies_program
+from conftest import answer_set_key, group_policies_reference, model_key, satisfies_program
 
 TOL = Fraction(1, 10**9)
 
@@ -27,7 +27,7 @@ def uniform_policy(theory, horizon, action):
 def test_criterion_1_one_step_values_three_ways(tiger):
     t0 = time.monotonic()
     belief = oracle.initial_belief(tiger)
-    reports = policies.valid_reports(tiger, policies.Run(tiger, 1).iter_answer_sets(), 1)
+    reports = policies.valid_reports(tiger, policies.Run(tiger, 1).iter_layers(), 1)
 
     expected = {"listen": Fraction(-1), "openL": Fraction(-45),
                 "openR": Fraction(-45)}
@@ -67,7 +67,7 @@ def _policy_values_disagree(run, listed) -> list:
     """The `listed` policies whose summed answer-set value
     (`group_policies_reference`) is not exactly their `oracle.belief_value`."""
     belief = oracle.initial_belief(run.theory, run.initial)
-    reports = policies.valid_reports(run.theory, run.iter_answer_sets(), run.horizon)
+    reports = policies.valid_reports(run.theory, run.iter_layers(), run.horizon)
     return [pv.policy for pv in group_policies_reference(run.theory, reports, listed)
             if pv.value != oracle.belief_value(run.theory, pv.policy, run.horizon,
                                                belief, run.initial)]
@@ -94,7 +94,7 @@ def test_criterion_3_policy_value_equivalence(tiger):
 def test_tiger_horizon_4_closed_form(tiger):
     t0 = time.monotonic()
     run = policies.Run(tiger, 4)
-    answer_sets = list(run.iter_answer_sets())
+    answer_sets = list(run.iter_layers())
     reports = policies.valid_reports(tiger, answer_sets, 4)
     best = policies.best_policy(run)
     policy, value = oracle.optimal_policy(tiger, 4)
@@ -120,9 +120,8 @@ def test_criterion_4_normal_program_equivalence(tiger):
         t0 = time.monotonic()
         normal_sets = run.normal_sets
         elapsed = time.monotonic() - t0
-        atoms = run.normal.atoms()
-        models = [frozenset(a for a in h if a in atoms) for h in run.iter_answer_sets()]
-        report = policies.check_normal_projection(models, normal_sets)
+        models = [answer_set_key(layers) for layers in run.iter_layers()]
+        report = policies.check_normal_projection(models, normal_sets, run.cnf.atoms)
         assert report.ok, report.counterexamples
     assert len(normal_sets) == 1024
     assert elapsed < 1.0, elapsed
@@ -135,9 +134,10 @@ def test_criterion_5_sat_equivalence(tiger):
     details = []
     for horizon in (1, 2, 3):
         run = policies.Run(tiger, horizon)
-        models = [compiler.decode_model(m, run.cnf) for m in
+        models = [model_key(m) for m in
                   sat.enumerate_models(run.cnf.clauses, run.cnf.variable_count)]
-        report = policies.check_sat_models(collections.Counter(models), run.normal_sets)
+        report = policies.check_sat_models(collections.Counter(models), run.normal_sets,
+                                           run.cnf.atoms)
         assert report.ok, report.counterexamples
         details.append(f"h{horizon}: {report.detail}")
     print(f"\nPASS criterion-5: exhaustive DIMACS models decode bijectively "
@@ -153,7 +153,7 @@ def test_tiger_horizon_4_normal_answer_sets(tiger):
     models = [compiler.decode_model(m, cnf)
               for m in sat.enumerate_models(cnf.clauses, cnf.variable_count)]
     assert len(normal_sets) == len(set(normal_sets)) == 8192
-    assert set(normal_sets) == set(models)
+    assert {compiler.atoms_of_key(k, cnf.atoms) for k in normal_sets} == set(models)
     assert elapsed < 60.0, elapsed
     print(f"\nPASS tiger horizon 4, normal program: 8192 answer sets, equal "
           f"to the decoded completion models ({elapsed:.1f}s < 60s)")

@@ -11,7 +11,8 @@ import jsonschema
 import pytest
 
 from apoplan import ApoError, compiler, nplp, oracle, policies, sat, theory
-from apoplan.cli import _solve_chunks, main
+from apoplan.cli import main
+from apoplan.fuzz import generate_theory
 
 from conftest import fresh_python
 
@@ -314,6 +315,17 @@ def test_solve_json_schema(capsys):
     assert payload["count"] == 16 == len(payload["answer_sets"])
 
 
+def _json_reference(models) -> str:
+    """What `apoplan solve` writes for the answer sets `models`, by
+    `json.dumps`: each answer set's atoms rendered and sorted, the later of
+    two atoms that render alike winning, and the sets sorted by
+    `nplp.answer_set_sort_key`."""
+    payload = {"horizon": 2, "discount": 0.95, "count": len(models), "answer_sets": [
+        dict(sorted({nplp.render_atom(a): float(v) for a, v in h.items()}.items()))
+        for h in sorted(models, key=nplp.answer_set_sort_key)]}
+    return json.dumps(payload, indent=2) + "\n"
+
+
 @pytest.mark.parametrize("models", [
     [],
     [{}],
@@ -323,12 +335,19 @@ def test_solve_json_schema(capsys):
      {("v", 1): Fraction(1, 2), ("v", nplp.Num(1)): Fraction(1, 4)}],
 ])
 def test_solve_chunks_write_what_json_dumps_writes(models):
-    chunks = list(_solve_chunks(2, Fraction(19, 20), models))
-    payload = {"horizon": 2, "discount": 0.95, "count": len(models), "answer_sets": [
-        dict(sorted({nplp.render_atom(a): float(v) for a, v in h.items()}.items()))
-        for h in models]}
-    assert "".join(chunks) == json.dumps(payload, indent=2) + "\n"
+    chunks = list(nplp.answer_sets_json(2, Fraction(19, 20), models))
+    assert "".join(chunks) == _json_reference(models)
     # one chunk per answer set, so an unbuffered output makes one write each
+    assert len(chunks) == len(models) + 2
+
+
+@pytest.mark.parametrize("seed", ["bits4"] + list(range(40)))
+def test_solve_writes_what_json_dumps_writes_on_theories(seed):
+    parsed = (theory.parse_theory(Path(BITS4).read_text()) if seed == "bits4"
+              else generate_theory(seed))
+    models = list(policies.Run(parsed, 2).iter_answer_sets())
+    chunks = list(nplp.answer_sets_json(2, Fraction(19, 20), models))
+    assert "".join(chunks) == _json_reference(models)
     assert len(chunks) == len(models) + 2
 
 
@@ -722,16 +741,14 @@ def test_check_compares_millions_of_policies_without_listing_them(capsys):
 
 def test_a_passing_check_sorts_no_answer_sets_and_solve_sorts_what_it_prints(
         capsys, monkeypatch):
+    # every sort of answer sets ranks them through `nplp._ranked`
     sizes = []
-    sort = nplp.sort_answer_sets
+    rank = nplp._ranked
 
     def recorded(sets):
         sizes.append(len(sets))
-        return sort(sets)
-    for holder in list(sys.modules.values()):
-        if (getattr(holder, "__name__", "").startswith("apoplan")
-                and getattr(holder, "sort_answer_sets", None) is sort):
-            monkeypatch.setattr(holder, "sort_answer_sets", recorded)
+        return rank(sets)
+    monkeypatch.setattr(nplp, "_ranked", recorded)
     code, out = run(capsys, "check", TIGER, "--horizon", "2")
     assert code == 0 and json.loads(out)["ok"] is True
     assert set(sizes) <= {0}  # only the empty counterexample sets

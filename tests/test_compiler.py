@@ -14,15 +14,16 @@ from apoplan.compiler import (
 from apoplan.fuzz import generate_theory
 from apoplan.nplp import (
     Add, BLit, Mul, NplpError, NpProgram, NpRule, Num, ONE, Ref,
-    answer_set_sort_key, enumerate_answer_sets, format_rule, iter_rule_firings,
-    least_model, reduct, render_atom, sort_answer_sets,
+    answer_set_sort_key, can_match, enumerate_answer_sets, format_rule,
+    iter_rule_firings, least_model, reduct, render_atom, sort_answer_sets,
 )
 from apoplan.policies import Run
 from apoplan.theory import ground_theory, parse_theory, validate_theory
 
-from conftest import answer_sets_of
+from conftest import REPO, answer_sets_of, model_key, normal_sets_of
 
 DROPPED = {"15", "18", "21", "22", "23", "24", "value-base", "factor"}
+BITS4_PATH = REPO / "domains" / "bits4.apo"
 
 
 def schema_counts(program) -> Counter:
@@ -172,16 +173,17 @@ def test_annotated_answer_sets_are_least_models_of_their_reducts(tiger, cross_se
         # an answer set is fixed by its values on the negated atoms, which are
         # normal atoms, so one answer set per normal answer set is all of them
         assert sort_answer_sets([_normal_projection(run.program, h) for h in got]) \
-            == sort_answer_sets(run.normal_sets), horizon
+            == sort_answer_sets(normal_sets_of(run.normal)), horizon
 
 
 def _least_models_per_completion_model(program):
     """The answer sets built with `nplp.least_model`: for each completion
-    model, the least model of the family rules whose other body atoms the
-    model holds, joined to the model at 1, sorted by `answer_set_sort_key`."""
+    model, in the order of the time-major search, the least model of the
+    family rules whose other body atoms the model holds, joined to the model
+    at 1."""
     family = [r for r in program.rules if r.schema in DROPPED]
     derived = {r.head[0] for r in family}
-    cnf = to_sat(normalize(program))
+    cnf = compiler._time_major(to_sat(normalize(program)))
     out = []
     for model in sat.enumerate_models(cnf.clauses, cnf.variable_count):
         atoms = decode_model(model, cnf)
@@ -193,19 +195,38 @@ def _least_models_per_completion_model(program):
         h = dict.fromkeys(atoms, Fraction(1))
         h.update(least_model(NpProgram(rules=enabled)))
         out.append(h)
-    return sorted(out, key=answer_set_sort_key)
+    return out
 
 
-def test_annotated_answer_sets_match_least_models(tiger, cross_sensing):
-    cases = [(tiger, n) for n in (1, 2, 3)] + [(cross_sensing, 2)]
-    cases += [(generate_theory(s), n) for s in range(12) for n in (1, 2)]
+def _layered_mismatches(cases) -> list:
+    """The (theory, horizon) `cases` whose layered answer sets differ from
+    `_least_models_per_completion_model`, or come in another order."""
+    out = []
     for theory, horizon in cases:
         run = Run(theory, horizon)
         got = list(run.iter_answer_sets())
-        # same list once sorted, with equal exact values
-        assert sort_answer_sets(got) == _least_models_per_completion_model(run.program), \
-            horizon
         assert all(type(v) is Fraction for h in got for v in h.values())
+        if got != _least_models_per_completion_model(run.program):
+            out.append((theory, horizon))
+    return out
+
+
+def test_annotated_answer_sets_match_least_models(tiger, cross_sensing):
+    bits4 = parse_theory(BITS4_PATH.read_text())
+    cases = [(tiger, n) for n in (1, 2, 3, 4)] + [(bits4, n) for n in (1, 2, 3)]
+    cases += [(cross_sensing, n) for n in (1, 2)]
+    cases += [(generate_theory(s), n) for s in range(40) for n in (1, 2)]
+    # the same dicts, with equal exact values, in the same order
+    assert _layered_mismatches(cases) == []
+
+
+def test_least_model_comparison_catches_a_layer_reused_once_too_often(
+        tiger, cross_sensing, monkeypatch):
+    kept = compiler._kept
+    monkeypatch.setattr(compiler, "_kept", lambda stack, pick, model: min(
+        kept(stack, pick, model) + 1, len(stack)))
+    cases = [(tiger, 1), (tiger, 2), (cross_sensing, 2)]
+    assert _layered_mismatches(cases) == cases
 
 
 # a probability-family rule `state(1) : U <- state(0) : U, occ(a, 0)`
@@ -244,7 +265,7 @@ def test_annotated_answer_sets_keep_the_max_of_several_firings():
                body=_STATE_BODY, schema="18")
         for p in (Fraction(3, 4), Fraction(1, 4))))
     got = answer_sets_of(program)
-    assert got == _least_models_per_completion_model(program)
+    assert got == sort_answer_sets(_least_models_per_completion_model(program))
     assert [h[("state", 1)] for h in got] == [Fraction(3, 8)]
 
 
@@ -283,10 +304,11 @@ def test_dimacs_shape(tiger):
 def test_models_biject_with_normal_answer_sets(tiger):
     normal = normalize(compile_theory(validate_theory(tiger), 1))
     cnf = to_sat(normal)
-    decoded = {decode_model(m, cnf)
-               for m in sat.enumerate_models(cnf.clauses, cnf.variable_count)}
-    answer_sets = set(normal_answer_sets(normal))
-    assert decoded == answer_sets
+    models = list(sat.enumerate_models(cnf.clauses, cnf.variable_count))
+    # bit i of a key is variable i + 1
+    assert {model_key(m) for m in models} == set(normal_answer_sets(normal))
+    answer_sets = set(normal_sets_of(normal))
+    assert {decode_model(m, cnf) for m in models} == answer_sets
     # encode/decode inverse on every answer set
     for atoms in answer_sets:
         model = [None] + [a in atoms for a in cnf.atoms]
@@ -345,7 +367,7 @@ def tight_normal_programs(draw):
 @settings(max_examples=300, deadline=None)
 @given(tight_normal_programs())
 def test_normal_answer_sets_match_the_definition(program):
-    assert sort_answer_sets(normal_answer_sets(program)) == _brute_force_answer_sets(program)
+    assert sort_answer_sets(normal_sets_of(program)) == _brute_force_answer_sets(program)
 
 
 _PROBABILITIES = st.sampled_from(
@@ -436,13 +458,17 @@ _SHARED_STEP_PROGRAM = NpProgram(rules=(
 @settings(max_examples=200, deadline=None)
 @given(compiled_shape_programs())
 @example(_SHARED_STEP_PROGRAM)
+# no normal atom at all, and a guard that no model holds
+@example(NpProgram(rules=(NpRule(
+    head=("state", 1), head_ann=Mul((Num(Fraction(1, 2)), Ref("U"))),
+    body=(BLit(atom=("state", 0), ann=Ref("U")), BLit(atom=("g",))), schema="18"),)))
 def test_annotated_answer_sets_match_the_definition(program):
     # same list in the same order, with equal exact values
     assert answer_sets_of(program) == enumerate_answer_sets(program)
 
 
 @pytest.mark.parametrize("name, horizon, count, firings", [
-    ("tiger", 2, 128, 116), ("tiger", 3, 1024, 396), ("cross_sensing", 2, 64, 67)])
+    ("tiger", 2, 128, 164), ("tiger", 3, 1024, 1196), ("cross_sensing", 2, 64, 91)])
 def test_answer_sets_that_share_a_prefix_share_its_firings(
         request, monkeypatch, name, horizon, count, firings):
     calls = 0
@@ -454,8 +480,30 @@ def test_answer_sets_that_share_a_prefix_share_its_firings(
         return fire(*args)
     monkeypatch.setattr(compiler, "iter_rule_firings", counted)
     assert len(list(Run(request.getfixturevalue(name), horizon).iter_answer_sets())) == count
-    # firing every enabled rule once per answer set made 896, 9,216 and 448
+    # firing every enabled rule once per answer set made 896, 9,216 and 448;
+    # a rule fires again only when an answer set's layer of it differs
+    # from the previous one's
     assert calls == firings
+
+
+def _feeders_by_every_pair(rules):
+    """`compiler._feeders` by testing every body atom against every head of
+    its predicate."""
+    return [sorted({i for lit in rule.body for i, (_, other) in enumerate(rules)
+                    if other.head[0] == lit.atom[0]
+                    and can_match(lit.atom, other.head)})
+            for _, rule in rules]
+
+
+def test_indexed_feeders_keep_the_rule_order(tiger, cross_sensing, monkeypatch):
+    bits4 = parse_theory(BITS4_PATH.read_text())
+    cases = [(tiger, n) for n in (1, 2, 3, 4, 5)]
+    cases += [(theory, n) for theory in (bits4, cross_sensing) for n in (1, 2, 3)]
+    cases += [(generate_theory(s), n) for s in range(40) for n in (1, 2)]
+    programs = [compile_theory(validate_theory(theory), n) for theory, n in cases]
+    indexed = [compiler.probability_rules(program) for program in programs]
+    monkeypatch.setattr(compiler, "_feeders", _feeders_by_every_pair)
+    assert [compiler.probability_rules(program) for program in programs] == indexed
 
 
 _A, _B, _C, _D, _E = (("a",), ("b",), ("c",), ("d",), ("e",))
@@ -472,7 +520,7 @@ _A, _B, _C, _D, _E = (("a",), ("b",), ("c",), ("d",), ("e",))
 ])
 def test_normal_answer_sets_small_programs(rules, expected):
     program = NormalProgram(rules=tuple(rules))
-    assert sort_answer_sets(normal_answer_sets(program)) == [frozenset(m) for m in expected]
+    assert sort_answer_sets(normal_sets_of(program)) == [frozenset(m) for m in expected]
 
 
 def test_normal_answer_sets_are_least_models_of_their_reducts(tiger, cross_sensing):
@@ -480,7 +528,7 @@ def test_normal_answer_sets_are_least_models_of_their_reducts(tiger, cross_sensi
     cases += [(generate_theory(s), n) for s in range(12) for n in (1, 2)]
     for theory, horizon in cases:
         normal = normalize(compile_theory(validate_theory(theory), horizon))
-        got = normal_answer_sets(normal)
+        got = normal_sets_of(normal)
         for m in got:
             assert _reduct_least_model(normal, m) == m, horizon
         # the completion models of a tight program are its answer sets
@@ -494,7 +542,7 @@ def test_normal_projections_match_annotated(tiger):
     run = Run(tiger, 1)
     annotated = {frozenset(a for a, v in h.items() if a[0] == "occ" and v >= 1)
                  for h in run.iter_answer_sets()}
-    normal = {frozenset(a for a in m if a[0] == "occ") for m in run.normal_sets}
+    normal = {frozenset(a for a in m if a[0] == "occ") for m in normal_sets_of(run.normal)}
     assert annotated == normal
 
 
@@ -519,7 +567,7 @@ def test_completion_omits_bodies_negating_their_head():
     assert not any(-var[a] in clause and var[b] in clause for clause in cnf.clauses)
     decoded = [decode_model(m, cnf)
                for m in sat.enumerate_models(cnf.clauses, cnf.variable_count)]
-    assert sorted(decoded, key=sorted) == sorted(normal_answer_sets(normal), key=sorted)
+    assert sorted(decoded, key=sorted) == sorted(normal_sets_of(normal), key=sorted)
     assert decoded == [frozenset({a, c, d})]
 
 

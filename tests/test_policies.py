@@ -6,7 +6,7 @@ from functools import cache
 import pytest
 
 from apoplan import oracle, policies, sat
-from apoplan.compiler import CompileError, decode_model
+from apoplan.compiler import CompileError
 from apoplan.fuzz import generate_theory
 from apoplan.nplp import sort_answer_sets
 from apoplan.policies import (
@@ -14,7 +14,7 @@ from apoplan.policies import (
     extract_report, group_policies, stationary_action_map, valid_reports,
 )
 from apoplan.theory import ground_theory, negate, parse_theory
-from conftest import TIGER_PATH, fresh_python, group_policies_reference
+from conftest import TIGER_PATH, fresh_python, group_policies_reference, model_key
 
 
 @pytest.fixture(scope="module")
@@ -32,17 +32,28 @@ def tiger_sets_n2(tiger):
     return list(Run(tiger, 2).iter_answer_sets())
 
 
+@pytest.fixture(scope="module")
+def tiger_layers_n1(tiger_run_n1):
+    """The layers of `tiger_sets_n1`, in the same order."""
+    return list(tiger_run_n1.iter_layers())
+
+
+@pytest.fixture(scope="module")
+def tiger_layers_n2(tiger):
+    return list(Run(tiger, 2).iter_layers())
+
+
 def test_answer_set_count(tiger_sets_n1, tiger_sets_n2):
     # 2 initial completions x 8 sub-action choices (x 8 again at horizon 2)
     assert len(tiger_sets_n1) == 16
     assert len(tiger_sets_n2) == 128
 
 
-def test_extract_report_listen_example(tiger, tiger_sets_n1):
+def test_extract_report_listen_example(tiger, tiger_layers_n1):
     target = None
-    for h in tiger_sets_n1:
-        if h.get(("occ", "listen_1", 0)) and h.get(("holds", "tl", 0)):
-            target = h
+    for layers in tiger_layers_n1:
+        if layers[1].occ == ("listen_1",) and "tl" in layers[0].state:
+            target = layers
     report = extract_report(tiger, target, 1)
     assert report.valid
     assert report.occ == ("listen_1",)
@@ -51,8 +62,8 @@ def test_extract_report_listen_example(tiger, tiger_sets_n1):
     assert report.value == Fraction(-17, 40)
 
 
-def test_degenerate_answer_sets_are_invalid(tiger, tiger_sets_n1):
-    reports = [extract_report(tiger, h, 1) for h in tiger_sets_n1]
+def test_degenerate_answer_sets_are_invalid(tiger, tiger_layers_n1):
+    reports = [extract_report(tiger, layers, 1) for layers in tiger_layers_n1]
     invalid = [r for r in reports if not r.valid]
     # per initial state, 4 of the 8 sub-action choices have failing conditions
     assert len(invalid) == 8
@@ -60,9 +71,9 @@ def test_degenerate_answer_sets_are_invalid(tiger, tiger_sets_n1):
         assert "state probability" in " ".join(r.reasons)
 
 
-def test_valid_reports_follow_oracle_successors(tiger, tiger_sets_n2):
+def test_valid_reports_follow_oracle_successors(tiger, tiger_layers_n2):
     # non-stationary reports included, which check 1 leaves out
-    reports = valid_reports(tiger, tiger_sets_n2, 2)
+    reports = valid_reports(tiger, tiger_layers_n2, 2)
     assert len(reports) == 32
     for report in reports:
         assert len(report.states) == 3
@@ -73,8 +84,8 @@ def test_valid_reports_follow_oracle_successors(tiger, tiger_sets_n2):
             assert (sub_id, report.states[t + 1]) in steps
 
 
-def test_non_stationary_reports_exist_at_horizon2(tiger, tiger_sets_n2):
-    reports = valid_reports(tiger, tiger_sets_n2, 2)
+def test_non_stationary_reports_exist_at_horizon2(tiger, tiger_layers_n2):
+    reports = valid_reports(tiger, tiger_layers_n2, 2)
     non_stationary = [r for r in reports
                       if stationary_action_map(tiger, r) is None]
     # e.g. {tl,htl} openL_1 {tl,htl} listen_1 revisits with a different action
@@ -85,8 +96,8 @@ def test_non_stationary_reports_exist_at_horizon2(tiger, tiger_sets_n2):
     assert group_policies(tiger, non_stationary)[1] == {}  # no map to sum
 
 
-def test_group_policies_one_step_values(tiger, tiger_sets_n1):
-    reports = valid_reports(tiger, tiger_sets_n1, 1)
+def test_group_policies_one_step_values(tiger, tiger_layers_n1):
+    reports = valid_reports(tiger, tiger_layers_n1, 1)
     grouped = group_policies_reference(tiger, reports, oracle.enumerate_policies(tiger, 1))
     assert len(grouped) == 9
     by_actions = {tuple(sorted(pv.policy.values())): pv for pv in grouped}
@@ -185,14 +196,15 @@ def _cross_check_with(monkeypatch, run, change):
     return cross_check(run)
 
 
-def test_checks_catch_seeded_fault(tiger, tiger_sets_n1, monkeypatch):
+def test_checks_catch_seeded_fault(tiger, tiger_sets_n1, tiger_layers_n1, monkeypatch):
     # drop the answer set of one valid report: checks 1 and 2 both notice
     run = Run(tiger, 1)
-    dropped = sort_answer_sets([h for h in tiger_sets_n1
-                                if extract_report(tiger, h, 1).valid])[-1]
-    broken = [h for h in tiger_sets_n1 if h is not dropped]
-    monkeypatch.setattr(run, "iter_answer_sets", lambda: iter(broken))
-    key = _trajectory_key(extract_report(tiger, dropped, 1))
+    valid = [h for h, layers in zip(tiger_sets_n1, tiger_layers_n1)
+             if extract_report(tiger, layers, 1).valid]
+    k = next(i for i, h in enumerate(tiger_sets_n1) if h is sort_answer_sets(valid)[-1])
+    broken = tiger_layers_n1[:k] + tiger_layers_n1[k + 1:]
+    monkeypatch.setattr(run, "iter_layers", lambda: iter(broken))
+    key = _trajectory_key(extract_report(tiger, tiger_layers_n1[k], 1))
     t1, t2 = cross_check(run)[:2]
     assert not (t1.ok or t2.ok)
     assert t1.counterexamples == (f"oracle-only: {key}",)
@@ -201,9 +213,9 @@ def test_checks_catch_seeded_fault(tiger, tiger_sets_n1, monkeypatch):
 
 
 def test_value_check_names_the_trajectory_whose_value_changed(
-        tiger, tiger_run_n1, tiger_sets_n1, monkeypatch):
+        tiger, tiger_run_n1, tiger_layers_n1, monkeypatch):
     run = tiger_run_n1
-    changed = valid_reports(tiger, tiger_sets_n1, 1)[-1]
+    changed = valid_reports(tiger, tiger_layers_n1, 1)[-1]
     assert stationary_action_map(tiger, changed) is not None
     key = _trajectory_key(changed)
     assert cross_check(run)[1].detail == "9 policies compared exactly"
@@ -249,7 +261,7 @@ def test_check_reports_a_step_that_breaks_the_dynamics(tiger_text, fault, monkey
     text = tiger_text.replace("executable openL if {}.", "executable openL if {htl}.")
     theory = parse_theory(text)
     run = Run(theory, 2)
-    for report in valid_reports(theory, run.iter_answer_sets(), 2):
+    for report in valid_reports(theory, run.iter_layers(), 2):
         if stationary_action_map(theory, report) is None:
             continue
         broken = _break_last_step(theory, report, fault)
@@ -267,28 +279,28 @@ def test_check_reports_a_step_that_breaks_the_dynamics(tiger_text, fault, monkey
 
 
 def _completion_models(cnf):
-    return [decode_model(m, cnf)
-            for m in sat.enumerate_models(cnf.clauses, cnf.variable_count)]
+    return [model_key(m) for m in sat.enumerate_models(cnf.clauses, cnf.variable_count)]
 
 
 def test_check_report_json(tiger_run_n1):
     payload = check_sat_models(collections.Counter(_completion_models(tiger_run_n1.cnf)),
-                               tiger_run_n1.normal_sets).to_json()
+                               tiger_run_n1.normal_sets, tiger_run_n1.cnf.atoms).to_json()
     assert set(payload) == {"check", "ok", "detail", "counterexamples"}
     assert payload["ok"] is True
 
 
-def test_sat_check_catches_a_repeated_model(tiger, tiger_run_n1, tiger_sets_n1, monkeypatch):
+def test_sat_check_catches_a_repeated_model(tiger, tiger_run_n1, tiger_layers_n1, monkeypatch):
     models = _completion_models(tiger_run_n1.cnf)
-    normal_sets = tiger_run_n1.normal_sets
+    normal_sets, atoms = tiger_run_n1.normal_sets, tiger_run_n1.cnf.atoms
     counted = collections.Counter(models)
-    assert check_sat_models(counted, normal_sets).detail == "16 models = 16 answer sets"
-    report = check_sat_models(counted + collections.Counter(models[:1]), normal_sets)
+    assert check_sat_models(counted, normal_sets, atoms).detail == "16 models = 16 answer sets"
+    report = check_sat_models(counted + collections.Counter(models[:1]), normal_sets, atoms)
     assert not report.ok
     assert report.detail == "0 missing, 0 extra, 1 of 17 models repeated"
     # an answer set listed twice by the enumeration: check 4 counts its model twice
     run = Run(tiger, 1)
-    monkeypatch.setattr(run, "iter_answer_sets", lambda: iter(tiger_sets_n1 + tiger_sets_n1[:1]))
+    monkeypatch.setattr(run, "iter_layers",
+                        lambda: iter(tiger_layers_n1 + tiger_layers_n1[:1]))
     assert cross_check(run)[3].detail == "0 missing, 0 extra, 1 of 17 models repeated"
 
 
@@ -318,7 +330,7 @@ def test_group_policies_fold_equals_the_per_report_loop(tiger, cross_sensing):
     degenerate = non_stationary = 0
     for theory, n in cases:
         run = Run(theory, n)
-        reports = [extract_report(theory, h, n) for h in run.iter_answer_sets()]
+        reports = [extract_report(theory, layers, n) for layers in run.iter_layers()]
         valid = [r for r in reports if r.valid]
         degenerate += len(reports) - len(valid)
         non_stationary += sum(stationary_action_map(theory, r) is None for r in valid)
@@ -346,7 +358,7 @@ def test_best_policy_folds_the_enumeration_as_it_would_the_list(tiger, cross_sen
         assert "answer_sets" not in vars(fresh)  # folded, never listed
         listed = Run(theory, n)
         expected = _best_of(group_policies_reference(
-            theory, valid_reports(theory, listed.iter_answer_sets(), n),
+            theory, valid_reports(theory, listed.iter_layers(), n),
             oracle.enumerate_policies(theory, n)))
         assert best == expected
         assert best_policy(listed) == expected
@@ -360,13 +372,13 @@ def test_set_check_counterexamples_do_not_depend_on_string_hashing():
               "from apoplan.theory import parse_theory\n"
               "with open(sys.argv[1], encoding='utf-8') as f:\n"
               "    run = policies.Run(parse_theory(f.read()), 2)\n"
-              "kept = itertools.islice(run.iter_answer_sets(), 60)\n"
-              "atoms = run.normal.atoms()\n"
-              "models = collections.Counter(frozenset(a for a in h if a in atoms)\n"
-              "                             for h in kept)\n"
+              "kept = itertools.islice(run.iter_layers(), 60)\n"
+              "models = collections.Counter(sum(layer.key for layer in layers)\n"
+              "                             for layers in kept)\n"
+              "atoms = run.cnf.atoms\n"
               "print(json.dumps([\n"
-              "    policies.check_normal_projection(models, run.normal_sets).to_json(),\n"
-              "    policies.check_sat_models(models, run.normal_sets).to_json()]))\n")
+              "    policies.check_normal_projection(models, run.normal_sets, atoms).to_json(),\n"
+              "    policies.check_sat_models(models, run.normal_sets, atoms).to_json()]))\n")
     outputs = [fresh_python(script, str(TIGER_PATH), env_vars={"PYTHONHASHSEED": seed})
                for seed in ("1", "2", "3")]
     assert outputs[0] == outputs[1] == outputs[2]

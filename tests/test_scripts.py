@@ -37,3 +37,20 @@ def test_measure_cli_one_run(tmp_path):
     assert result["cpu_s"] > 0 and result["cpu_s_each"] == [round(result["cpu_s"], 4)]
     record = json.loads((tmp_path / "BENCH_smoke.json").read_text())
     assert record["measurements"] == [result]
+
+
+def test_count_work_counts_the_answer_sets_firings_and_layers(tmp_path):
+    tiger = str(REPO / "domains" / "tiger.apo")
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "count_work.py"), "--label", "smoke",
+         "--side", "after", "--", "policy", tiger, "--horizon", "1"],
+        capture_output=True, text=True, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert 0 < result.pop("search_s") <= result.pop("answer_sets_s")
+    # 16 answer sets; the first derives both layers, each later one its second
+    assert result == {"side": "after", "command": ["policy", tiger, "--horizon", "1"],
+                      "exit_code": 0, "models": 16, "firings": 28, "layers": 32}
+    record = json.loads((tmp_path / "BENCH_smoke.json").read_text())
+    assert [{k: v for k, v in r.items() if not k.endswith("_s")}
+            for r in record["counts"]] == [result]
