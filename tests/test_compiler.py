@@ -462,6 +462,19 @@ _SHARED_STEP_PROGRAM = NpProgram(rules=(
 @example(NpProgram(rules=(NpRule(
     head=("state", 1), head_ann=Mul((Num(Fraction(1, 2)), Ref("U"))),
     body=(BLit(atom=("state", 0), ann=Ref("U")), BLit(atom=("g",))), schema="18"),)))
+# a rule guarded at step 0 fed by one guarded at step 2: it must be derived
+# in its feeder's layer, after it
+@example(NpProgram(rules=(
+    NpRule(head=("holds", "f", 2), body=(BLit(atom=("holds", "-f", 2), neg=True),),
+           schema="12"),
+    NpRule(head=("holds", "-f", 2), body=(BLit(atom=("holds", "f", 2), neg=True),),
+           schema="13"),
+    NpRule(head=("holds", "g", 0), schema="11"),
+    NpRule(head=("state", 0), head_ann=Num(Fraction(1, 2)),
+           body=(BLit(atom=("holds", "f", 2)),), schema="15"),
+    NpRule(head=("state", 1), head_ann=Mul((Num(Fraction(1, 2)), Ref("U"))),
+           body=(BLit(atom=("state", 0), ann=Ref("U")), BLit(atom=("holds", "g", 0))),
+           schema="18"))))
 def test_annotated_answer_sets_match_the_definition(program):
     # same list in the same order, with equal exact values
     assert answer_sets_of(program) == enumerate_answer_sets(program)
