@@ -1,15 +1,31 @@
 #!/usr/bin/env python3
-"""Wall time, CPU time and peak memory of one apoplan command, each run in a fresh process.
+"""Wall time, CPU time, peak memory and work counts of one apoplan command.
 
     python3 scripts/measure_cli.py --runs 5 -- policy domains/tiger.apo --horizon 3
 
 Runs `python -m apoplan.cli ARGS` with the `src` directory of the checkout
 that holds this script on the path, `--runs` times one after another, with
-its output discarded.  Prints one JSON object: the median wall time, the
-median CPU time (`ru_utime + ru_stime` from `os.wait4`), the largest resident
-set size of any run (`ru_maxrss`), and each run's figures.  CPU time waits
-for no other process on the host, so it varies less between runs than wall
-time.  Exits 1 if any run exits non-zero.
+its output discarded, and then counts the work of one more run of the same
+arguments in this process.  Prints one JSON object: the median wall time,
+the median CPU time (`ru_utime + ru_stime` from `os.wait4`), the largest
+resident set size of any timed run (`ru_maxrss`), each timed run's figures,
+and the counts.  CPU time waits for no other process on the host, so it
+varies less between runs than wall time.  Exits 1 if any run, timed or
+counted, exits non-zero; `exit_codes` holds the timed runs' codes and
+`count_exit_code` the counted run's.
+
+The counts do not depend on the host, so a change can be judged by them
+without timing noise.  `models` counts the models that `sat.enumerate_models`
+yields (one per answer set for `solve`, `policy` and `check`), `firings` the
+calls of `nplp.iter_rule_firings`, and `layers` the layers that
+`compiler.iter_answer_set_layers` derives rather than keeps from the answer
+set before.  `search_s` is the CPU time spent inside `sat.enumerate_models`,
+and `answer_sets_s` that spent inside `compiler.iter_answer_set_layers`,
+search included: their difference is decoding and firing.
+
+The counted run comes last, and nothing of apoplan is imported before it: a
+child process's `ru_maxrss` starts at its parent's peak, so a timed run
+started after an in-process `solve` would read that run's memory.
 
 With `--label L`, the object, tagged with `--side`, is also appended to the
 `measurements` of `BENCH_L.json` in the current directory, which is created
@@ -18,6 +34,8 @@ the same label, to add that checkout's figures to the same record.
 """
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
@@ -43,6 +61,61 @@ def run_once(args: list[str]) -> tuple[int, float, float, float]:
             usage.ru_utime + usage.ru_stime)
 
 
+def count(args: list[str]) -> dict:
+    """The exit code and work counts of one run of `apoplan.cli.main` in this
+    process, with its output discarded."""
+    sys.path.insert(0, SRC)
+    from apoplan import cli, compiler, nplp, policies, sat  # noqa: F401 (loads the pipeline)
+
+    def replace(original, wrapper):
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("apoplan"):
+                for name, value in list(vars(module).items()):
+                    if value is original:
+                        setattr(module, name, wrapper)
+
+    fire, models = nplp.iter_rule_firings, sat.enumerate_models
+    answer_sets = compiler.iter_answer_set_layers
+    counts = {"models": 0, "firings": 0, "layers": 0, "search_s": 0.0, "answer_sets_s": 0.0}
+
+    def timed(items, key):
+        """`items`, with the CPU time spent making each added to `counts[key]`."""
+        items = iter(items)
+        while True:
+            start = time.process_time()
+            item = next(items, counts)
+            counts[key] += time.process_time() - start
+            if item is counts:
+                return
+            yield item
+
+    def counted_firings(*args, **kwargs):
+        counts["firings"] += 1
+        return fire(*args, **kwargs)
+
+    def counted_models(*args, **kwargs):
+        for model in timed(models(*args, **kwargs), "search_s"):
+            counts["models"] += 1
+            yield model
+
+    def counted_answer_sets(*args, **kwargs):
+        before: tuple = ()
+        for layers in timed(answer_sets(*args, **kwargs), "answer_sets_s"):
+            counts["layers"] += sum(k >= len(before) or layer is not before[k]
+                                    for k, layer in enumerate(layers))
+            before = layers
+            yield layers
+
+    replace(fire, counted_firings)
+    replace(models, counted_models)
+    replace(answer_sets, counted_answer_sets)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(args)
+    return {"count_exit_code": code, **counts,
+            "search_s": round(counts["search_s"], 4),
+            "answer_sets_s": round(counts["answer_sets_s"], 4)}
+
+
 def measure(args: list[str], runs: int) -> dict:
     results = [run_once(args) for _ in range(runs)]
     return {
@@ -55,6 +128,7 @@ def measure(args: list[str], runs: int) -> dict:
         "wall_s_each": [round(r[1], 4) for r in results],
         "cpu_s_each": [round(r[3], 4) for r in results],
         "rss_mb_each": [r[2] for r in results],
+        **count(args),  # after the last timed run
     }
 
 
@@ -67,7 +141,13 @@ def append_record(path: str, result: dict):
             "description": "Figures of scripts/measure_cli.py: the median wall time, the "
                            "median CPU time (ru_utime + ru_stime) and the largest "
                            "ru_maxrss of fresh `python -m apoplan.cli` runs, output "
-                           "discarded, one run after another.",
+                           "discarded, one run after another; then the work of one "
+                           "in-process run of the same command, which does not depend "
+                           "on the host: `models` yielded by sat.enumerate_models, "
+                           "`firings` (calls of nplp.iter_rule_firings) and `layers` "
+                           "derived by compiler.iter_answer_set_layers, and the CPU "
+                           "time inside the search (`search_s`) and inside the "
+                           "answer-set layers, search included (`answer_sets_s`).",
             "host": f"{platform.system()} {platform.machine()}, {os.cpu_count()} CPUs, "
                     f"Python {platform.python_version()}",
             "measurements": [],
@@ -97,7 +177,7 @@ def main(argv=None) -> int:
     print(json.dumps(result))
     if args.label:
         append_record(f"BENCH_{args.label}.json", result)
-    return 0 if not any(result["exit_codes"]) else 1
+    return 0 if not any(result["exit_codes"]) and not result["count_exit_code"] else 1
 
 
 if __name__ == "__main__":

@@ -507,15 +507,6 @@ def to_sat(program: NormalProgram) -> CnfFormula:
     return CnfFormula(clauses=tuple(clauses), atoms=tuple(atoms))
 
 
-def decode_model(model: Sequence[bool | None], cnf: CnfFormula) -> frozenset:
-    """True-atom set of a total SAT model of `cnf` as `sat.enumerate_models`
-    yields it (item v the value of variable v); another length is refused."""
-    if len(model) != cnf.variable_count + 1:
-        raise CompileError(f"model of {len(model)} items for "
-                           f"{cnf.variable_count} variables and the unused item 0")
-    return frozenset(itertools.compress(cnf.atoms, model[1:]))
-
-
 # ---------------------------------------------------------------------------
 # annotated answer sets from completion models
 

@@ -14,7 +14,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from .theory import ActionTheory, parse_theory, render_prob, validate_theory
+from .theory import ActionTheory, parse_theory, validate_theory
 
 MAX_FLUENTS = 3
 MAX_ACTIONS = 3
@@ -41,7 +41,7 @@ def generate_theory_text(seed: int) -> str:
     chosen = rng.sample(all_states, k)
     probs = _weights_to_probs(rng, k)
     entries = [
-        "{" + ", ".join(sorted(s)) + "}: " + render_prob(p)
+        "{" + ", ".join(sorted(s)) + "}: " + str(p)
         for s, p in zip(chosen, probs)
     ]
     lines.append("initially " + " ; ".join(entries) + ".")
@@ -69,9 +69,9 @@ def generate_theory_text(seed: int) -> str:
                 p = Fraction(rng.randint(1, 9), 10)
                 r = rng.randint(-5, 5)
                 clauses.append(
-                    f"{{{report}}}: {render_prob(p)}: {r} sensing {{{cond_lit}}}")
+                    f"{{{report}}}: {p}: {r} sensing {{{cond_lit}}}")
                 clauses.append(
-                    f"{{-{report}}}: {render_prob(1 - p)}: {r} sensing {{{cond_lit}}}")
+                    f"{{-{report}}}: {1 - p}: {r} sensing {{{cond_lit}}}")
             lines.append(f"action {name} observes\n    "
                          + " ;\n    ".join(clauses) + ".")
         else:
@@ -83,13 +83,13 @@ def generate_theory_text(seed: int) -> str:
                 for p in out_probs:
                     r = rng.randint(-5, 5)
                     clauses.append(
-                        f"{random_effect(set())}: {render_prob(p)}: {r} "
+                        f"{random_effect(set())}: {p}: {r} "
                         f"if {{{cond_lit}}}")
             lines.append(f"action {name} causes\n    "
                          + " ;\n    ".join(clauses) + ".")
 
     discount = rng.choice([Fraction(1, 2), Fraction(9, 10)])
-    lines.append(f"discount {render_prob(discount)}.")
+    lines.append(f"discount {discount}.")
     return "\n".join(lines) + "\n"
 
 

@@ -26,7 +26,7 @@ from . import ApoError, Record, compiler, oracle, set_field
 from .compiler import Layer
 from .nplp import NpProgram, PInterpretation, render_atom, sort_answer_sets
 from .oracle import Initial, State
-from .theory import ActionTheory, fluent_of, is_consistent, validate_theory
+from .theory import ActionTheory, fluent_of, validate_theory
 
 
 class PolicyError(ApoError):
@@ -41,17 +41,16 @@ class AnswerSetReport(Record):
     holds-literals per time 0..n, `occ` the chosen sub-outcome id per time
     0..n-1, `state_probs` the state(t) annotation per time and `value` the
     value(v, n) at the horizon."""
-    __slots__ = ("states", "occ", "state_probs", "value", "valid", "reasons")
+    __slots__ = ("states", "occ", "state_probs", "value", "valid")
 
     def __init__(self, states: tuple[State, ...], occ: tuple[str, ...],
                  state_probs: tuple[Fraction | None, ...], value: Fraction | None,
-                 valid: bool, reasons: tuple[str, ...] = ()):
+                 valid: bool):
         set_field(self, "states", states)
         set_field(self, "occ", occ)
         set_field(self, "state_probs", state_probs)
         set_field(self, "value", value)
         set_field(self, "valid", valid)
-        set_field(self, "reasons", reasons)
 
 
 def extract_report(theory: ActionTheory, layers: Sequence[Layer], horizon: int,
@@ -60,14 +59,8 @@ def extract_report(theory: ActionTheory, layers: Sequence[Layer], horizon: int,
     (`compiler.iter_answer_set_layers`).  The report is invalid (rather than
     an error) when the answer set is degenerate: a chosen sub-outcome whose
     condition failed leaves no successor probability and no horizon value."""
-    reasons: list[str] = []
     fluents = set(theory.fluents)
     states = tuple(layer.state for layer in layers[:horizon + 1])
-    for t, state in enumerate(states):
-        # one literal of each fluent, so consistent and complete
-        if len(state) != len(fluents) or {fluent_of(l) for l in state} != fluents:
-            reasons.append(f"{'incomplete' if is_consistent(state) else 'inconsistent'} "
-                           f"holds-literals at time {t}")
 
     occ = [sorted(layer.occ) for layer in layers[1:horizon + 1]]
     for t, chosen in enumerate(occ):
@@ -82,20 +75,19 @@ def extract_report(theory: ActionTheory, layers: Sequence[Layer], horizon: int,
             probs[atom[1]] = v
         elif atom[0] == "value" and atom[2] == horizon and v >= 1:
             values.append(atom[1])
-    for t, p in enumerate(probs):
-        if p is None or p <= 0:
-            reasons.append(f"no positive state probability at time {t}")
 
     values.sort()
     if len(values) > 1:
         raise PolicyError(f"multiple horizon values {values}")
     value = values[0] if values else None
-    if value is None:
-        reasons.append("no value atom at the horizon")
+    valid = (value is not None and all(p is not None and p > 0 for p in probs)
+             # one literal of each fluent, so consistent and complete
+             and all(len(s) == len(fluents) and {fluent_of(l) for l in s} == fluents
+                     for s in states))
 
     return AnswerSetReport(
         states=states, occ=tuple(c[0] for c in occ), state_probs=tuple(probs),
-        value=value, valid=not reasons, reasons=tuple(reasons))
+        value=value, valid=valid)
 
 
 def valid_reports(theory: ActionTheory, answer_sets: Iterable[Sequence[Layer]],

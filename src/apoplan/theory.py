@@ -53,45 +53,19 @@ def render_formula(formula: Iterable[str]) -> str:
     return "{" + ", ".join(sorted(formula)) + "}"
 
 
-_LIT_RE = re.compile(r"^(-?)([A-Za-z_][A-Za-z0-9_]*)(?:\(([^()]*)\))?$")
-
-
-def split_lit(lit: str) -> tuple[bool, str, tuple[str, ...]]:
-    """Split a literal into (positive?, base name, argument tuple)."""
-    m = _LIT_RE.match(lit)
-    if m is None:
-        raise ApoError(f"malformed literal {lit!r}")
-    neg, name, args = m.groups()
-    arg_tuple = tuple(a.strip() for a in args.split(",")) if args else ()
-    return (not neg, name, arg_tuple)
-
-
-def is_variable(name: str) -> bool:
-    return name[:1].isupper()
+_VARIABLE = re.compile(r"\b[A-Z]\w*")  # a name or argument that starts uppercase
 
 
 def lit_variables(lit: str) -> set[str]:
-    _, name, args = split_lit(lit)
-    vs = {a for a in args if is_variable(a)}
-    if is_variable(name):
-        vs.add(name)
-    return vs
+    return set(_VARIABLE.findall(lit))
 
 
 def substitute_lit(lit: str, binding: dict[str, str]) -> str:
-    pos, name, args = split_lit(lit)
-    name = binding.get(name, name)
-    args = tuple(binding.get(a, a) for a in args)
-    body = name + (f"({', '.join(args)})" if args else "")
-    return body if pos else "-" + body
+    return _VARIABLE.sub(lambda m: binding.get(m[0], m[0]), lit)
 
 
 def substitute_formula(formula: frozenset[str], binding: dict[str, str]) -> frozenset[str]:
     return frozenset(substitute_lit(l, binding) for l in formula)
-
-
-def render_prob(p: Fraction) -> str:
-    return str(p)  # "17/20" or "1"
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +461,7 @@ def serialize_theory(theory: ActionTheory) -> str:
         lines.append(f"domain {name} = {{{', '.join(consts)}}}.")
     if theory.initial:
         entries = " ; ".join(
-            f"{render_formula(e.formula)} : {render_prob(e.prob)}"
+            f"{render_formula(e.formula)} : {e.prob}"
             for e in theory.initial
         )
         lines.append(f"initially {entries}.")
@@ -497,12 +471,12 @@ def serialize_theory(theory: ActionTheory) -> str:
         kw = "causes" if a.kind == "non-sensing" else "observes"
         cond_kw = "if" if a.kind == "non-sensing" else "sensing"
         parts = [
-            f"{render_formula(o.effect)} : {render_prob(o.prob)} : "
-            f"{render_prob(o.reward)} {cond_kw} {render_formula(o.condition)}"
+            f"{render_formula(o.effect)} : {o.prob} : "
+            f"{o.reward} {cond_kw} {render_formula(o.condition)}"
             for o in a.outcomes
         ]
         lines.append(f"action {a.name} {kw} " + " ; ".join(parts) + ".")
-    lines.append(f"discount {render_prob(theory.discount)}.")
+    lines.append(f"discount {theory.discount}.")
     if theory.goal is not None:
         lines.append(f"goal {render_formula(theory.goal)}.")
     return "\n".join(lines) + "\n"

@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -78,6 +79,14 @@ def model_key(model) -> int:
     """The key of a model as `sat.enumerate_models` yields it: bit v - 1 for
     each true variable v, as `compiler.atoms_of_key` reads it."""
     return sum(1 << i for i, value in enumerate(model[1:]) if value)
+
+
+def model_atoms(model, cnf) -> frozenset:
+    """The true atoms of a model of `cnf` as `sat.enumerate_models` yields it
+    (item v the value of variable v), read through the DIMACS numbering of
+    `cnf.atoms` as an external solver's model would be."""
+    assert len(model) == cnf.variable_count + 1
+    return frozenset(itertools.compress(cnf.atoms, model[1:]))
 
 
 def answer_set_key(layers) -> int:

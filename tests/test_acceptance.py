@@ -15,7 +15,9 @@ from apoplan import compiler, oracle, policies, sat
 from apoplan.fuzz import generate_theory
 from apoplan.nplp import BLit, NpProgram, NpRule, Num, least_model, reduct
 
-from conftest import answer_set_key, group_policies_reference, model_key, satisfies_program
+from conftest import (
+    answer_set_key, group_policies_reference, model_atoms, model_key, satisfies_program,
+)
 
 TOL = Fraction(1, 10**9)
 
@@ -150,7 +152,7 @@ def test_tiger_horizon_4_normal_answer_sets(tiger):
     normal_sets = run.normal_sets
     elapsed = time.monotonic() - t0
     cnf = run.cnf
-    models = [compiler.decode_model(m, cnf)
+    models = [model_atoms(m, cnf)
               for m in sat.enumerate_models(cnf.clauses, cnf.variable_count)]
     assert len(normal_sets) == len(set(normal_sets)) == 8192
     assert {compiler.atoms_of_key(k, cnf.atoms) for k in normal_sets} == set(models)

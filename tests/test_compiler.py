@@ -8,8 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from apoplan import compiler, sat
 from apoplan.compiler import (
     CompileError, NonTightError, NormalProgram, check_tight, compile_theory,
-    decode_model, iter_annotated_answer_sets, normal_answer_sets, normalize,
-    to_sat,
+    iter_annotated_answer_sets, normal_answer_sets, normalize, to_sat,
 )
 from apoplan.fuzz import generate_theory
 from apoplan.nplp import (
@@ -20,7 +19,7 @@ from apoplan.nplp import (
 from apoplan.policies import Run
 from apoplan.theory import ground_theory, parse_theory, validate_theory
 
-from conftest import REPO, answer_sets_of, model_key, normal_sets_of
+from conftest import REPO, answer_sets_of, model_atoms, model_key, normal_sets_of
 
 DROPPED = {"15", "18", "21", "22", "23", "24", "value-base", "factor"}
 BITS4_PATH = REPO / "domains" / "bits4.apo"
@@ -186,7 +185,7 @@ def _least_models_per_completion_model(program):
     cnf = compiler._time_major(to_sat(normalize(program)))
     out = []
     for model in sat.enumerate_models(cnf.clauses, cnf.variable_count):
-        atoms = decode_model(model, cnf)
+        atoms = model_atoms(model, cnf)
         enabled = tuple(
             NpRule(head=r.head, head_ann=r.head_ann,
                    body=tuple(b for b in r.body if b.atom[0] in derived))
@@ -308,20 +307,11 @@ def test_models_biject_with_normal_answer_sets(tiger):
     # bit i of a key is variable i + 1
     assert {model_key(m) for m in models} == set(normal_answer_sets(normal))
     answer_sets = set(normal_sets_of(normal))
-    assert {decode_model(m, cnf) for m in models} == answer_sets
+    assert {model_atoms(m, cnf) for m in models} == answer_sets
     # encode/decode inverse on every answer set
     for atoms in answer_sets:
         model = [None] + [a in atoms for a in cnf.atoms]
-        assert decode_model(model, cnf) == atoms
-
-
-@pytest.mark.parametrize("resize", [lambda m: m[:-1], lambda m: m + [False]],
-                         ids=["short", "long"])
-def test_decode_model_refuses_wrong_length(tiger, resize):
-    cnf = to_sat(normalize(compile_theory(validate_theory(tiger), 1)))
-    model = next(sat.enumerate_models(cnf.clauses, cnf.variable_count))
-    with pytest.raises(CompileError, match="model of"):
-        decode_model(resize(model), cnf)
+        assert model_atoms(model, cnf) == atoms
 
 
 def _reduct_least_model(program, m):
@@ -546,7 +536,7 @@ def test_normal_answer_sets_are_least_models_of_their_reducts(tiger, cross_sensi
             assert _reduct_least_model(normal, m) == m, horizon
         # the completion models of a tight program are its answer sets
         cnf = to_sat(normal)
-        decoded = [decode_model(model, cnf) for model in
+        decoded = [model_atoms(model, cnf) for model in
                    sat.enumerate_models(cnf.clauses, cnf.variable_count)]
         assert sort_answer_sets(got) == sorted(decoded, key=answer_set_sort_key), horizon
 
@@ -578,7 +568,7 @@ def test_completion_omits_bodies_negating_their_head():
     # the only-if clauses of a keep the body `c` and leave out `not a, b`
     assert (-var[a], var[c]) in cnf.clauses
     assert not any(-var[a] in clause and var[b] in clause for clause in cnf.clauses)
-    decoded = [decode_model(m, cnf)
+    decoded = [model_atoms(m, cnf)
                for m in sat.enumerate_models(cnf.clauses, cnf.variable_count)]
     assert sorted(decoded, key=sorted) == sorted(normal_sets_of(normal), key=sorted)
     assert decoded == [frozenset({a, c, d})]
@@ -613,7 +603,7 @@ def _fired_in_dimacs_order(rules, cnf):
     each with every one of the probability `rules` tested against it."""
     out = []
     for model in sat.enumerate_models(cnf.clauses, cnf.variable_count):
-        atoms = decode_model(model, cnf)
+        atoms = model_atoms(model, cnf)
         h = dict.fromkeys(atoms, Fraction(1))
         by_pred = {}
         for guard, rule in rules:

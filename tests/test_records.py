@@ -66,7 +66,7 @@ FIELDS = [
                           "probs": (Fraction(3, 20),), "rewards": (Fraction(-1),)}),
     (AnswerSetReport, lambda: {
         "states": (S0,), "occ": (), "state_probs": (Fraction(1, 2),),
-        "value": None, "valid": False, "reasons": ("no value atom",)}),
+        "value": None, "valid": False}),
     (PolicyValue, lambda: {"policy": {S0: "listen"}, "value": Fraction(-1),
                            "contributors": 2, "per_initial": {S0: Fraction(-1)}}),
     (CheckReport, lambda: {"name": "sat-model-equivalence", "ok": True,
@@ -147,7 +147,6 @@ def test_defaults():
     assert BLit(("a",)) == BLit(("a",), ONE, False)
     assert NpRule(("a",)) == NpRule(("a",), ONE, (), None)
     assert ActionTheory((), (), (), (), Fraction(0)).goal is None
-    assert AnswerSetReport((), (), (), None, True).reasons == ()
     assert CheckReport("c", True) == CheckReport("c", True, "", ())
     first, second = PolicyValue({}, Fraction(0), 0), PolicyValue({}, Fraction(0), 0)
     assert first.per_initial == {} and first.per_initial is not second.per_initial

@@ -1,10 +1,13 @@
 """Smoke tests: the scripts under `scripts/` run to completion on small inputs."""
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -25,32 +28,52 @@ def test_run_fuzz_small_sweep():
 
 
 def test_measure_cli_one_run(tmp_path):
+    tiger = str(REPO / "domains" / "tiger.apo")
     proc = subprocess.run(
         [sys.executable, str(REPO / "scripts" / "measure_cli.py"), "--runs", "1",
-         "--label", "smoke", "--side", "after", "--",
-         "policy", str(REPO / "domains" / "tiger.apo"), "--horizon", "1"],
+         "--label", "smoke", "--side", "after", "--", "policy", tiger, "--horizon", "1"],
         capture_output=True, text=True, cwd=tmp_path, timeout=120)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     assert result["side"] == "after" and result["exit_codes"] == [0]
     assert result["wall_s"] > 0 and result["max_rss_mb"] > 0
     assert result["cpu_s"] > 0 and result["cpu_s_each"] == [round(result["cpu_s"], 4)]
+    assert 0 < result["search_s"] <= result["answer_sets_s"]
+    # 16 answer sets; the first derives both layers, each later one its second
+    assert {k: result[k] for k in ("command", "count_exit_code", "models", "firings",
+                                   "layers")} == {
+        "command": ["policy", tiger, "--horizon", "1"], "count_exit_code": 0,
+        "models": 16, "firings": 28, "layers": 32}
     record = json.loads((tmp_path / "BENCH_smoke.json").read_text())
     assert record["measurements"] == [result]
+    assert "models" in record["description"] and record["host"]
 
 
-def test_count_work_counts_the_answer_sets_firings_and_layers(tmp_path):
-    tiger = str(REPO / "domains" / "tiger.apo")
-    proc = subprocess.run(
-        [sys.executable, str(REPO / "scripts" / "count_work.py"), "--label", "smoke",
-         "--side", "after", "--", "policy", tiger, "--horizon", "1"],
-        capture_output=True, text=True, cwd=tmp_path, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout)
-    assert 0 < result.pop("search_s") <= result.pop("answer_sets_s")
-    # 16 answer sets; the first derives both layers, each later one its second
-    assert result == {"side": "after", "command": ["policy", tiger, "--horizon", "1"],
-                      "exit_code": 0, "models": 16, "firings": 28, "layers": 32}
-    record = json.loads((tmp_path / "BENCH_smoke.json").read_text())
-    assert [{k: v for k, v in r.items() if not k.endswith("_s")}
-            for r in record["counts"]] == [result]
+def _measure_cli():
+    spec = importlib.util.spec_from_file_location(
+        "measure_cli", REPO / "scripts" / "measure_cli.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("count_exit_code, exit_code", [(0, 0), (2, 1)])
+def test_measure_cli_counts_after_the_last_timed_run(monkeypatch, capsys,
+                                                     count_exit_code, exit_code):
+    measure_cli = _measure_cli()
+    calls = []
+
+    def run_once(args):
+        calls.append("run")
+        return 0, 0.5, 16.0, 0.25
+
+    def count(args):
+        calls.append("count")
+        return {"count_exit_code": count_exit_code, "models": 1}
+
+    monkeypatch.setattr(measure_cli, "run_once", run_once)
+    monkeypatch.setattr(measure_cli, "count", count)
+    assert measure_cli.main(["--runs", "3", "--", "validate", "x.apo"]) == exit_code
+    assert calls == ["run", "run", "run", "count"]
+    result = json.loads(capsys.readouterr().out)
+    assert result["exit_codes"] == [0, 0, 0] and result["models"] == 1

@@ -6,10 +6,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from apoplan import cli
 from apoplan.fuzz import generate_theory
 from apoplan.theory import (
     ApoError, GroundingError, ParseError, close_initial_formula, ground_theory,
-    negate, parse_theory, render_formula, serialize_theory, validate_theory,
+    lit_variables, negate, parse_theory, render_formula, serialize_theory,
+    substitute_lit, validate_theory,
 )
 
 
@@ -215,6 +217,42 @@ def test_grounding_expands_domains():
     left = grounded.action("push(left)")
     assert left.outcomes[0].effect == frozenset({"open(left)"})
     assert validate_theory(grounded)
+
+
+# each variable bound to "c" + its name in lower case
+@pytest.mark.parametrize("lit, variables, substituted", [
+    ("tl", set(), "tl"),
+    ("-tl", set(), "-tl"),
+    ("at(X)", {"X"}, "at(cx)"),
+    ("-at(X, Y)", {"X", "Y"}, "-at(cx, cy)"),
+    ("at(l, Room2)", {"Room2"}, "at(l, croom2)"),
+    ("Foo", {"Foo"}, "cfoo"),
+    ("-Foo(x)", {"Foo"}, "-cfoo(x)"),
+    ("aB(Cd, e_F)", {"Cd"}, "aB(ccd, e_F)"),
+    ("_X(Y)", {"Y"}, "_X(cy)"),
+    ("p(_Y, Z1)", {"Z1"}, "p(_Y, cz1)"),
+    ("x1Y", set(), "x1Y"),
+])
+def test_literal_variables_and_substitution(lit, variables, substituted):
+    assert lit_variables(lit) == variables
+    assert substitute_lit(lit, {v: "c" + v.lower() for v in variables}) == substituted
+
+
+def test_ground_prints_the_expanded_theory(capsys, tmp_path):
+    path = tmp_path / "push.apo"
+    path.write_text(VARIABLE_THEORY)
+    assert cli.main(["ground", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "fluent open(left), open(right).\n"
+        "domain D = {left, right}.\n"
+        "initially {-open(left), -open(right)} : 1.\n"
+        "executable push(left) if {}.\n"
+        "executable push(right) if {}.\n"
+        "action push(left) causes {open(left)} : 1 : 1 if {-open(left)} ; "
+        "{} : 1 : 0 if {open(left)}.\n"
+        "action push(right) causes {open(right)} : 1 : 1 if {-open(right)} ; "
+        "{} : 1 : 0 if {open(right)}.\n"
+        "discount 1/2.\n")
 
 
 def test_grounding_undeclared_variable():
