@@ -27,26 +27,38 @@ def test_run_fuzz_small_sweep():
     assert "10 theories (2 with answer-set checks) passed" in proc.stdout
 
 
-def test_measure_cli_one_run(tmp_path):
-    tiger = str(REPO / "domains" / "tiger.apo")
+TIGER = str(REPO / "domains" / "tiger.apo")
+
+
+def measure_tiger(tmp_path):
+    """The result of one timed and one counted run of a horizon-1 tiger policy,
+    also appended to `BENCH_smoke.json` in `tmp_path`."""
     proc = subprocess.run(
         [sys.executable, str(REPO / "scripts" / "measure_cli.py"), "--runs", "1",
-         "--label", "smoke", "--side", "after", "--", "policy", tiger, "--horizon", "1"],
+         "--label", "smoke", "--side", "after", "--", "policy", TIGER, "--horizon", "1"],
         capture_output=True, text=True, cwd=tmp_path, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_measure_cli_one_run(tmp_path):
+    result = measure_tiger(tmp_path)
     assert result["side"] == "after" and result["exit_codes"] == [0]
     assert result["wall_s"] > 0 and result["max_rss_mb"] > 0
     assert result["cpu_s"] > 0 and result["cpu_s_each"] == [round(result["cpu_s"], 4)]
+    record = json.loads((tmp_path / "BENCH_smoke.json").read_text())
+    assert record["measurements"] == [result]
+    assert "models" in record["description"] and record["host"]
+
+
+def test_count_work_counts_the_answer_sets_firings_and_layers(tmp_path):
+    result = measure_tiger(tmp_path)
     assert 0 < result["search_s"] <= result["answer_sets_s"]
     # 16 answer sets; the first derives both layers, each later one its second
     assert {k: result[k] for k in ("command", "count_exit_code", "models", "firings",
                                    "layers")} == {
-        "command": ["policy", tiger, "--horizon", "1"], "count_exit_code": 0,
+        "command": ["policy", TIGER, "--horizon", "1"], "count_exit_code": 0,
         "models": 16, "firings": 28, "layers": 32}
-    record = json.loads((tmp_path / "BENCH_smoke.json").read_text())
-    assert record["measurements"] == [result]
-    assert "models" in record["description"] and record["host"]
 
 
 def _measure_cli():
