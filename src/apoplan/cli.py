@@ -5,8 +5,10 @@ normalize, sat, solve, policy, oracle, check, fuzz.  Identical inputs and
 flags produce byte-identical output.
 
 Exit codes: 0 success; 1 unusable input or output (a missing or non-UTF-8
-file, parse error, bad flags, an `--out` that cannot be written); 2
-validation or theorem-check failure; 3 internal invariant breach.
+file, parse error, bad flags, an `--out` or a standard output that cannot be
+written); 2 validation or theorem-check failure; 3 internal invariant breach.
+A reader that closes its end of a pipe early ends the output, not the run:
+exit 0 with nothing on standard error.
 Input takes one path: one `theory.validate_theory` call (in `Run`, if the
 command compiles) grounds and checks it, and `_checked` exits 2 on a failure.
 
@@ -19,10 +21,18 @@ the help and exits 0.
 
 Each run is a fresh process, so a command imports only the modules it runs
 (no argparse; `json` only where JSON is written): start-up is most of the
-time of a small run.  The commands that compile read their stages from one
-`policies.Run`, which `_run` builds, so each stage is computed once;
-importing `policies` loads the whole pipeline, so a tracer that wraps its
-functions, such as `perfbench/spans.py`, finds them all.
+time of a small run.  The process enters through `entry`, which runs `main`,
+flushes both streams and then freezes the garbage collector: the interpreter
+then exits without collecting the finished command's heap, which the
+operating system frees anyway, and that collection was most of the time of
+its exit.  Only `entry` freezes.  `main(argv)` is the in-process API, which
+the tests and the benchmark's traced run call many times in one process,
+where a freeze would keep each run's garbage for good.
+
+The commands that compile read their stages from one `policies.Run`, which
+`_run` builds, so each stage is computed once; importing `policies` loads
+the whole pipeline, so a tracer that wraps its functions, such as
+`perfbench/spans.py`, finds them all.
 Every error the stages raise on purpose derives from `apoplan.ApoError`, so
 `main` maps them to exit 3 without importing the stage modules.
 
@@ -36,6 +46,7 @@ once, from its layers, and keep none.  `oracle` refuses more than
 
 from __future__ import annotations
 
+import gc
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
@@ -113,8 +124,20 @@ def _emit_chunks(args, chunks: Iterable[str]):
     if out:
         _write(out, chunks)
     else:
+        _write_stdout(chunks)
+
+
+def _write_stdout(chunks: Iterable[str]):
+    """Write each of `chunks` to standard output, which exits 1 if it cannot
+    be written; a closed pipe raises `BrokenPipeError`, which `main` maps to
+    exit 0."""
+    try:
         for chunk in chunks:
             sys.stdout.write(chunk)
+    except BrokenPipeError:
+        raise
+    except OSError as e:
+        raise _CliFailure(EXIT_INPUT, f"cannot write standard output: {e}") from None
 
 
 def _write(path: str, chunks: Iterable[str]):
@@ -419,11 +442,15 @@ def _parse_args(argv: list[str]) -> SimpleNamespace:
 
 def main(argv=None) -> int:
     try:
-        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+        try:
+            args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+        except _Usage as e:
+            if e.code != EXIT_OK:
+                sys.stderr.write(str(e))
+                return e.code
+            _write_stdout((str(e),))
+            return EXIT_OK
         return globals()[f"cmd_{args.command}"](args)
-    except _Usage as e:
-        (sys.stdout if e.code == EXIT_OK else sys.stderr).write(str(e))
-        return e.code
     except BrokenPipeError:
         return EXIT_OK
     except _CliFailure as e:
@@ -434,5 +461,27 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
 
 
+def entry() -> int:
+    """The process entry, `apoplan` itself: run `main` on the process's
+    arguments, flush standard output and standard error while a failed write
+    can still be reported, then freeze the garbage collector and return the
+    exit code.  A standard output that fails at the flush exits 1 as a failed
+    write in `main` does, and a closed pipe keeps `main`'s exit code."""
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError as e:
+        import os
+        # the interpreter flushes standard output again as it exits: give that
+        # flush the null device, or it fails on the same unwritten bytes
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(e, BrokenPipeError):
+            print(f"error: cannot write standard output: {e}", file=sys.stderr)
+            code = EXIT_INPUT
+    sys.stderr.flush()
+    gc.freeze()  # the heap is the finished command's: exit without collecting it
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())
