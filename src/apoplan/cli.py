@@ -21,13 +21,11 @@ the help and exits 0.
 
 Each run is a fresh process, so a command imports only the modules it runs
 (no argparse; `json` only where JSON is written): start-up is most of the
-time of a small run.  The process enters through `entry`, which runs `main`,
-flushes both streams and then freezes the garbage collector: the interpreter
-then exits without collecting the finished command's heap, which the
-operating system frees anyway, and that collection was most of the time of
-its exit.  Only `entry` freezes.  `main(argv)` is the in-process API, which
-the tests and the benchmark's traced run call many times in one process,
-where a freeze would keep each run's garbage for good.
+time of a small run.  The process enters through `entry`, which flushes the
+output and then freezes the garbage collector, so the exit skips collecting
+a heap the operating system frees anyway.  `main(argv)` never freezes: the
+tests and traced benchmark runs call it many times in one process, where a
+freeze would keep each run's garbage for good.
 
 The commands that compile read their stages from one `policies.Run`, which
 `_run` builds, so each stage is computed once; importing `policies` loads
@@ -47,6 +45,7 @@ once, from its layers, and keep none.  `oracle` refuses more than
 from __future__ import annotations
 
 import gc
+import os
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
@@ -445,11 +444,11 @@ def main(argv=None) -> int:
         try:
             args = _parse_args(sys.argv[1:] if argv is None else list(argv))
         except _Usage as e:
-            if e.code != EXIT_OK:
+            if e.code == EXIT_OK:
+                _write_stdout((str(e),))
+            else:
                 sys.stderr.write(str(e))
-                return e.code
-            _write_stdout((str(e),))
-            return EXIT_OK
+            return e.code
         return globals()[f"cmd_{args.command}"](args)
     except BrokenPipeError:
         return EXIT_OK
@@ -462,16 +461,12 @@ def main(argv=None) -> int:
 
 
 def entry() -> int:
-    """The process entry, `apoplan` itself: run `main` on the process's
-    arguments, flush standard output and standard error while a failed write
-    can still be reported, then freeze the garbage collector and return the
-    exit code.  A standard output that fails at the flush exits 1 as a failed
-    write in `main` does, and a closed pipe keeps `main`'s exit code."""
+    """The process entry: `main`, then a flush of both streams while a failed
+    write can still be reported, then a frozen garbage collector."""
     code = main()
     try:
         sys.stdout.flush()
     except OSError as e:
-        import os
         # the interpreter flushes standard output again as it exits: give that
         # flush the null device, or it fails on the same unwritten bytes
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
