@@ -2,6 +2,7 @@
 """Wall time, CPU time, peak memory and work counts of one apoplan command.
 
     python3 scripts/measure_cli.py --runs 5 -- policy domains/tiger.apo --horizon 3
+    python3 scripts/measure_cli.py --runs 10 --against ../parent -- solve domains/tiger.apo
 
 Runs `python -m apoplan.cli ARGS` with the `src` directory of the checkout
 that holds this script on the path, `--runs` times one after another, with
@@ -27,6 +28,14 @@ The counted run comes last, and nothing of apoplan is imported before it: a
 child process's `ru_maxrss` starts at its parent's peak, so a timed run
 started after an in-process `solve` would read that run's memory.
 
+With `--against DIR`, the runs are pairs: one run of this checkout's `src`
+(the change) and one of `DIR/src` (the parent), which goes first on every
+other pair, so that both sides see the same drift of the host's speed.  The
+object then holds each side's figures, DIR's counts taken from one run of
+DIR's own copy of this script with `--runs 1`, and, under `ratios`, each
+pair's change/parent ratio of wall time, CPU time and `ru_maxrss`, with the
+median and quartiles of each.
+
 With `--label L`, the object, tagged with `--side`, is also appended to the
 `measurements` of `BENCH_L.json` in the current directory, which is created
 if it does not exist.  Run the copy of this script in another checkout, with
@@ -47,10 +56,10 @@ import time
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
-def run_once(args: list[str]) -> tuple[int, float, float, float]:
+def run_once(args: list[str], src: str = SRC) -> tuple[int, float, float, float]:
     """(exit code, wall seconds, peak resident set in MB, CPU seconds) of one
-    fresh run."""
-    env = dict(os.environ, PYTHONPATH=SRC)
+    fresh run of the `apoplan` package under `src`."""
+    env = dict(os.environ, PYTHONPATH=src)
     start = time.perf_counter()
     proc = subprocess.Popen([sys.executable, "-m", "apoplan.cli", *args], env=env,
                             stdout=subprocess.DEVNULL)
@@ -116,11 +125,9 @@ def count(args: list[str]) -> dict:
             "answer_sets_s": round(counts["answer_sets_s"], 4)}
 
 
-def measure(args: list[str], runs: int) -> dict:
-    results = [run_once(args) for _ in range(runs)]
+def summary(results: list[tuple]) -> dict:
+    """The figures of the `run_once` `results` of one side."""
     return {
-        "command": args,
-        "runs": runs,
         "wall_s": statistics.median(r[1] for r in results),
         "cpu_s": statistics.median(r[3] for r in results),
         "max_rss_mb": max(r[2] for r in results),
@@ -128,8 +135,48 @@ def measure(args: list[str], runs: int) -> dict:
         "wall_s_each": [round(r[1], 4) for r in results],
         "cpu_s_each": [round(r[3], 4) for r in results],
         "rss_mb_each": [r[2] for r in results],
-        **count(args),  # after the last timed run
     }
+
+
+# the keys of a `measure` result that are not counts
+_NOT_COUNTS = ("command", "runs", "wall_s", "cpu_s", "max_rss_mb", "exit_codes",
+               "wall_s_each", "cpu_s_each", "rss_mb_each")
+
+
+def measure(args: list[str], runs: int) -> dict:
+    results = [run_once(args) for _ in range(runs)]
+    return {"command": args, "runs": runs, **summary(results),
+            **count(args)}  # after the last timed run
+
+
+def counts_in(checkout: str, args: list[str]) -> dict:
+    """The counts of `args` in `checkout`, from one run of its own copy of
+    this script, whose one timed run is left out."""
+    proc = subprocess.run([sys.executable, os.path.join(checkout, "scripts", "measure_cli.py"),
+                           "--runs", "1", "--", *args], capture_output=True, text=True)
+    if not proc.stdout:
+        sys.exit(f"{checkout}: measure_cli.py failed: {proc.stderr}")
+    return {k: v for k, v in json.loads(proc.stdout).items() if k not in _NOT_COUNTS}
+
+
+def measure_against(args: list[str], runs: int, checkout: str) -> dict:
+    """`runs` pairs of runs of this checkout (the change) and `checkout` (the
+    parent), the parent first in every odd pair, and each pair's ratios."""
+    src = {"change": SRC, "parent": os.path.join(os.path.abspath(checkout), "src")}
+    results: dict[str, list] = {"change": [], "parent": []}
+    for i in range(runs):
+        for side in ("change", "parent") if i % 2 == 0 else ("parent", "change"):
+            results[side].append(run_once(args, src[side]))
+    ratios = {}
+    for key, k in (("wall_s", 1), ("cpu_s", 3), ("max_rss_mb", 2)):
+        each = [c[k] / p[k] for c, p in zip(results["change"], results["parent"])]
+        q1, median, q3 = statistics.quantiles(each, n=4, method="inclusive")
+        ratios[key] = {"median": round(median, 4), "quartiles": [round(q1, 4), round(q3, 4)],
+                       "each": [round(r, 4) for r in each]}
+    parent = {**summary(results["parent"]), **counts_in(checkout, args)}
+    change = {**summary(results["change"]), **count(args)}  # after every other run
+    return {"command": args, "runs": runs, "against": checkout,
+            "change": change, "parent": parent, "ratios": ratios}
 
 
 def append_record(path: str, result: dict):
@@ -147,7 +194,12 @@ def append_record(path: str, result: dict):
                            "`firings` (calls of nplp.iter_rule_firings) and `layers` "
                            "derived by compiler.iter_answer_set_layers, and the CPU "
                            "time inside the search (`search_s`) and inside the "
-                           "answer-set layers, search included (`answer_sets_s`).",
+                           "answer-set layers, search included (`answer_sets_s`). "
+                           "A measurement with `against` holds both sides of runs made "
+                           "in pairs, alternately, under `change` and `parent`, and "
+                           "under `ratios` each pair's change/parent ratio of wall "
+                           "time, CPU time and ru_maxrss, with their median and "
+                           "quartiles.",
             "host": f"{platform.system()} {platform.machine()}, {os.cpu_count()} CPUs, "
                     f"Python {platform.python_version()}",
             "measurements": [],
@@ -165,19 +217,28 @@ def main(argv=None) -> int:
                         help="also append the result to BENCH_<label>.json")
     parser.add_argument("--side", default=None,
                         help="tag stored with the result, such as before or after")
+    parser.add_argument("--against", metavar="DIR", default=None,
+                        help="alternate the runs with those of the checkout DIR")
     parser.add_argument("command", nargs=argparse.REMAINDER,
                         help="the apoplan arguments, after --")
     args = parser.parse_args(argv)
     command = args.command[1:] if args.command[:1] == ["--"] else args.command
     if not command or args.runs < 1:
         parser.error("need an apoplan command and --runs >= 1")
-    result = measure(command, args.runs)
+    if args.against:
+        if args.runs < 2:
+            parser.error("--against needs --runs >= 2")
+        result = measure_against(command, args.runs, args.against)
+        sides = [result["change"], result["parent"]]
+    else:
+        result = measure(command, args.runs)
+        sides = [result]
     if args.side is not None:
         result = {"side": args.side, **result}
     print(json.dumps(result))
     if args.label:
         append_record(f"BENCH_{args.label}.json", result)
-    return 0 if not any(result["exit_codes"]) and not result["count_exit_code"] else 1
+    return 0 if not any(any(s["exit_codes"]) or s["count_exit_code"] for s in sides) else 1
 
 
 if __name__ == "__main__":

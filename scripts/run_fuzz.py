@@ -17,6 +17,7 @@ the negated atoms, which are normal atoms, no answer set is left out.
 """
 
 import argparse
+import itertools
 import time
 from fractions import Fraction
 
@@ -53,9 +54,17 @@ def check_against_oracle(theory, seed: int) -> None:
         f"seed {seed}: best_policy gives value {best.value}, the oracle {value}"
 
 
+def interpretation(layers) -> dict:
+    """The answer set whose layers are `layers`, as one dict: the normal
+    atoms at 1, the derived atoms at their values."""
+    h = dict.fromkeys(itertools.chain.from_iterable(l.atoms for l in layers), Fraction(1))
+    h.update(layers[-1].values)
+    return h
+
+
 def check_answer_sets(theory, horizon: int) -> None:
     run = policies.Run(theory, horizon)
-    answer_sets = list(run.iter_answer_sets())
+    answer_sets = [interpretation(layers) for layers in run.iter_layers()]
     for h in answer_sets:
         assert least_model(reduct(run.program, h)) == h, \
             "an annotated answer set is not the least model of its reduct"

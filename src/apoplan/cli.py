@@ -34,11 +34,12 @@ the whole pipeline, so a tracer that wraps its functions, such as
 Every error the stages raise on purpose derives from `apoplan.ApoError`, so
 `main` maps them to exit 3 without importing the stage modules.
 
-Output is held only as far as it must be.  `solve` alone needs every answer
-set at once, to sort them: it lists them as dicts before it opens its output,
-so a stage that fails writes nothing, and `nplp.answer_sets_json` sorts and
-writes them from one rank table.  `policy` and `check` read each answer set
-once, from its layers, and keep none.  `oracle` refuses more than
+Output is held only as far as it must be.  Every command reads answer sets
+as layers, shared between consecutive answer sets.  `solve` alone needs every
+answer set at once, to sort them: it lists their layers before it opens its
+output, so a stage that fails writes nothing, and `nplp.answer_sets_json`
+sorts and writes them from one rank table.  `policy` and `check` read each
+answer set once and keep none.  `oracle` refuses more than
 `oracle.MAX_POLICIES` policies, which it would list.
 """
 
@@ -230,7 +231,7 @@ def cmd_solve(args) -> int:
     from .nplp import answer_sets_json
     run = _run(args)
     # listed before the output is opened: a failing stage writes nothing
-    answer_sets = list(run.iter_answer_sets())
+    answer_sets = list(run.iter_layers())
     _emit_chunks(args, answer_sets_json(args.horizon, run.theory.discount, answer_sets))
     return EXIT_OK
 

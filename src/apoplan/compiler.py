@@ -27,9 +27,8 @@ from typing import Iterable, Iterator, Sequence
 
 from . import ApoError, Record, sat, set_field
 from .nplp import (
-    GROUND_TERMS, Add, Atom, BLit, Mul, NpProgram, NpRule, Num, ONE,
-    PInterpretation, Ref, atom_is_ground, can_match, iter_rule_firings,
-    render_atom,
+    GROUND_TERMS, Add, Atom, BLit, Mul, NpProgram, NpRule, Num, ONE, Ref,
+    atom_is_ground, can_match, iter_rule_firings, render_atom,
 )
 from .theory import (
     ValidationReport, close_initial_formula, negate, reading_literals,
@@ -696,13 +695,3 @@ def iter_answer_set_layers(rules: list[tuple], cnf: CnfFormula,
                 frozenset([lit for i, lit in holds[k] if held[i]]),
                 tuple([o for i, o in occ[k] if held[i]]), values, by_pred))
         yield tuple(stack)
-
-
-def iter_annotated_answer_sets(rules: list[tuple], cnf: CnfFormula,
-                               ) -> Iterator[PInterpretation]:
-    """The answer sets of `iter_answer_set_layers`, in its order, each as
-    one dict: the true normal atoms at 1, the derived atoms at their values."""
-    for layers in iter_answer_set_layers(rules, cnf):
-        h = dict.fromkeys(itertools.chain.from_iterable([l.atoms for l in layers]), ONE.value)
-        h.update(layers[-1].values)
-        yield h

@@ -25,8 +25,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from itertools import compress, repeat
-from operator import is_not
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Optional
 
 from . import ApoError, Record, set_field
@@ -221,19 +220,23 @@ def answer_set_sort_key(h: PInterpretation) -> list[str]:
     return sorted(render_atom(a) for a in h)
 
 
-def _ranked(sets: list) -> tuple[list[str], dict[int, int], list[list[int]]]:
-    """The distinct renderings of the atoms of `sets` in order; each atom's
-    rank, the place of its rendering, by its id (hashing an atom that holds a
-    Fraction is slow); and each set's sorted rank list.  Atoms that render
-    alike share a rank, so rank lists compare as the rendered lists do."""
+def _ranked(sets: list, atoms=iter) -> tuple[list[str], dict[int, int], list]:
+    """The distinct renderings of the atoms `atoms(h)` of the sets h of `sets`
+    in order; each atom's rank, the place of its rendering, by its id (hashing
+    an atom that holds a Fraction is slow); and each set's sorted ranks, as an
+    array (a third of a list's size).  Atoms that render alike share a rank,
+    so rank arrays compare as the rendered lists do."""
+    from array import array  # loaded only by the commands that sort
     distinct: dict[int, Atom] = {}
     for h in sets:
-        distinct.update(zip(map(id, h), h))
+        distinct.update(zip(map(id, atoms(h)), atoms(h)))
     names = dict(zip(distinct, map(render_atom, distinct.values())))
     order = sorted(set(names.values()))
     place = {name: i for i, name in enumerate(order)}
     rank = {k: place[name] for k, name in names.items()}
-    return order, rank, [sorted(map(rank.__getitem__, map(id, h))) for h in sets]
+    code = "H" if len(order) <= 1 << 16 else "L"
+    return order, rank, [array(code, sorted(map(rank.__getitem__, map(id, atoms(h)))))
+                         for h in sets]
 
 
 def sort_answer_sets(sets: list) -> list:
@@ -242,15 +245,21 @@ def sort_answer_sets(sets: list) -> list:
     return [sets[i] for i in sorted(range(len(sets)), key=keys.__getitem__)]
 
 
-def answer_sets_json(horizon: int, discount: Fraction, sets: list[PInterpretation],
+def _layered_atoms(layers: tuple) -> Iterator[Atom]:
+    return chain(chain.from_iterable([layer.atoms for layer in layers]), layers[-1].values)
+
+
+def answer_sets_json(horizon: int, discount: Fraction, sets: list[tuple],
                      ) -> Iterator[str]:
-    """The `solve` payload for `sets`, sorted by `answer_set_sort_key`, as
-    `json.dumps(payload, indent=2) + "\n"` writes it, in chunks: the header,
-    each answer set, and the footer.  Each distinct atom is rendered once, as
-    is each value object; a set's sorted rank list is both its sort key and
-    the order of its keys.  Each atom's line at `ONE.value` is made once."""
+    """The `solve` payload for `sets`, each answer set a tuple of
+    `compiler.Layer`s (its layers' `atoms` at 1, then the last one's `values`),
+    sorted by `answer_set_sort_key`, as `json.dumps(payload, indent=2) + "\n"`
+    writes it, in chunks: the header, each answer set, and the footer.  Each
+    distinct atom is rendered once, as is each value object; a set's sorted
+    ranks are both its sort key and the order of its keys.  Each atom's line
+    at `ONE.value` is made once."""
     import json
-    names, rank, keys = _ranked(sets)
+    names, rank, keys = _ranked(sets, _layered_atoms)
     quoted = ["      " + json.dumps(name) + ": " for name in names]
     one = ONE.value
     ones = [q + repr(float(one)) for q in quoted]  # as json writes a float
@@ -259,13 +268,14 @@ def answer_sets_json(horizon: int, discount: Fraction, sets: list[PInterpretatio
                          "count": len(sets)}, indent=2)
     yield header[:-2] + ',\n  "answer_sets": ['
     for n, i in enumerate(sorted(range(len(sets)), key=keys.__getitem__)):
-        h, order = sets[i], keys[i]
-        # of two atoms that render alike, the later one is written, once
+        layers, order = sets[i], keys[i]
+        h = layers[-1].values
         alike = len(set(order)) < len(order)
-        other = [True] * len(h) if alike else list(map(is_not, h.values(), repeat(one)))
+        if alike:  # of two atoms that render alike, the later one is written, once
+            h = {**dict.fromkeys(_layered_atoms(layers), one), **h}
         lines = {rank[id(a)]: quoted[rank[id(a)]] + (
                      text.get(id(v)) or text.setdefault(id(v), repr(float(v))))
-                 for a, v in zip(compress(h, other), compress(h.values(), other))}
+                 for a, v in h.items()}
         order = sorted(lines) if alike else order
         body = ",\n".join(map(lines.get, order, map(ones.__getitem__, order)))
         yield ("\n    " if n == 0 else ",\n    ") + ("{\n" + body + "\n    }" if body else "{}")

@@ -24,7 +24,7 @@ from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
 
 from . import ApoError, Record, compiler, oracle, set_field
 from .compiler import Layer
-from .nplp import NpProgram, PInterpretation, render_atom, sort_answer_sets
+from .nplp import NpProgram, render_atom, sort_answer_sets
 from .oracle import Initial, State
 from .theory import ActionTheory, fluent_of, validate_theory
 
@@ -190,10 +190,6 @@ class Run:
         # the rules before the CNF, so that a program whose probability
         # families cannot be split is refused by the stage that splits them
         return compiler.iter_answer_set_layers(self.probability_rules, self.cnf)
-
-    def iter_answer_sets(self) -> Iterator[PInterpretation]:
-        """The answer sets of `iter_layers`, each as one dict."""
-        return compiler.iter_annotated_answer_sets(self.probability_rules, self.cnf)
 
     @cached_property
     def initial(self) -> Initial:

@@ -66,13 +66,27 @@ def fresh_python(script: str, *argv, env_vars=None) -> str:
     return proc.stdout
 
 
+def interpretation(layers) -> dict:
+    """The answer set whose layers are `layers`, as one dict: the normal atoms
+    at 1, the derived atoms at their values, in the order `apoplan solve`
+    reads them."""
+    h = dict.fromkeys(itertools.chain.from_iterable(l.atoms for l in layers), Fraction(1))
+    h.update(layers[-1].values)
+    return h
+
+
+def interpretations(run) -> list:
+    """The answer sets of a `policies.Run`, in search order, each as one dict."""
+    return [interpretation(layers) for layers in run.iter_layers()]
+
+
 def answer_sets_of(program) -> list:
     """The answer sets of a hand-built annotated `program`, from its
     probability rules and the completion of its normal program as
     `policies.Run` computes them, in `nplp.answer_set_sort_key` order."""
-    return sort_answer_sets(list(compiler.iter_annotated_answer_sets(
+    return sort_answer_sets(list(map(interpretation, compiler.iter_answer_set_layers(
         compiler.probability_rules(program),
-        compiler.to_sat(compiler.normalize(program)))))
+        compiler.to_sat(compiler.normalize(program))))))
 
 
 def model_key(model) -> int:

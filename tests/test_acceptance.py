@@ -16,7 +16,8 @@ from apoplan.fuzz import generate_theory
 from apoplan.nplp import BLit, NpProgram, NpRule, Num, least_model, reduct
 
 from conftest import (
-    answer_set_key, group_policies_reference, model_atoms, model_key, satisfies_program,
+    answer_set_key, group_policies_reference, interpretations, model_atoms, model_key,
+    satisfies_program,
 )
 
 TOL = Fraction(1, 10**9)
@@ -212,7 +213,7 @@ def test_criterion_6_fuzzed_invariant_suites():
     deep_seeds = 40
     for seed in range(deep_seeds):
         theory = generate_theory(seed)
-        for h in policies.Run(theory, horizon).iter_answer_sets():
+        for h in interpretations(policies.Run(theory, horizon)):
             for t in range(horizon):
                 occ = [a for a, v in h.items()
                        if a[0] == "occ" and a[2] == t and v >= 1]

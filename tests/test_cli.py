@@ -14,7 +14,7 @@ from apoplan import ApoError, compiler, nplp, oracle, policies, sat, theory
 from apoplan.cli import main
 from apoplan.fuzz import generate_theory
 
-from conftest import fresh_python
+from conftest import fresh_python, interpretation
 
 REPO = Path(__file__).resolve().parent.parent
 TIGER = str(REPO / "domains" / "tiger.apo")
@@ -316,23 +316,34 @@ def test_solve_json_schema(capsys):
 
 
 def _json_reference(models) -> str:
-    """What `apoplan solve` writes for the answer sets `models`, by
+    """What `apoplan solve` writes for the layered answer sets `models`, by
     `json.dumps`: each answer set's atoms rendered and sorted, the later of
     two atoms that render alike winning, and the sets sorted by
     `nplp.answer_set_sort_key`."""
-    payload = {"horizon": 2, "discount": 0.95, "count": len(models), "answer_sets": [
+    dicts = list(map(interpretation, models))
+    payload = {"horizon": 2, "discount": 0.95, "count": len(dicts), "answer_sets": [
         dict(sorted({nplp.render_atom(a): float(v) for a, v in h.items()}.items()))
-        for h in sorted(models, key=nplp.answer_set_sort_key)]}
+        for h in sorted(dicts, key=nplp.answer_set_sort_key)]}
     return json.dumps(payload, indent=2) + "\n"
+
+
+def _layered(*layers) -> tuple:
+    """An answer set of one `compiler.Layer` per `(atoms, values)` pair: the
+    normal atoms of its step and the atoms derived up to it."""
+    return tuple(compiler.Layer((), atoms, 0, frozenset(), (), values, {})
+                 for atoms, values in layers)
 
 
 @pytest.mark.parametrize("models", [
     [],
-    [{}],
-    [{("a",): Fraction(1)}, {},
-     {("b", 1): Fraction(1, 3), ("a",): Fraction(-2, 7), ("say", 'x"y'): Fraction(1)},
+    [_layered(((), {}))],
+    [_layered(((("a",),), {})), _layered(((), {})),
+     _layered(((("say", 'x"y'),), {}),
+              ((), {("b", 1): Fraction(1, 3), ("a",): Fraction(-2, 7)})),
      # two atoms that render alike: the later one is written, once
-     {("v", 1): Fraction(1, 2), ("v", nplp.Num(1)): Fraction(1, 4)}],
+     _layered(((), {("v", 1): Fraction(1, 2), ("v", nplp.Num(1)): Fraction(1, 4)})),
+     # a normal atom of the first layer and a derived atom that render alike
+     _layered(((("w", 1),), {}), ((("x",),), {("w", nplp.Num(1)): Fraction(1, 4)}))],
 ])
 def test_solve_chunks_write_what_json_dumps_writes(models):
     chunks = list(nplp.answer_sets_json(2, Fraction(19, 20), models))
@@ -345,7 +356,7 @@ def test_solve_chunks_write_what_json_dumps_writes(models):
 def test_solve_writes_what_json_dumps_writes_on_theories(seed):
     parsed = (theory.parse_theory(Path(BITS4).read_text()) if seed == "bits4"
               else generate_theory(seed))
-    models = list(policies.Run(parsed, 2).iter_answer_sets())
+    models = list(policies.Run(parsed, 2).iter_layers())
     chunks = list(nplp.answer_sets_json(2, Fraction(19, 20), models))
     assert "".join(chunks) == _json_reference(models)
     assert len(chunks) == len(models) + 2
@@ -552,8 +563,10 @@ _PEAK_SCRIPT = ("import sys, tracemalloc\n"
 @pytest.mark.parametrize("command, bound_mb", [
     # all answer sets and reports listed: 4.6 MB; folded: 0.7 MB
     ("policy", 1.5),
-    # the payload dicts and the whole JSON text built: 22.9 MB; streamed: 4.1 MB
-    ("solve", 8.0),
+    # the payload dicts and the whole JSON text built: 22.9 MB; streamed from
+    # one dict per answer set and rank lists: 4.33 MB; from the layers and
+    # rank arrays: 2.69 MB
+    ("solve", 3.5),
     # the answer sets, their reports and their models listed, and each valid
     # report's trajectory derived twice: 9.1 MB; one reading, none kept: 6.1 MB
     ("check", 7.5),
@@ -745,9 +758,9 @@ def test_a_passing_check_sorts_no_answer_sets_and_solve_sorts_what_it_prints(
     sizes = []
     rank = nplp._ranked
 
-    def recorded(sets):
+    def recorded(sets, *atoms):
         sizes.append(len(sets))
-        return rank(sets)
+        return rank(sets, *atoms)
     monkeypatch.setattr(nplp, "_ranked", recorded)
     code, out = run(capsys, "check", TIGER, "--horizon", "2")
     assert code == 0 and json.loads(out)["ok"] is True

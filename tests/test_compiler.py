@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from apoplan import compiler, sat
 from apoplan.compiler import (
     CompileError, NonTightError, NormalProgram, check_tight, compile_theory,
-    iter_annotated_answer_sets, normal_answer_sets, normalize, to_sat,
+    normal_answer_sets, normalize, to_sat,
 )
 from apoplan.fuzz import generate_theory
 from apoplan.nplp import (
@@ -19,7 +19,10 @@ from apoplan.nplp import (
 from apoplan.policies import Run
 from apoplan.theory import ground_theory, parse_theory, validate_theory
 
-from conftest import REPO, answer_sets_of, model_atoms, model_key, normal_sets_of
+from conftest import (
+    REPO, answer_sets_of, interpretation, interpretations, model_atoms, model_key,
+    normal_sets_of,
+)
 
 DROPPED = {"15", "18", "21", "22", "23", "24", "value-base", "factor"}
 BITS4_PATH = REPO / "domains" / "bits4.apo"
@@ -164,7 +167,7 @@ def test_annotated_answer_sets_are_least_models_of_their_reducts(tiger, cross_se
     cases += [(generate_theory(s), n) for s in range(12) for n in (1, 2)]
     for theory, horizon in cases:
         run = Run(theory, horizon)
-        got = list(run.iter_answer_sets())
+        got = interpretations(run)
         for h in got:
             assert least_model(reduct(run.program, h)) == h, horizon
         assert all(type(v) is Fraction for h in got for v in h.values())
@@ -203,7 +206,7 @@ def _layered_mismatches(cases) -> list:
     out = []
     for theory, horizon in cases:
         run = Run(theory, horizon)
-        got = list(run.iter_answer_sets())
+        got = interpretations(run)
         assert all(type(v) is Fraction for h in got for v in h.values())
         if got != _least_models_per_completion_model(run.program):
             out.append((theory, horizon))
@@ -482,7 +485,7 @@ def test_answer_sets_that_share_a_prefix_share_its_firings(
         calls += 1
         return fire(*args)
     monkeypatch.setattr(compiler, "iter_rule_firings", counted)
-    assert len(list(Run(request.getfixturevalue(name), horizon).iter_answer_sets())) == count
+    assert len(list(Run(request.getfixturevalue(name), horizon).iter_layers())) == count
     # firing every enabled rule once per answer set made 896, 9,216 and 448;
     # a rule fires again only when an answer set's layer of it differs
     # from the previous one's
@@ -544,7 +547,7 @@ def test_normal_answer_sets_are_least_models_of_their_reducts(tiger, cross_sensi
 def test_normal_projections_match_annotated(tiger):
     run = Run(tiger, 1)
     annotated = {frozenset(a for a, v in h.items() if a[0] == "occ" and v >= 1)
-                 for h in run.iter_answer_sets()}
+                 for h in interpretations(run)}
     normal = {frozenset(a for a in m if a[0] == "occ") for m in normal_sets_of(run.normal)}
     assert annotated == normal
 
@@ -626,8 +629,8 @@ def test_time_major_search_finds_the_dimacs_answer_sets(tiger, cross_sensing):
     for theory, horizon in cases:
         run = Run(theory, horizon)
         dimacs, atom_map = run.cnf.to_dimacs(), run.cnf.atom_map_json()
-        got = Counter(frozenset(h.items()) for h in
-                      iter_annotated_answer_sets(run.probability_rules, run.cnf))
+        got = Counter(frozenset(interpretation(layers).items()) for layers in
+                      compiler.iter_answer_set_layers(run.probability_rules, run.cnf))
         expected = Counter(frozenset(h.items()) for h in
                            _fired_in_dimacs_order(run.probability_rules, run.cnf))
         assert got == expected, horizon

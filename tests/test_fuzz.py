@@ -4,6 +4,7 @@ from apoplan import oracle
 from apoplan.fuzz import generate_theory, generate_theory_text
 from apoplan.policies import Run, best_policy, cross_check
 from apoplan.theory import validate_theory
+from conftest import interpretations
 
 SEEDS = range(60)
 
@@ -53,7 +54,7 @@ def test_answer_set_structural_invariants():
     horizon = 2
     for seed in range(12):
         theory = generate_theory(seed)
-        for h in Run(theory, horizon).iter_answer_sets():
+        for h in interpretations(Run(theory, horizon)):
             for t in range(horizon):
                 occ = [a for a, v in h.items()
                        if a[0] == "occ" and a[2] == t and v >= 1]
@@ -86,7 +87,7 @@ def test_read_reported_varying_literal_is_guessed_at_time_0():
         run = Run(theory, horizon)
         checks = cross_check(run)
         assert all(c.ok for c in checks), (horizon, [c.detail for c in checks])
-        assert len(list(run.iter_answer_sets())) == 32 * 8 ** (horizon - 1)
+        assert len(list(run.iter_layers())) == 32 * 8 ** (horizon - 1)
         if horizon < 3:
             values[horizon] = best_policy(run).value
             assert values[horizon] == oracle.optimal_policy(theory, horizon)[1]

@@ -176,6 +176,12 @@ def test_sort_answer_sets_is_the_sort_key_order(as_set):
         assert sort_answer_sets(xs) == sorted(xs, key=answer_set_sort_key)
 
 
+def test_sort_answer_sets_past_16_bit_ranks():
+    # more distinct renderings than an array of 16-bit ranks can number
+    xs = [frozenset({("a", i)}) for i in range(66_000, 0, -1)]
+    assert sort_answer_sets(xs) == sorted(xs, key=answer_set_sort_key)
+
+
 def test_answer_sets_satisfy_program():
     prog = NpProgram(rules=(
         rule(("p",), head_ann=Num(Fraction(1, 2))),

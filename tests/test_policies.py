@@ -14,7 +14,10 @@ from apoplan.policies import (
     extract_report, group_policies, stationary_action_map, valid_reports,
 )
 from apoplan.theory import ground_theory, negate, parse_theory
-from conftest import TIGER_PATH, fresh_python, group_policies_reference, model_key
+from conftest import (
+    TIGER_PATH, fresh_python, group_policies_reference, interpretation, interpretations,
+    model_key,
+)
 
 
 @pytest.fixture(scope="module")
@@ -23,19 +26,19 @@ def tiger_run_n1(tiger):
 
 
 @pytest.fixture(scope="module")
-def tiger_sets_n1(tiger_run_n1):
-    return list(tiger_run_n1.iter_answer_sets())
+def tiger_layers_n1(tiger_run_n1):
+    return list(tiger_run_n1.iter_layers())
+
+
+@pytest.fixture(scope="module")
+def tiger_sets_n1(tiger_layers_n1):
+    """The answer sets of `tiger_layers_n1`, in the same order, as dicts."""
+    return list(map(interpretation, tiger_layers_n1))
 
 
 @pytest.fixture(scope="module")
 def tiger_sets_n2(tiger):
-    return list(Run(tiger, 2).iter_answer_sets())
-
-
-@pytest.fixture(scope="module")
-def tiger_layers_n1(tiger_run_n1):
-    """The layers of `tiger_sets_n1`, in the same order."""
-    return list(tiger_run_n1.iter_layers())
+    return interpretations(Run(tiger, 2))
 
 
 @pytest.fixture(scope="module")
