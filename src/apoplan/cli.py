@@ -34,13 +34,13 @@ the whole pipeline, so a tracer that wraps its functions, such as
 Every error the stages raise on purpose derives from `apoplan.ApoError`, so
 `main` maps them to exit 3 without importing the stage modules.
 
-Output is held only as far as it must be.  Every command reads answer sets
-as layers, shared between consecutive answer sets.  `solve` alone needs every
-answer set at once, to sort them: it lists their layers before it opens its
-output, so a stage that fails writes nothing, and `nplp.answer_sets_json`
-sorts and writes them from one rank table.  `policy` and `check` read each
-answer set once and keep none.  `oracle` refuses more than
-`oracle.MAX_POLICIES` policies, which it would list.
+Output is held only as far as it must be.  The commands that read answer
+sets read them as layers, shared between consecutive ones.  `solve` alone
+needs every answer set at once, to sort them: it lists their layers before
+it opens its output, so a stage that fails writes nothing, and
+`nplp.answer_sets_json` sorts and writes them from one rank table.  `policy`
+and `check` read each answer set once and keep none.  `oracle` refuses
+more than `oracle.MAX_POLICIES` policies, which it would list.
 """
 
 from __future__ import annotations
