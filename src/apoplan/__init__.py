@@ -66,3 +66,48 @@ class Record:
         fields = dict(zip(self.__slots__, self._values()))
         fields.update(changes)
         return self.__class__(**fields)
+
+
+# json's escapes of the ASCII characters it escapes: the quote, the backslash,
+# and the control characters
+_ESCAPES = {c: f"\\u{c:04x}" for c in [*range(32), 127]}
+_ESCAPES.update({ord(c): "\\" + e for c, e in
+                 zip('"\\\b\f\n\r\t', '"\\bfnrt')})
+_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def json_text(value, newline: str = "\n") -> str:
+    """`json.dumps(value, indent=2)` for dicts with string keys, lists and
+    tuples, strings, ints, floats, booleans and None, the values the CLI
+    writes; `newline` is the line break and indentation of `value`'s level.
+    Every command is a fresh process, and json's indented encoder is pure
+    Python anyway: writing the text here spares each one importing `json`,
+    which only a string holding a non-ASCII character still loads."""
+    if isinstance(value, str):
+        if value.isascii():
+            return '"' + value.translate(_ESCAPES) + '"'
+        import json
+        return json.dumps(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _FLOATS.get(text, text)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        items = [json_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
+    if isinstance(value, dict):
+        items = []
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"key {key!r} is not a string")
+            items.append(json_text(key) + ": " + json_text(item, inner))
+        return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")

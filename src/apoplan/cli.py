@@ -20,12 +20,12 @@ command line exits 1 with the command's usage line, and `-h`/`--help` prints
 the help and exits 0.
 
 Each run is a fresh process, so a command imports only the modules it runs
-(no argparse; `json` only where JSON is written): start-up is most of the
-time of a small run.  The process enters through `entry`, which flushes the
-output and then freezes the garbage collector, so the exit skips collecting
-a heap the operating system frees anyway.  `main(argv)` never freezes: the
-tests and traced benchmark runs call it many times in one process, where a
-freeze would keep each run's garbage for good.
+(no argparse, and no `json`: `apoplan.json_text` writes JSON): start-up is
+most of the time of a small run.  The process enters through `entry`, which
+flushes the output and then ends the process with `os._exit`, so it skips
+the interpreter's teardown of a heap the operating system frees anyway.
+`main(argv)` never exits: the tests, traced benchmark runs and profilers
+call it in a process that goes on.
 
 The commands that compile read their stages from one `policies.Run`, which
 `_run` builds, so each stage is computed once; importing `policies` loads
@@ -45,13 +45,13 @@ more than `oracle.MAX_POLICIES` policies, which it would list.
 
 from __future__ import annotations
 
-import gc
 import os
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NoReturn
 
+from . import json_text
 from .theory import (
     ActionTheory, ApoError, ValidationReport, parse_theory, serialize_theory,
     validate_theory,
@@ -152,8 +152,7 @@ def _write(path: str, chunks: Iterable[str]):
 
 
 def _emit_json(args, payload):
-    import json  # loaded only by the commands that write JSON
-    _emit(args, json.dumps(payload, indent=2, sort_keys=False) + "\n")
+    _emit(args, json_text(payload) + "\n")
 
 
 def _run(args) -> Run:
@@ -221,9 +220,7 @@ def cmd_sat(args) -> int:
         return EXIT_OK
     _emit(args, dimacs)
     if args.out:
-        import json
-        _write(args.out + ".atoms.json",
-               (json.dumps(cnf.atom_map_json(), indent=2), "\n"))
+        _write(args.out + ".atoms.json", (json_text(cnf.atom_map_json()), "\n"))
     return EXIT_OK
 
 
@@ -461,23 +458,20 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
 
 
-def entry() -> int:
+def entry() -> NoReturn:
     """The process entry: `main`, then a flush of both streams while a failed
-    write can still be reported, then a frozen garbage collector."""
+    write can still be reported, then `os._exit`, which skips the
+    interpreter's teardown of a heap the operating system frees anyway."""
     code = main()
     try:
         sys.stdout.flush()
     except OSError as e:
-        # the interpreter flushes standard output again as it exits: give that
-        # flush the null device, or it fails on the same unwritten bytes
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         if not isinstance(e, BrokenPipeError):
             print(f"error: cannot write standard output: {e}", file=sys.stderr)
             code = EXIT_INPUT
     sys.stderr.flush()
-    gc.freeze()  # the heap is the finished command's: exit without collecting it
-    return code
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(entry())
+    entry()

@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Iterator, Mapping, Optional
 
-from . import ApoError, Record, set_field
+from . import ApoError, Record, json_text, set_field
 
 Atom = tuple
 
@@ -220,16 +220,18 @@ def answer_set_sort_key(h: PInterpretation) -> list[str]:
     return sorted(render_atom(a) for a in h)
 
 
-def _ranked(sets: list, atoms=iter) -> tuple[list[str], dict[int, int], list]:
+def _ranked(sets: list, atoms=iter, parts=lambda sets: sets,
+            ) -> tuple[list[str], dict[int, int], list]:
     """The distinct renderings of the atoms `atoms(h)` of the sets h of `sets`
     in order; each atom's rank, the place of its rendering, by its id (hashing
     an atom that holds a Fraction is slow); and each set's sorted ranks, as an
     array (a third of a list's size).  Atoms that render alike share a rank,
-    so rank arrays compare as the rendered lists do."""
+    so rank arrays compare as the rendered lists do.  `parts(sets)` holds
+    every atom of `sets`, in collections read once each for the ranks."""
     from array import array  # loaded only by the commands that sort
     distinct: dict[int, Atom] = {}
-    for h in sets:
-        distinct.update(zip(map(id, atoms(h)), atoms(h)))
+    for part in parts(sets):
+        distinct.update(zip(map(id, part), part))
     names = dict(zip(distinct, map(render_atom, distinct.values())))
     order = sorted(set(names.values()))
     place = {name: i for i, name in enumerate(order)}
@@ -249,6 +251,14 @@ def _layered_atoms(layers: tuple) -> Iterator[Atom]:
     return chain(chain.from_iterable([layer.atoms for layer in layers]), layers[-1].values)
 
 
+def _distinct_parts(sets: list[tuple]) -> Iterator:
+    """The atoms of each distinct layer of `sets` and each distinct `values`
+    dict of their last layers: consecutive answer sets share both."""
+    atoms = {id(layer): layer.atoms for layers in sets for layer in layers}
+    values = {id(layers[-1].values): layers[-1].values for layers in sets}
+    return chain(atoms.values(), values.values())
+
+
 def answer_sets_json(horizon: int, discount: Fraction, sets: list[tuple],
                      ) -> Iterator[str]:
     """The `solve` payload for `sets`, each answer set a tuple of
@@ -258,14 +268,12 @@ def answer_sets_json(horizon: int, discount: Fraction, sets: list[tuple],
     distinct atom is rendered once, as is each value object; a set's sorted
     ranks are both its sort key and the order of its keys.  Each atom's line
     at `ONE.value` is made once."""
-    import json
-    names, rank, keys = _ranked(sets, _layered_atoms)
-    quoted = ["      " + json.dumps(name) + ": " for name in names]
+    names, rank, keys = _ranked(sets, _layered_atoms, _distinct_parts)
+    quoted = ["      " + json_text(name) + ": " for name in names]
     one = ONE.value
     ones = [q + repr(float(one)) for q in quoted]  # as json writes a float
     text: dict[int, str] = {}
-    header = json.dumps({"horizon": horizon, "discount": float(discount),
-                         "count": len(sets)}, indent=2)
+    header = json_text({"horizon": horizon, "discount": float(discount), "count": len(sets)})
     yield header[:-2] + ',\n  "answer_sets": ['
     for n, i in enumerate(sorted(range(len(sets)), key=keys.__getitem__)):
         layers, order = sets[i], keys[i]
@@ -306,39 +314,44 @@ def iter_rule_firings(rule: NpRule, h: Mapping[Atom, Fraction],
     rule's body against h.  The body must be positive: the callers fire
     negation-free rules (`least_model`, the probability families), and a
     negated literal is refused rather than read."""
+    return _firings(rule, h, atoms_by_pred, 0, {})
 
-    def step(i: int, env: dict):
-        if i == len(rule.body):
-            # bound Refs are substituted; a Ref left over is unbound and
-            # eval_expr reports it
-            head = tuple(eval_expr(a, env) if isinstance(a, (Add, Mul, Ref)) else a
-                         for a in _substitute_atom(rule.head, env))
-            yield head, head_value(rule.head_ann, head, env)
-            return
-        lit = rule.body[i]
-        atom = _substitute_atom(lit.atom, env)
-        if lit.neg:
-            raise NplpError("rule firing needs a negation-free body")
-        candidates: Iterable[Atom]
-        if atom_is_ground(atom):
-            candidates = (atom,)
-        else:
-            candidates = [c for c in atoms_by_pred.get(atom[0], ())
-                          if can_match(atom, c)]
-        for cand in candidates:
-            env2 = env if cand is atom else _bind(atom, cand, env)
-            if env2 is None:
-                continue
-            value = h.get(cand, _ZERO)
-            ann = lit.ann
-            if isinstance(ann, Ref) and ann.name not in env2:
-                env2 = dict(env2)
-                env2[ann.name] = value  # exact (maximal) binding
-            elif eval_expr(ann, env2) > value:
-                continue
-            yield from step(i + 1, env2)
 
-    yield from step(0, {})
+def _firings(rule: NpRule, h: Mapping[Atom, Fraction],
+             atoms_by_pred: Mapping[str, Iterable[Atom]], i: int, env: dict,
+             ) -> Iterator[tuple[Atom, Fraction]]:
+    """The firings of `rule` whose first `i` body literals bound `env`.  A
+    module function, not a closure that calls itself: that would be a
+    reference cycle per call, which only the cyclic garbage collector frees."""
+    if i == len(rule.body):
+        # bound Refs are substituted; a Ref left over is unbound and
+        # eval_expr reports it
+        head = tuple(eval_expr(a, env) if isinstance(a, (Add, Mul, Ref)) else a
+                     for a in _substitute_atom(rule.head, env))
+        yield head, head_value(rule.head_ann, head, env)
+        return
+    lit = rule.body[i]
+    atom = _substitute_atom(lit.atom, env)
+    if lit.neg:
+        raise NplpError("rule firing needs a negation-free body")
+    candidates: Iterable[Atom]
+    if atom_is_ground(atom):
+        candidates = (atom,)
+    else:
+        candidates = [c for c in atoms_by_pred.get(atom[0], ())
+                      if can_match(atom, c)]
+    for cand in candidates:
+        env2 = env if cand is atom else _bind(atom, cand, env)
+        if env2 is None:
+            continue
+        value = h.get(cand, _ZERO)
+        ann = lit.ann
+        if isinstance(ann, Ref) and ann.name not in env2:
+            env2 = dict(env2)
+            env2[ann.name] = value  # exact (maximal) binding
+        elif eval_expr(ann, env2) > value:
+            continue
+        yield from _firings(rule, h, atoms_by_pred, i + 1, env2)
 
 
 def _bind(pattern: Atom, ground: Atom, env: dict) -> Optional[dict]:

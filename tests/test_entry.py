@@ -1,6 +1,6 @@
 """The process entry, `apoplan.cli.entry`: the same output and exit code as
-`main`, a garbage collector frozen only in a process of its own, and a
-standard output that cannot be written reported in one line."""
+`main`, an exit that skips the interpreter's teardown only in a process of
+its own, and a standard output that cannot be written reported in one line."""
 
 import errno
 import gc
@@ -44,19 +44,23 @@ def test_main_in_process_freezes_nothing(capsys):
     assert gc.get_freeze_count() == before
 
 
-# Runs the CLI as `-m` does and prints, from an exit hook, which runs before
-# the modules are torn down, how many objects the garbage collector froze.
-_FREEZE_SCRIPT = ("import atexit, gc, runpy, sys\n"
-                  "atexit.register(lambda: print('frozen', gc.get_freeze_count(),"
-                  " file=sys.stderr))\n"
-                  "runpy.run_module('apoplan.cli', run_name='__main__', alter_sys=True)\n")
+# Runs the CLI as `-m` does, with an exit hook that the interpreter's own exit
+# would run and `os._exit` skips.
+_EXIT_HOOK_SCRIPT = ("import atexit, runpy, sys\n"
+                     "atexit.register(lambda: print('exit hook ran', file=sys.stderr))\n"
+                     "runpy.run_module('apoplan.cli', run_name='__main__', alter_sys=True)\n")
 
 
-def test_the_process_freezes_before_it_exits():
-    proc = _process(["validate", TIGER], script=_FREEZE_SCRIPT)
-    assert (proc.returncode, proc.stdout) == (0, b"ok\n")
-    word, count = proc.stderr.decode().split()
-    assert word == "frozen" and int(count) > 0, proc.stderr
+def test_the_process_runs_no_exit_hook_yet_prints_what_main_prints(capsys, tmp_path):
+    for argv in (["validate", TIGER], ["solve", TIGER, "--horizon", "2"],
+                 ["validate", str(tmp_path / "missing.apo")]):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        # buffered: the output reaches the pipe only through the flush in `entry`
+        proc = _process(argv, buffered=True, script=_EXIT_HOOK_SCRIPT)
+        assert proc.returncode == code, argv
+        assert proc.stdout == captured.out.encode(), argv
+        assert proc.stderr == captured.err.encode(), argv
 
 
 @pytest.mark.parametrize("case,code", [("valid", 0), ("missing", 1), ("invalid", 2)])

@@ -10,7 +10,7 @@ from apoplan.nplp import (
     least_model, reduct, render_atom, satisfies, sort_answer_sets,
 )
 
-from conftest import satisfies_program
+from conftest import TIGER_PATH, fresh_python, satisfies_program
 
 
 def rule(head, body=(), head_ann=ONE):
@@ -95,6 +95,24 @@ def test_rule_firing_refuses_a_negated_literal():
     negated = NpRule(head=("c",), body=(BLit(atom=("a",)), BLit(atom=("b",), neg=True)))
     with pytest.raises(NplpError, match="negation-free"):
         list(iter_rule_firings(negated, {("a",): Fraction(1)}, {}))
+
+
+# Runs `policy` with the cyclic garbage collector off and prints how many
+# unreachable objects a collection then finds.
+_CYCLES_SCRIPT = ("import gc, io, sys\n"
+                  "gc.disable()\n"
+                  "from apoplan.cli import main\n"
+                  "out, sys.stdout = sys.stdout, io.StringIO()\n"
+                  "assert main(sys.argv[1:]) == 0\n"
+                  "print(gc.collect(), file=out)\n")
+
+
+def test_rule_firings_leave_no_reference_cycles():
+    # a firing that recursed through a closure of its own left one
+    # function-cell cycle per call: 12,087 cyclic objects here, against 1,816
+    # (import-time ones, which do not grow with the horizon) without it
+    cyclic = int(fresh_python(_CYCLES_SCRIPT, "policy", str(TIGER_PATH), "--horizon", "3"))
+    assert cyclic < 3000
 
 
 def test_satisfies_semantics():
