@@ -9,21 +9,25 @@ with the same exact value; for
 a subset of seeds the compiled program's answer sets, as the CLI computes
 them, are checked for exactly one occ atom per step and no complementary
 holds-literals, and against the definition: each is the least model of the
-program's reduct by itself, with exact values, and `sort_answer_sets` puts
-the list in `answer_set_sort_key` order.  Their atoms outside the probability
-families must also be, one for one, the answer sets that
-`compiler.normal_answer_sets` finds for the normal program; since an answer set is fixed by its values on
-the negated atoms, which are normal atoms, no answer set is left out.
+program's reduct by itself, with exact values, and `solve`'s payload
+(`answer_sets_json`) lists them in `answer_set_sort_key` order.  Their atoms
+outside the probability families must also be, one for one, the answer sets
+that `compiler.normal_answer_sets` finds for the normal program; since an
+answer set is fixed by its values on the negated atoms, which are normal
+atoms, no answer set is left out.
 """
 
 import argparse
 import itertools
+import json
 import time
 from fractions import Fraction
 
 from apoplan import compiler, oracle, policies
 from apoplan.fuzz import generate_theory
-from apoplan.nplp import answer_set_sort_key, least_model, reduct, sort_answer_sets
+from apoplan.nplp import (
+    answer_set_sort_key, answer_sets_json, least_model, reduct, render_atom,
+)
 from apoplan.theory import validate_theory
 
 
@@ -64,18 +68,23 @@ def interpretation(layers) -> dict:
 
 def check_answer_sets(theory, horizon: int) -> None:
     run = policies.Run(theory, horizon)
-    answer_sets = [interpretation(layers) for layers in run.iter_layers()]
+    layered = list(run.iter_layers())
+    answer_sets = [interpretation(layers) for layers in layered]
     for h in answer_sets:
         assert least_model(reduct(run.program, h)) == h, \
             "an annotated answer set is not the least model of its reduct"
         assert all(type(v) is Fraction for v in h.values())
-    assert sort_answer_sets(answer_sets) == sorted(answer_sets, key=answer_set_sort_key), \
-        "sort_answer_sets disagrees with answer_set_sort_key"
+    written = json.loads("".join(answer_sets_json(horizon, run.theory.discount, layered)))
+    assert written["answer_sets"] == [
+        {render_atom(a): float(v) for a, v in h.items()}
+        for h in sorted(answer_sets, key=answer_set_sort_key)], \
+        "answer_sets_json disagrees with answer_set_sort_key"
     atoms = run.normal.atoms()
     normal_atoms = [frozenset(a for a in h if a in atoms) for h in answer_sets]
     normal_sets = [compiler.atoms_of_key(k, run.cnf.atoms) for k in run.normal_sets]
     # sorted lists, not sets, so that a repeated answer set still fails
-    assert sort_answer_sets(normal_sets) == sort_answer_sets(normal_atoms), \
+    assert sorted(normal_sets, key=answer_set_sort_key) \
+        == sorted(normal_atoms, key=answer_set_sort_key), \
         "normal_answer_sets differs from the normal atoms of the annotated answer sets"
     for h in answer_sets:
         for t in range(horizon):

@@ -20,9 +20,9 @@ right rule families.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
-from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from . import ApoError, Record, sat, set_field
@@ -582,19 +582,21 @@ def _feeders(rules: Sequence[tuple]) -> list[list[int]]:
 _STEP_PREDICATES = frozenset({"holds", "occ", "abocc", "exec", "observed"})
 
 
-def _step(atom: Atom) -> int | None:
-    return atom[-1] if atom[0] in _STEP_PREDICATES and isinstance(atom[-1], int) else None
+def _layer(atom: Atom) -> int:
+    """The layer of a normal atom: t for `holds(l, t)`, t + 1 for the other
+    atoms of step t, which lead to it, and 0 for the atoms without a step."""
+    if atom[0] not in _STEP_PREDICATES or not isinstance(atom[-1], int):
+        return 0
+    return atom[-1] + (atom[0] != "holds")
 
 
 def _time_major(cnf: CnfFormula) -> CnfFormula:
-    """`cnf` renumbered time-major: the atoms without a time step, then those
-    of step 0, 1, ..., `occ` first within a step, each group in the order of
-    `cnf`.  The search then settles a trajectory one step after another."""
-    def key(i: int) -> tuple:
-        step = _step(cnf.atoms[i])
-        return (0, 0, False, i) if step is None else (1, step, cnf.atoms[i][0] != "occ", i)
-
-    order = sorted(range(cnf.variable_count), key=key)
+    """`cnf` renumbered layer by layer (`_layer`), `occ` first within a layer,
+    each group in the order of `cnf`.  The search then settles a trajectory
+    one step after another, and each layer's variables are one slice of a
+    model."""
+    order = sorted(range(cnf.variable_count),
+                   key=lambda i: (_layer(cnf.atoms[i]), cnf.atoms[i][0] != "occ", i))
     renumbered = [0] * (cnf.variable_count + 1)
     for new, old in enumerate(order, 1):
         renumbered[old + 1] = new
@@ -603,19 +605,19 @@ def _time_major(cnf: CnfFormula) -> CnfFormula:
     return CnfFormula(clauses=clauses, atoms=tuple(cnf.atoms[i] for i in order))
 
 
-# Time step t of an answer set: `held`, the values of its variables, the holds
-# atoms of t and the other atoms of step t - 1 (in layer 0, also those without
-# a step); `atoms`, the true ones; `key`, their bits (`atoms_of_key` over the
-# CNF's atoms); `state` and `occ`, its holds literals and occ sub-outcome ids;
-# `values` and `by_pred`, the atoms derived up to it, by value and predicate.
-Layer = namedtuple("Layer", "held atoms key state occ values by_pred")
+# Layer t of an answer set (`_layer`): `held`, the values of its variables, a
+# slice of the model; `atoms`, the true ones; `key`, their bits
+# (`atoms_of_key` over the CNF's atoms); `state` and `occ`, its holds literals
+# and occ sub-outcome ids; `values`, the atoms derived up to it.
+Layer = namedtuple("Layer", "held atoms key state occ values")
 
 
-def _kept(stack: list[Layer], pick: list, model: list) -> int:
+def _kept(stack: list[Layer], bounds: list[int], model: list) -> int:
     """How many layers of `stack` `model` keeps: those below the first whose
-    variables (`pick`) it holds otherwise."""
-    return next((k for k, layer in enumerate(stack) if pick[k](model) != layer.held),
-                len(stack))
+    variables, layer k's from `bounds[k]` to `bounds[k + 1]`, it holds
+    otherwise."""
+    return next((k for k, layer in enumerate(stack)
+                 if model[bounds[k]:bounds[k + 1]] != layer.held), len(stack))
 
 
 def iter_answer_set_layers(rules: list[tuple], cnf: CnfFormula,
@@ -633,21 +635,19 @@ def iter_answer_set_layers(rules: list[tuple], cnf: CnfFormula,
     order, each head keeping the max of its firings.
 
     A rule's layer is the latest among its guard atoms and the rules before
-    it, which include those that feed it.  The search is time-major, so a
-    model mostly differs from the one before only in its last step: it keeps
-    the layers below the first one whose atoms differ, and derives the rest."""
+    it, which include those that feed it.  The search numbers the variables
+    layer by layer, so a model mostly differs from the one before only in its
+    last layer: it keeps the layers below the first one whose atoms differ,
+    and derives the rest."""
     search = _time_major(cnf)
     atoms = search.atoms
-    # per variable - 1: its layer, the step of a holds atom, one more than that
-    # of the other atoms with a step, and 0
-    layer = [0 if _step(a) is None else _step(a) + (a[0] != "holds") for a in atoms]
+    layer = [_layer(a) for a in atoms]  # nondecreasing, as `_time_major` orders them
     count = max(layer, default=0) + 1
-    members = [[v for v, k in enumerate(layer, 1) if k == g] for g in range(count)]
-    # per layer: the values of its variables in a model, their atoms and
-    # key bits, and the places of its holds and occ atoms among them
-    pick = [itemgetter(*vs) if len(vs) > 1 else (lambda model, vs=vs: tuple(model[v] for v in vs))
-            for vs in members]
-    layer_atoms = [tuple(atoms[v - 1] for v in vs) for vs in members]
+    # per layer: its first variable, then one past the last
+    bounds = [1 + bisect_left(layer, k) for k in range(count + 1)]
+    # per layer: its atoms and key bits, and the places of its holds and occ
+    # atoms among them
+    layer_atoms = [atoms[lo - 1:hi - 1] for lo, hi in zip(bounds, bounds[1:])]
     bit = {a: 1 << i for i, a in enumerate(cnf.atoms)}
     layer_bits = [tuple(map(bit.__getitem__, a)) for a in layer_atoms]
     holds, occ = ([[(i, a[1]) for i, a in enumerate(group) if a[0] == pred]
@@ -659,23 +659,23 @@ def iter_answer_set_layers(rules: list[tuple], cnf: CnfFormula,
     latest = 0
     for j, (guard, _) in enumerate(rules):
         vs = [var.get(a, 0) for a in guard]
-        latest = max([latest] + [layer[v - 1] for v in vs if v])
+        latest = max([latest] + [_layer(a) for a in guard if a in var])
         if 0 not in vs:  # else a guard atom that no model holds
             rules_of[latest].append((j, sorted(vs, key=lambda v: atoms[v - 1][0] != "occ")))
 
     constant: dict[int, list] = {}  # the firings of the rules whose bodies read nothing
     stack: list[Layer] = []
     for model in sat.enumerate_models(search.clauses, search.variable_count):
-        del stack[_kept(stack, pick, model):]
+        del stack[_kept(stack, bounds, model):]
         for k in range(len(stack), count):
-            values, by_pred = (stack[-1].values, stack[-1].by_pred) if stack else ({}, {})
+            values = stack[-1].values if stack else {}
             copied = False
             for j, vs in rules_of[k]:
                 # most fail on their occ variable: another sub-outcome's
                 if vs and not model[vs[0]] or not all(map(model.__getitem__, vs)):
                     continue
                 rule = rules[j][1]
-                fired = constant.get(j) or list(iter_rule_firings(rule, values, by_pred))
+                fired = constant.get(j) or list(iter_rule_firings(rule, values))
                 if not rule.body:
                     constant[j] = fired
                 for head, value in fired:
@@ -684,14 +684,12 @@ def iter_answer_set_layers(rules: list[tuple], cnf: CnfFormula,
                     if not value if old is None else value <= old:
                         continue
                     if not copied:  # the layers below keep theirs
-                        values, by_pred, copied = dict(values), dict(by_pred), True
-                    if old is None:
-                        by_pred[head[0]] = by_pred.get(head[0], ()) + (head,)
+                        values, copied = dict(values), True
                     values[head] = value
-            held = pick[k](model)
+            held = model[bounds[k]:bounds[k + 1]]
             stack.append(Layer(
                 held, tuple(itertools.compress(layer_atoms[k], held)),
                 sum(itertools.compress(layer_bits[k], held)),
                 frozenset([lit for i, lit in holds[k] if held[i]]),
-                tuple([o for i, o in occ[k] if held[i]]), values, by_pred))
+                tuple([o for i, o in occ[k] if held[i]]), values))
         yield tuple(stack)

@@ -7,7 +7,9 @@ least model of the program's reduct by that set; `least_model` (Kleene
 iteration) and `enumerate_answer_sets` (every set of negated atoms) are the
 definitions, for tests.  The CLI gets its answer sets from
 `compiler.iter_answer_set_layers`, which fires the probability rules through
-`iter_rule_firings`, the one firing path; `answer_sets_json` writes them.
+`iter_rule_firings`, the one firing path, which reads nothing but the
+interpretation; `answer_sets_json` sorts them by `answer_set_sort_key` and
+writes them.
 
 Atoms are tuples `(pred, arg, ...)`; arguments are strings, ints, Fractions, or
 (in rule patterns) term variables.  Head terms and annotations are written in
@@ -220,43 +222,31 @@ def answer_set_sort_key(h: PInterpretation) -> list[str]:
     return sorted(render_atom(a) for a in h)
 
 
-def _ranked(sets: list, atoms=iter, parts=lambda sets: sets,
-            ) -> tuple[list[str], dict[int, int], list]:
-    """The distinct renderings of the atoms `atoms(h)` of the sets h of `sets`
-    in order; each atom's rank, the place of its rendering, by its id (hashing
-    an atom that holds a Fraction is slow); and each set's sorted ranks, as an
-    array (a third of a list's size).  Atoms that render alike share a rank,
-    so rank arrays compare as the rendered lists do.  `parts(sets)` holds
-    every atom of `sets`, in collections read once each for the ranks."""
-    from array import array  # loaded only by the commands that sort
+def _layered_atoms(layers: tuple) -> Iterator[Atom]:
+    return chain(chain.from_iterable([layer.atoms for layer in layers]), layers[-1].values)
+
+
+def _ranked(sets: list[tuple]) -> tuple[list[str], dict[int, int], list]:
+    """The distinct renderings of the atoms of the answer sets `sets`, tuples
+    of `compiler.Layer`s, in order; each atom's rank, the place of its
+    rendering, by its id (hashing an atom that holds a Fraction is slow); and
+    each set's sorted ranks, as an array (a third of a list's size).  Atoms
+    that render alike share a rank, so rank arrays compare as the rendered
+    lists do.  Consecutive answer sets share layers and `values` dicts, so
+    each distinct one is read once for the ranks."""
+    from array import array  # loaded only by the command that sorts
+    parts = {id(layer): layer.atoms for layers in sets for layer in layers}
+    parts.update((id(layers[-1].values), layers[-1].values) for layers in sets)
     distinct: dict[int, Atom] = {}
-    for part in parts(sets):
+    for part in parts.values():
         distinct.update(zip(map(id, part), part))
     names = dict(zip(distinct, map(render_atom, distinct.values())))
     order = sorted(set(names.values()))
     place = {name: i for i, name in enumerate(order)}
     rank = {k: place[name] for k, name in names.items()}
     code = "H" if len(order) <= 1 << 16 else "L"
-    return order, rank, [array(code, sorted(map(rank.__getitem__, map(id, atoms(h)))))
+    return order, rank, [array(code, sorted(map(rank.__getitem__, map(id, _layered_atoms(h)))))
                          for h in sets]
-
-
-def sort_answer_sets(sets: list) -> list:
-    """`sets` (frozensets or dicts of atoms) sorted by `answer_set_sort_key`."""
-    keys = _ranked(sets)[2]
-    return [sets[i] for i in sorted(range(len(sets)), key=keys.__getitem__)]
-
-
-def _layered_atoms(layers: tuple) -> Iterator[Atom]:
-    return chain(chain.from_iterable([layer.atoms for layer in layers]), layers[-1].values)
-
-
-def _distinct_parts(sets: list[tuple]) -> Iterator:
-    """The atoms of each distinct layer of `sets` and each distinct `values`
-    dict of their last layers: consecutive answer sets share both."""
-    atoms = {id(layer): layer.atoms for layers in sets for layer in layers}
-    values = {id(layers[-1].values): layers[-1].values for layers in sets}
-    return chain(atoms.values(), values.values())
 
 
 def answer_sets_json(horizon: int, discount: Fraction, sets: list[tuple],
@@ -268,7 +258,7 @@ def answer_sets_json(horizon: int, discount: Fraction, sets: list[tuple],
     distinct atom is rendered once, as is each value object; a set's sorted
     ranks are both its sort key and the order of its keys.  Each atom's line
     at `ONE.value` is made once."""
-    names, rank, keys = _ranked(sets, _layered_atoms, _distinct_parts)
+    names, rank, keys = _ranked(sets)
     quoted = ["      " + json_text(name) + ": " for name in names]
     one = ONE.value
     ones = [q + repr(float(one)) for q in quoted]  # as json writes a float
@@ -308,17 +298,16 @@ def satisfies(h: Mapping[Atom, Fraction], atom: Atom, mu: Fraction,
 
 
 def iter_rule_firings(rule: NpRule, h: Mapping[Atom, Fraction],
-                       atoms_by_pred: Mapping[str, Iterable[Atom]],
-                       ) -> Iterator[tuple[Atom, Fraction]]:
+                      ) -> Iterator[tuple[Atom, Fraction]]:
     """Yield (head_atom, head_value) for every maximal-binding match of the
-    rule's body against h.  The body must be positive: the callers fire
-    negation-free rules (`least_model`, the probability families), and a
-    negated literal is refused rather than read."""
-    return _firings(rule, h, atoms_by_pred, 0, {})
+    rule's body against h: a body atom with variables matches the atoms of h
+    of its predicate and arity that bind them.  The body must be positive:
+    the callers fire negation-free rules (`least_model`, the probability
+    families), and a negated literal is refused rather than read."""
+    return _firings(rule, h, 0, {})
 
 
-def _firings(rule: NpRule, h: Mapping[Atom, Fraction],
-             atoms_by_pred: Mapping[str, Iterable[Atom]], i: int, env: dict,
+def _firings(rule: NpRule, h: Mapping[Atom, Fraction], i: int, env: dict,
              ) -> Iterator[tuple[Atom, Fraction]]:
     """The firings of `rule` whose first `i` body literals bound `env`.  A
     module function, not a closure that calls itself: that would be a
@@ -338,8 +327,7 @@ def _firings(rule: NpRule, h: Mapping[Atom, Fraction],
     if atom_is_ground(atom):
         candidates = (atom,)
     else:
-        candidates = [c for c in atoms_by_pred.get(atom[0], ())
-                      if can_match(atom, c)]
+        candidates = [c for c in h if c[0] == atom[0] and len(c) == len(atom)]
     for cand in candidates:
         env2 = env if cand is atom else _bind(atom, cand, env)
         if env2 is None:
@@ -351,7 +339,7 @@ def _firings(rule: NpRule, h: Mapping[Atom, Fraction],
             env2[ann.name] = value  # exact (maximal) binding
         elif eval_expr(ann, env2) > value:
             continue
-        yield from _firings(rule, h, atoms_by_pred, i + 1, env2)
+        yield from _firings(rule, h, i + 1, env2)
 
 
 def _bind(pattern: Atom, ground: Atom, env: dict) -> Optional[dict]:
@@ -419,12 +407,9 @@ def least_model(program: NpProgram) -> PInterpretation:
     # some slack, and a program still changing after that is taken to diverge
     limit = len(rules) + 10
     for _ in range(limit):
-        by_pred: dict[str, list[Atom]] = {}
-        for atom in h:
-            by_pred.setdefault(atom[0], []).append(atom)
         for i in todo:
             fired = firings[i] = {}
-            for head, value in iter_rule_firings(rules[i], h, by_pred):
+            for head, value in iter_rule_firings(rules[i], h):
                 if value > fired.get(head, 0):
                     fired[head] = value
         new: PInterpretation = {}

@@ -24,7 +24,7 @@ from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
 
 from . import ApoError, Record, compiler, oracle, set_field
 from .compiler import Layer
-from .nplp import NpProgram, render_atom, sort_answer_sets
+from .nplp import NpProgram, answer_set_sort_key, render_atom
 from .oracle import Initial, State
 from .theory import ActionTheory, fluent_of, validate_theory
 
@@ -305,7 +305,7 @@ def check_policy_values(program_values: Mapping[tuple, Fraction],
 def _first(keys: set[int], n: int, atoms: Sequence) -> list[frozenset]:
     """The atom sets of the first `n` model `keys`, in the order of their
     sorted rendered atoms, which does not depend on string hashing."""
-    return sort_answer_sets([compiler.atoms_of_key(k, atoms) for k in keys])[:n] if keys else []
+    return sorted([compiler.atoms_of_key(k, atoms) for k in keys], key=answer_set_sort_key)[:n]
 
 
 def check_normal_projection(models: Iterable[int], normal_sets: Sequence[int],

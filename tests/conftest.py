@@ -10,7 +10,7 @@ import pytest
 
 from apoplan import compiler
 from apoplan.policies import PolicyValue, stationary_action_map
-from apoplan.nplp import iter_rule_firings, render_atom, satisfies, sort_answer_sets
+from apoplan.nplp import answer_set_sort_key, iter_rule_firings, render_atom, satisfies
 from apoplan.theory import ActionTheory, parse_theory
 
 REPO = Path(__file__).resolve().parent.parent
@@ -23,12 +23,9 @@ def satisfies_program(h, program) -> bool:
     """h satisfies every rule of `program`: no firing's head value exceeds h
     of its head, which under max composition bounds the composed
     contribution too."""
-    atoms_by_pred: dict = {}
-    for atom in h:
-        atoms_by_pred.setdefault(atom[0], []).append(atom)
     return all(satisfies(h, head, value)
                for rule in program.rules
-               for head, value in iter_rule_firings(rule, h, atoms_by_pred))
+               for head, value in iter_rule_firings(rule, h))
 
 
 def group_policies_reference(theory, reports, policies) -> list:
@@ -84,9 +81,9 @@ def answer_sets_of(program) -> list:
     """The answer sets of a hand-built annotated `program`, from its
     probability rules and the completion of its normal program as
     `policies.Run` computes them, in `nplp.answer_set_sort_key` order."""
-    return sort_answer_sets(list(map(interpretation, compiler.iter_answer_set_layers(
+    return sorted(map(interpretation, compiler.iter_answer_set_layers(
         compiler.probability_rules(program),
-        compiler.to_sat(compiler.normalize(program))))))
+        compiler.to_sat(compiler.normalize(program)))), key=answer_set_sort_key)
 
 
 def model_key(model) -> int:

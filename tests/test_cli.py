@@ -1,4 +1,5 @@
 import collections
+import itertools
 import json
 import os
 import subprocess
@@ -330,7 +331,7 @@ def _json_reference(models) -> str:
 def _layered(*layers) -> tuple:
     """An answer set of one `compiler.Layer` per `(atoms, values)` pair: the
     normal atoms of its step and the atoms derived up to it."""
-    return tuple(compiler.Layer((), atoms, 0, frozenset(), (), values, {})
+    return tuple(compiler.Layer((), atoms, 0, frozenset(), (), values)
                  for atoms, values in layers)
 
 
@@ -350,6 +351,31 @@ def test_solve_chunks_write_what_json_dumps_writes(models):
     assert "".join(chunks) == _json_reference(models)
     # one chunk per answer set, so an unbuffered output makes one write each
     assert len(chunks) == len(models) + 2
+
+
+# ("v", 1) and ("v", Fraction(1)) are equal atoms; ("v", "1") is another atom
+# that renders alike
+_SORT_POOL = [("v", 1), ("b", 10), ("v", "1"), ("a",), ("b", 2)]
+
+
+@pytest.mark.parametrize("as_layers", [
+    lambda atoms: _layered((tuple(atoms), {})),
+    lambda atoms: _layered(((), {a: Fraction(len(a), 3) for a in atoms}))],
+    ids=["normal", "derived"])
+def test_solve_sorts_the_answer_sets_in_the_sort_key_order(as_layers):
+    subsets = [as_layers(c) for n in range(len(_SORT_POOL) + 1)
+               for c in itertools.combinations(_SORT_POOL, n)]
+    subsets += [as_layers({("v", Fraction(1)), atom}) for atom in _SORT_POOL]
+    for models in (subsets, subsets[::-1], subsets[1::2] + subsets[::2]):
+        assert "".join(nplp.answer_sets_json(2, Fraction(19, 20), models)) \
+            == _json_reference(models)
+
+
+def test_solve_sorts_past_16_bit_ranks():
+    # more distinct renderings than an array of 16-bit ranks can number
+    models = [_layered(((("a", i),), {})) for i in range(66_000, 0, -1)]
+    assert "".join(nplp.answer_sets_json(2, Fraction(19, 20), models)) \
+        == _json_reference(models)
 
 
 @pytest.mark.parametrize("seed", ["bits4"] + list(range(40)))
@@ -470,8 +496,8 @@ def test_solve_renders_each_distinct_atom_once(capsys):
     nplp.render_atom.cache_clear()
     code, out = run(capsys, "solve", TIGER, "--horizon", "2")
     assert code == 0 and json.loads(out)["count"] == 128
-    # `to_sat`, `sort_answer_sets` and the payload each rendered every atom
-    # they met, 309 renders of these 114 atoms
+    # `to_sat` and the payload each render every atom they meet, 265 calls
+    # for these 114 atoms
     assert nplp.render_atom.cache_info().misses == 114
 
 
@@ -757,17 +783,19 @@ def test_check_compares_millions_of_policies_without_listing_them(capsys):
 
 def test_a_passing_check_sorts_no_answer_sets_and_solve_sorts_what_it_prints(
         capsys, monkeypatch):
-    # every sort of answer sets ranks them through `nplp._ranked`
-    sizes = []
-    rank = nplp._ranked
+    # `solve` sorts its answer sets through `nplp._ranked`, and the checks
+    # sort their counterexamples by `answer_set_sort_key`
+    sizes, keyed = [], []
+    rank, key = nplp._ranked, policies.answer_set_sort_key
 
-    def recorded(sets, *atoms):
+    def recorded(sets):
         sizes.append(len(sets))
-        return rank(sets, *atoms)
+        return rank(sets)
     monkeypatch.setattr(nplp, "_ranked", recorded)
+    monkeypatch.setattr(policies, "answer_set_sort_key", lambda h: keyed.append(h) or key(h))
     code, out = run(capsys, "check", TIGER, "--horizon", "2")
     assert code == 0 and json.loads(out)["ok"] is True
-    assert set(sizes) <= {0}  # only the empty counterexample sets
+    assert sizes == [] and keyed == []
     sizes.clear()
     code, out = run(capsys, "solve", TIGER, "--horizon", "2")
     assert code == 0 and json.loads(out)["count"] == 128

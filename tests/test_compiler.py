@@ -14,7 +14,7 @@ from apoplan.fuzz import generate_theory
 from apoplan.nplp import (
     Add, BLit, Mul, NplpError, NpProgram, NpRule, Num, ONE, Ref,
     answer_set_sort_key, can_match, enumerate_answer_sets, format_rule,
-    iter_rule_firings, least_model, reduct, render_atom, sort_answer_sets,
+    iter_rule_firings, least_model, reduct, render_atom,
 )
 from apoplan.policies import Run
 from apoplan.theory import ground_theory, parse_theory, validate_theory
@@ -171,11 +171,10 @@ def test_annotated_answer_sets_are_least_models_of_their_reducts(tiger, cross_se
         for h in got:
             assert least_model(reduct(run.program, h)) == h, horizon
         assert all(type(v) is Fraction for h in got for v in h.values())
-        assert sort_answer_sets(got) == sorted(got, key=answer_set_sort_key)
         # an answer set is fixed by its values on the negated atoms, which are
         # normal atoms, so one answer set per normal answer set is all of them
-        assert sort_answer_sets([_normal_projection(run.program, h) for h in got]) \
-            == sort_answer_sets(normal_sets_of(run.normal)), horizon
+        assert sorted([_normal_projection(run.program, h) for h in got], key=answer_set_sort_key) \
+            == sorted(normal_sets_of(run.normal), key=answer_set_sort_key), horizon
 
 
 def _least_models_per_completion_model(program):
@@ -225,8 +224,8 @@ def test_annotated_answer_sets_match_least_models(tiger, cross_sensing):
 def test_least_model_comparison_catches_a_layer_reused_once_too_often(
         tiger, cross_sensing, monkeypatch):
     kept = compiler._kept
-    monkeypatch.setattr(compiler, "_kept", lambda stack, pick, model: min(
-        kept(stack, pick, model) + 1, len(stack)))
+    monkeypatch.setattr(compiler, "_kept", lambda stack, bounds, model: min(
+        kept(stack, bounds, model) + 1, len(stack)))
     cases = [(tiger, 1), (tiger, 2), (cross_sensing, 2)]
     assert _layered_mismatches(cases) == cases
 
@@ -267,7 +266,7 @@ def test_annotated_answer_sets_keep_the_max_of_several_firings():
                body=_STATE_BODY, schema="18")
         for p in (Fraction(3, 4), Fraction(1, 4))))
     got = answer_sets_of(program)
-    assert got == sort_answer_sets(_least_models_per_completion_model(program))
+    assert got == sorted(_least_models_per_completion_model(program), key=answer_set_sort_key)
     assert [h[("state", 1)] for h in got] == [Fraction(3, 8)]
 
 
@@ -360,7 +359,8 @@ def tight_normal_programs(draw):
 @settings(max_examples=300, deadline=None)
 @given(tight_normal_programs())
 def test_normal_answer_sets_match_the_definition(program):
-    assert sort_answer_sets(normal_sets_of(program)) == _brute_force_answer_sets(program)
+    assert sorted(normal_sets_of(program), key=answer_set_sort_key) \
+        == _brute_force_answer_sets(program)
 
 
 _PROBABILITIES = st.sampled_from(
@@ -526,7 +526,8 @@ _A, _B, _C, _D, _E = (("a",), ("b",), ("c",), ("d",), ("e",))
 ])
 def test_normal_answer_sets_small_programs(rules, expected):
     program = NormalProgram(rules=tuple(rules))
-    assert sort_answer_sets(normal_sets_of(program)) == [frozenset(m) for m in expected]
+    assert sorted(normal_sets_of(program), key=answer_set_sort_key) \
+        == [frozenset(m) for m in expected]
 
 
 def test_normal_answer_sets_are_least_models_of_their_reducts(tiger, cross_sensing):
@@ -541,7 +542,8 @@ def test_normal_answer_sets_are_least_models_of_their_reducts(tiger, cross_sensi
         cnf = to_sat(normal)
         decoded = [model_atoms(model, cnf) for model in
                    sat.enumerate_models(cnf.clauses, cnf.variable_count)]
-        assert sort_answer_sets(got) == sorted(decoded, key=answer_set_sort_key), horizon
+        assert sorted(got, key=answer_set_sort_key) \
+            == sorted(decoded, key=answer_set_sort_key), horizon
 
 
 def test_normal_projections_match_annotated(tiger):
@@ -608,19 +610,28 @@ def _fired_in_dimacs_order(rules, cnf):
     for model in sat.enumerate_models(cnf.clauses, cnf.variable_count):
         atoms = model_atoms(model, cnf)
         h = dict.fromkeys(atoms, Fraction(1))
-        by_pred = {}
         for guard, rule in rules:
             if not guard <= atoms:
                 continue
-            for head, value in list(iter_rule_firings(rule, h, by_pred)):
+            for head, value in list(iter_rule_firings(rule, h)):
                 if head not in h:
                     if value:
                         h[head] = value
-                        by_pred.setdefault(head[0], []).append(head)
                 elif value > h[head]:
                     h[head] = value
         out.append(h)
     return out
+
+
+def test_time_major_numbers_the_atoms_layer_by_layer_occ_first(tiger, cross_sensing):
+    bits4 = parse_theory(BITS4_PATH.read_text())
+    cases = [(tiger, n) for n in (1, 2, 3)] + [(cross_sensing, 2), (bits4, 2)]
+    cases += [(generate_theory(s), 2) for s in range(10)]
+    for theory, horizon in cases:
+        atoms = compiler._time_major(Run(theory, horizon).cnf).atoms
+        order = [(compiler._layer(a), a[0] != "occ") for a in atoms]
+        assert order == sorted(order), horizon
+        assert order[-1][0] == horizon
 
 
 def test_time_major_search_finds_the_dimacs_answer_sets(tiger, cross_sensing):

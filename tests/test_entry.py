@@ -3,7 +3,6 @@
 its own, and a standard output that cannot be written reported in one line."""
 
 import errno
-import gc
 import importlib
 import os
 import subprocess
@@ -35,13 +34,31 @@ def _process(argv, stdout=subprocess.PIPE, buffered=False,
                           stderr=subprocess.PIPE, env=env, timeout=60)
 
 
-def test_main_in_process_freezes_nothing(capsys):
-    before = gc.get_freeze_count()
-    for argv in (["validate", TIGER], ["solve", TIGER, "--horizon", "1"],
-                 ["check", TIGER, "--horizon", "1"]):
-        assert cli.main(argv) == 0, argv
+def _main_cases(tmp_path, tiger_text) -> list:
+    """`(argv, code)` for every command on tiger, for help, for a usage error,
+    for a missing file and for an invalid theory."""
+    (tmp_path / "bad.apo").write_text(tiger_text.replace("17/20", "4/5", 1))
+    values = {"input": TIGER, "--horizon": "1", "--seed": "0"}
+    cases = [([command] + [arg for name in names if name in values
+                           for arg in ((values[name],) if name == "input"
+                                       else (name, values[name]))], 0)
+             for command, (_, names) in cli._COMMANDS.items()]
+    return cases + [(["--help"], 0), (["solve", TIGER], 1),
+                    (["solve", str(tmp_path / "missing.apo"), "--horizon", "1"], 1),
+                    (["solve", str(tmp_path / "bad.apo"), "--horizon", "1"], 2)]
+
+
+def test_main_returns_the_code_and_leaves_the_exit_to_entry(
+        capsys, monkeypatch, tmp_path, tiger_text):
+    def refuse(*args):
+        raise AssertionError(f"main exited with {args}")
+
+    monkeypatch.setattr(os, "_exit", refuse)
+    monkeypatch.setattr(sys, "exit", refuse)
+    for argv, code in _main_cases(tmp_path, tiger_text):
+        returned = cli.main(argv)
+        assert type(returned) is int and returned == code, argv
     capsys.readouterr()
-    assert gc.get_freeze_count() == before
 
 
 # Runs the CLI as `-m` does, with an exit hook that the interpreter's own exit

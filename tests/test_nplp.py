@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from apoplan.nplp import (
     Add, BLit, Mul, NplpError, NpProgram, NpRule, Num, ONE, Ref,
     answer_set_sort_key, enumerate_answer_sets, format_program, iter_rule_firings,
-    least_model, reduct, render_atom, satisfies, sort_answer_sets,
+    least_model, reduct, render_atom, satisfies,
 )
 
 from conftest import TIGER_PATH, fresh_python, satisfies_program
@@ -94,7 +94,17 @@ def test_rule_firing_refuses_a_negated_literal():
     # not b holds in {a: 1}, but a firing never reads negation
     negated = NpRule(head=("c",), body=(BLit(atom=("a",)), BLit(atom=("b",), neg=True)))
     with pytest.raises(NplpError, match="negation-free"):
-        list(iter_rule_firings(negated, {("a",): Fraction(1)}, {}))
+        list(iter_rule_firings(negated, {("a",): Fraction(1)}))
+
+
+def test_rule_firing_matches_only_atoms_of_its_predicate_and_arity():
+    # the body atom value(V, 0) would bind V in value(2, 0, x), which has
+    # another arity, and in occ(listen, 0), which has another predicate
+    copy = rule(("value", Ref("V"), 1), [("value", Ref("V"), 0)])
+    h = {("value", 2, 0, "x"): Fraction(1), ("state", 0): Fraction(3, 4),
+         ("occ", "listen", 0): Fraction(1), ("holds", "-tiger_left", 0): Fraction(1),
+         ("value", Fraction(1, 2), 0): Fraction(1)}
+    assert list(iter_rule_firings(copy, h)) == [(("value", Fraction(1, 2), 1), Fraction(1))]
 
 
 # Runs `policy` with the cyclic garbage collector off and prints how many
@@ -177,27 +187,6 @@ def test_enumerate_answer_sets_refuses_17_negated_atoms():
         for i in range(17)))
     with pytest.raises(NplpError, match="^17 negated atoms"):
         enumerate_answer_sets(prog)
-
-
-# ("v", 1) and ("v", Fraction(1)) are equal atoms; ("v", "1") is another atom
-# that renders alike
-_SORT_POOL = [("v", 1), ("b", 10), ("v", "1"), ("a",), ("b", 2)]
-
-
-@pytest.mark.parametrize("as_set", [
-    frozenset, lambda atoms: {a: Fraction(len(a), 3) for a in atoms}])
-def test_sort_answer_sets_is_the_sort_key_order(as_set):
-    subsets = [as_set(c) for n in range(len(_SORT_POOL) + 1)
-               for c in itertools.combinations(_SORT_POOL, n)]
-    subsets += [as_set({("v", Fraction(1)), atom}) for atom in _SORT_POOL]
-    for xs in (subsets, subsets[::-1], subsets[1::2] + subsets[::2]):
-        assert sort_answer_sets(xs) == sorted(xs, key=answer_set_sort_key)
-
-
-def test_sort_answer_sets_past_16_bit_ranks():
-    # more distinct renderings than an array of 16-bit ranks can number
-    xs = [frozenset({("a", i)}) for i in range(66_000, 0, -1)]
-    assert sort_answer_sets(xs) == sorted(xs, key=answer_set_sort_key)
 
 
 def test_answer_sets_satisfy_program():

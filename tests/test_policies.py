@@ -8,7 +8,7 @@ import pytest
 from apoplan import oracle, policies, sat
 from apoplan.compiler import CompileError
 from apoplan.fuzz import generate_theory
-from apoplan.nplp import sort_answer_sets
+from apoplan.nplp import answer_set_sort_key
 from apoplan.policies import (
     PolicyValue, Run, best_policy, check_sat_models, cross_check,
     extract_report, group_policies, stationary_action_map, valid_reports,
@@ -204,7 +204,7 @@ def test_checks_catch_seeded_fault(tiger, tiger_sets_n1, tiger_layers_n1, monkey
     run = Run(tiger, 1)
     valid = [h for h, layers in zip(tiger_sets_n1, tiger_layers_n1)
              if extract_report(tiger, layers, 1).valid]
-    k = next(i for i, h in enumerate(tiger_sets_n1) if h is sort_answer_sets(valid)[-1])
+    k = next(i for i, h in enumerate(tiger_sets_n1) if h is sorted(valid, key=answer_set_sort_key)[-1])
     broken = tiger_layers_n1[:k] + tiger_layers_n1[k + 1:]
     monkeypatch.setattr(run, "iter_layers", lambda: iter(broken))
     key = _trajectory_key(extract_report(tiger, tiger_layers_n1[k], 1))
