@@ -16,13 +16,14 @@ counted, exits non-zero; `exit_codes` holds the timed runs' codes and
 `count_exit_code` the counted run's.
 
 The counts do not depend on the host, so a change can be judged by them
-without timing noise.  `models` counts the models that `sat.enumerate_models`
-yields (one per answer set for `solve`, `policy` and `check`), `firings` the
-calls of `nplp.iter_rule_firings`, and `layers` the layers that
-`compiler.iter_answer_set_layers` derives rather than keeps from the answer
-set before.  `search_s` is the CPU time spent inside `sat.enumerate_models`,
-and `answer_sets_s` that spent inside `compiler.iter_answer_set_layers`,
-search included: their difference is decoding and firing.
+without timing noise.  `models` counts the answer sets that
+`compiler.iter_answer_set_layers` yields, `searches` the calls of
+`sat.enumerate_models` (one per layer and value of its frontier for `solve`,
+`policy` and `check`), `firings` the calls of `nplp.iter_rule_firings`, and
+`layers` the layers of each answer set that it does not share with the one
+before.  `search_s` is the CPU time spent inside `sat.enumerate_models`, and
+`answer_sets_s` that spent inside `compiler.iter_answer_set_layers`, search
+included: their difference is the walk, decoding and firing.
 
 The counted run comes last, and nothing of apoplan is imported before it: a
 child process's `ru_maxrss` starts at its parent's peak, so a timed run
@@ -85,7 +86,8 @@ def count(args: list[str]) -> dict:
 
     fire, models = nplp.iter_rule_firings, sat.enumerate_models
     answer_sets = compiler.iter_answer_set_layers
-    counts = {"models": 0, "firings": 0, "layers": 0, "search_s": 0.0, "answer_sets_s": 0.0}
+    counts = {"models": 0, "searches": 0, "firings": 0, "layers": 0, "search_s": 0.0,
+              "answer_sets_s": 0.0}
 
     def timed(items, key):
         """`items`, with the CPU time spent making each added to `counts[key]`."""
@@ -103,13 +105,13 @@ def count(args: list[str]) -> dict:
         return fire(*args, **kwargs)
 
     def counted_models(*args, **kwargs):
-        for model in timed(models(*args, **kwargs), "search_s"):
-            counts["models"] += 1
-            yield model
+        counts["searches"] += 1
+        return timed(models(*args, **kwargs), "search_s")
 
     def counted_answer_sets(*args, **kwargs):
         before: tuple = ()
         for layers in timed(answer_sets(*args, **kwargs), "answer_sets_s"):
+            counts["models"] += 1
             counts["layers"] += sum(k >= len(before) or layer is not before[k]
                                     for k, layer in enumerate(layers))
             before = layers
@@ -190,9 +192,11 @@ def append_record(path: str, result: dict):
                            "ru_maxrss of fresh `python -m apoplan.cli` runs, output "
                            "discarded, one run after another; then the work of one "
                            "in-process run of the same command, which does not depend "
-                           "on the host: `models` yielded by sat.enumerate_models, "
-                           "`firings` (calls of nplp.iter_rule_firings) and `layers` "
-                           "derived by compiler.iter_answer_set_layers, and the CPU "
+                           "on the host: `models`, the answer sets yielded by "
+                           "compiler.iter_answer_set_layers, `searches` (calls of "
+                           "sat.enumerate_models), `firings` (calls of "
+                           "nplp.iter_rule_firings) and `layers` derived by "
+                           "compiler.iter_answer_set_layers, and the CPU "
                            "time inside the search (`search_s`) and inside the "
                            "answer-set layers, search included (`answer_sets_s`). "
                            "A measurement with `against` holds both sides of runs made "

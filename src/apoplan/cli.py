@@ -34,7 +34,7 @@ the whole pipeline, so a tracer that wraps its functions, such as
 Every error the stages raise on purpose derives from `apoplan.ApoError`, so
 `main` maps them to exit 3 without importing the stage modules.
 
-Output is held only as far as it must be.  The commands that read answer
+Output is kept only as far as it must be.  The commands that read answer
 sets read them as layers, shared between consecutive ones.  `solve` alone
 needs every answer set at once, to sort them: it lists their layers before
 it opens its output, so a stage that fails writes nothing, and

@@ -9,9 +9,9 @@ answer sets decoded from the last one.
 
 `normal_answer_sets` lists the answer sets of the normal program by a search
 of its own, so the checks can compare it with the completion.
-`iter_answer_set_layers` derives the annotated answer sets from the
-completion models one time step (layer) at a time, keeping the layers a model
-shares with the one before it.  `policies.Run` chains these stages.
+`iter_answer_set_layers` derives the annotated answer sets one time step
+(layer) at a time, each layer's completion clauses searched once per value of
+the earlier variables they read.  `policies.Run` chains these stages.
 
 Every emitted rule carries a schema tag so later stages can delete exactly the
 right rule families.
@@ -605,19 +605,15 @@ def _time_major(cnf: CnfFormula) -> CnfFormula:
     return CnfFormula(clauses=clauses, atoms=tuple(cnf.atoms[i] for i in order))
 
 
-# Layer t of an answer set (`_layer`): `held`, the values of its variables, a
-# slice of the model; `atoms`, the true ones; `key`, their bits
-# (`atoms_of_key` over the CNF's atoms); `state` and `occ`, its holds literals
-# and occ sub-outcome ids; `values`, the atoms derived up to it.
-Layer = namedtuple("Layer", "held atoms key state occ values")
+# Layer t of an answer set (`_layer`): `atoms`, its true atoms; `key`, their
+# bits (`atoms_of_key` over the CNF's atoms); `state` and `occ`, its holds
+# literals and occ sub-outcome ids; `values`, the atoms derived up to it.
+Layer = namedtuple("Layer", "atoms key state occ values")
 
 
-def _kept(stack: list[Layer], bounds: list[int], model: list) -> int:
-    """How many layers of `stack` `model` keeps: those below the first whose
-    variables, layer k's from `bounds[k]` to `bounds[k + 1]`, it holds
-    otherwise."""
-    return next((k for k, layer in enumerate(stack)
-                 if model[bounds[k]:bounds[k + 1]] != layer.held), len(stack))
+def _frontier(clauses: list[tuple[int, ...]], first: int) -> list[int]:
+    """The variables below `first` that `clauses` read, in order."""
+    return sorted({abs(l) for clause in clauses for l in clause if abs(l) < first})
 
 
 def iter_answer_set_layers(rules: list[tuple], cnf: CnfFormula,
@@ -634,11 +630,12 @@ def iter_answer_set_layers(rules: list[tuple], cnf: CnfFormula,
     family rules whose guards M holds: one pass over them in dependency
     order, each head keeping the max of its firings.
 
-    A rule's layer is the latest among its guard atoms and the rules before
-    it, which include those that feed it.  The search numbers the variables
-    layer by layer, so a model mostly differs from the one before only in its
-    last layer: it keeps the layers below the first one whose atoms differ,
-    and derives the rest."""
+    A clause belongs to the layer of its latest variable; a rule to the
+    latest among its guard atoms and the rules before it, which include
+    those that feed it.  A search of a layer's clauses, the earlier variables
+    fixed, lists its slices of a model once per value of its frontier, the
+    earlier variables they read.  The walk extends the path depth first by
+    each in the search's order, so the answer sets below a layer share it."""
     search = _time_major(cnf)
     atoms = search.atoms
     layer = [_layer(a) for a in atoms]  # nondecreasing, as `_time_major` orders them
@@ -663,12 +660,24 @@ def iter_answer_set_layers(rules: list[tuple], cnf: CnfFormula,
         if 0 not in vs:  # else a guard atom that no model holds
             rules_of[latest].append((j, sorted(vs, key=lambda v: atoms[v - 1][0] != "occ")))
 
+    # per layer, its clauses, and the slices they take per frontier value
+    clauses_of: list[list[tuple]] = [[] for _ in range(count)]
+    for clause in search.clauses:
+        clauses_of[layer[max(map(abs, clause)) - 1]].append(clause)
+    frontier = [_frontier(c, lo) for c, lo in zip(clauses_of, bounds)]
+    slices_of: dict[tuple, list] = {}
+    model: list = [None] * bounds[-1]  # the values of the path's layers
     constant: dict[int, list] = {}  # the firings of the rules whose bodies read nothing
-    stack: list[Layer] = []
-    for model in sat.enumerate_models(search.clauses, search.variable_count):
-        del stack[_kept(stack, bounds, model):]
-        for k in range(len(stack), count):
-            values = stack[-1].values if stack else {}
+
+    def walk(k: int, below: tuple[Layer, ...]) -> Iterator[tuple[Layer, ...]]:
+        key = (k, tuple(map(model.__getitem__, frontier[k])))
+        if key not in slices_of:
+            units = [(v if model[v] else -v,) for v in range(1, bounds[k])]
+            slices_of[key] = [m[bounds[k]:] for m in sat.enumerate_models(
+                clauses_of[k] + units, bounds[k + 1] - 1)]
+        for truth in slices_of[key]:  # none at a dead end
+            model[bounds[k]:bounds[k + 1]] = truth
+            values = below[-1].values if below else {}
             copied = False
             for j, vs in rules_of[k]:
                 # most fail on their occ variable: another sub-outcome's
@@ -686,10 +695,11 @@ def iter_answer_set_layers(rules: list[tuple], cnf: CnfFormula,
                     if not copied:  # the layers below keep theirs
                         values, copied = dict(values), True
                     values[head] = value
-            held = model[bounds[k]:bounds[k + 1]]
-            stack.append(Layer(
-                held, tuple(itertools.compress(layer_atoms[k], held)),
-                sum(itertools.compress(layer_bits[k], held)),
-                frozenset([lit for i, lit in holds[k] if held[i]]),
-                tuple([o for i, o in occ[k] if held[i]]), values))
-        yield tuple(stack)
+            layers = below + (Layer(
+                tuple(itertools.compress(layer_atoms[k], truth)),
+                sum(itertools.compress(layer_bits[k], truth)),
+                frozenset([lit for i, lit in holds[k] if truth[i]]),
+                tuple([o for i, o in occ[k] if truth[i]]), values),)
+            yield from walk(k + 1, layers) if k + 1 < count else (layers,)
+
+    yield from walk(0, ())

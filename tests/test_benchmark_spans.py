@@ -30,17 +30,22 @@ def test_traced_check_runs_each_stage_once():
               "    __import__(modname)\n"
               "tracer = spans.Tracer()\n"
               "tracer.install()\n"
+              "compiler, walks = sys.modules['apoplan.compiler'], []\n"
+              "walk = compiler.iter_answer_set_layers\n"
+              "compiler.iter_answer_set_layers = lambda *a: walks.append(a) or walk(*a)\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
               "    code = sys.modules['apoplan.cli'].main(sys.argv[2:])\n"
-              "print(json.dumps({'code': code, 'calls': {\n"
+              "print(json.dumps({'code': code, 'walks': len(walks), 'calls': {\n"
               "    name: t['calls'] for name, t in tracer.totals().items()}}))\n")
     result = json.loads(fresh_python(script, str(SPANS_PATH), "check",
                                      str(TIGER_PATH), "--horizon", "2"))
-    assert result["code"] == 0
+    assert result["code"] == 0 and result["walks"] == 1
     stages = ("compiler.compile", "compiler.normalize", "compiler.to_sat",
               "compiler.normal_answer_sets", "policies.reports",
-              "sat.enumerate_models",
               # one walk of the oracle's trajectories, and no policy list
               "oracle.enumerate")
     assert {name: result["calls"].get(name) for name in stages} \
         == dict.fromkeys(stages, 1), result["calls"]
+    # the one walk of the answer-set layers searches each layer once per
+    # value of its frontier: 1 + 2 + 4
+    assert result["calls"]["sat.enumerate_models"] == 7, result["calls"]

@@ -331,7 +331,7 @@ def _json_reference(models) -> str:
 def _layered(*layers) -> tuple:
     """An answer set of one `compiler.Layer` per `(atoms, values)` pair: the
     normal atoms of its step and the atoms derived up to it."""
-    return tuple(compiler.Layer((), atoms, 0, frozenset(), (), values)
+    return tuple(compiler.Layer(atoms, 0, frozenset(), (), values)
                  for atoms, values in layers)
 
 
@@ -715,7 +715,8 @@ def test_check_runs_each_stage_once(capsys, monkeypatch):
     counts = _count_calls(
         monkeypatch, (compiler, "compile_theory"), (compiler, "normalize"),
         (compiler, "to_sat"), (compiler, "normal_answer_sets"),
-        (sat, "enumerate_models"), (policies, "extract_report"),
+        (compiler, "iter_answer_set_layers"), (sat, "enumerate_models"),
+        (policies, "extract_report"),
         (policies, "stationary_action_map"),
         (oracle, "enumerate_policies"), (oracle, "initial_states"))
     code, out = run(capsys, "check", TIGER, "--horizon", "2")
@@ -724,7 +725,9 @@ def test_check_runs_each_stage_once(capsys, monkeypatch):
     assert counts["normalize"] == 1
     assert counts["to_sat"] == 1
     assert counts["normal_answer_sets"] == 1
-    assert counts["enumerate_models"] == 1
+    assert counts["iter_answer_set_layers"] == 1
+    # one search per layer and value of its frontier: 1 + 2 + 4
+    assert counts["enumerate_models"] == 7
     assert counts["extract_report"] == 128
     # once per valid report, for checks 1 and 2 together
     assert counts["stationary_action_map"] == 32
@@ -804,13 +807,15 @@ def test_a_passing_check_sorts_no_answer_sets_and_solve_sorts_what_it_prints(
 
 def test_policy_runs_each_stage_once(capsys, monkeypatch):
     counts = _count_calls(
-        monkeypatch, (compiler, "to_sat"), (sat, "enumerate_models"),
-        (oracle, "enumerate_policies"), (oracle, "reachable_states"),
-        (oracle, "initial_states"))
+        monkeypatch, (compiler, "to_sat"), (compiler, "iter_answer_set_layers"),
+        (sat, "enumerate_models"), (oracle, "enumerate_policies"),
+        (oracle, "reachable_states"), (oracle, "initial_states"))
     code, out = run(capsys, "policy", TIGER, "--horizon", "2")
     assert code == 0 and json.loads(out)["value"] == 19.0
-    # the policy space comes from the answer sets, not from the oracle
-    assert counts == {"to_sat": 1, "enumerate_models": 1}, counts
+    # the policy space comes from the answer sets, not from the oracle; one
+    # search per layer and value of its frontier: 1 + 2 + 4
+    assert counts == {"to_sat": 1, "iter_answer_set_layers": 1,
+                      "enumerate_models": 7}, counts
     assert [counts[name] for name in ("enumerate_policies", "reachable_states",
                                       "initial_states")] == [0, 0, 0]
 

@@ -87,11 +87,14 @@ def test_no_sensing_theory_has_no_observation_schemas():
         assert counts[schema] == 0
 
 
+# one fluent, made true by the one action, and the goal that it hold
+_GOAL_THEORY = ("fluent a.\ninitially {-a}: 1.\nexecutable b if {}.\n"
+                "action b causes {a}: 1: 1 if {-a} ; {}: 1: 0 if {a}.\n"
+                "discount 1/2.\ngoal {a}.\n")
+
+
 def test_goal_rules():
-    theory = parse_theory(
-        "fluent a.\ninitially {-a}: 1.\nexecutable b if {}.\n"
-        "action b causes {a}: 1: 1 if {-a} ; {}: 1: 0 if {a}.\n"
-        "discount 1/2.\ngoal {a}.\n")
+    theory = parse_theory(_GOAL_THEORY)
     counts = schema_counts(compile_theory(validate_theory(theory), 2))
     assert counts["29"] == 3
 
@@ -212,22 +215,59 @@ def _layered_mismatches(cases) -> list:
     return out
 
 
-def test_annotated_answer_sets_match_least_models(tiger, cross_sensing):
+def test_annotated_answer_sets_match_least_models(tiger, tiger_text, cross_sensing):
     bits4 = parse_theory(BITS4_PATH.read_text())
     cases = [(tiger, n) for n in (1, 2, 3, 4)] + [(bits4, n) for n in (1, 2, 3)]
     cases += [(cross_sensing, n) for n in (1, 2)]
     cases += [(generate_theory(s), n) for s in range(40) for n in (1, 2)]
+    # a goal clause reads every layer, and some paths reach no goal state
+    goals = [parse_theory(tiger_text + "goal {tl}.\n"),
+             parse_theory(tiger_text + "goal {-tl, htl}.\n"), parse_theory(_GOAL_THEORY)]
+    cases += [(theory, n) for theory in goals for n in (1, 2, 3)]
     # the same dicts, with equal exact values, in the same order
     assert _layered_mismatches(cases) == []
 
 
-def test_least_model_comparison_catches_a_layer_reused_once_too_often(
+def test_least_model_comparison_catches_slices_listed_for_another_frontier_value(
         tiger, cross_sensing, monkeypatch):
-    kept = compiler._kept
-    monkeypatch.setattr(compiler, "_kept", lambda stack, bounds, model: min(
-        kept(stack, bounds, model) + 1, len(stack)))
+    # each layer's slices listed once, for the frontier value of the first
+    # path that reaches it.  Leaving out one frontier variable would go
+    # unseen here: each holds atom's complement is in the frontier too, and
+    # tiger's two initial states differ in both of its fluents
+    monkeypatch.setattr(compiler, "_frontier", lambda clauses, first: [])
     cases = [(tiger, 1), (tiger, 2), (cross_sensing, 2)]
     assert _layered_mismatches(cases) == cases
+
+
+@st.composite
+def layered_cnfs(draw):
+    """A CNF over up to eight atoms of layers 0-3 (`compiler._layer`),
+    numbered in no layer order, and up to ten random clauses: some leave a
+    prefix that no later slice extends, and some variables read by none."""
+    n = draw(st.integers(0, 8))
+    steps = draw(st.lists(st.tuples(st.integers(0, 3), st.booleans()), min_size=n, max_size=n))
+    atoms = tuple(("holds", f"f{v}", t) if holds else ("occ", f"o{v}", t - 1) if t else ("a", v)
+                  for v, (t, holds) in enumerate(steps))
+    literal = st.integers(1, max(n, 1)).flatmap(lambda v: st.sampled_from((v, -v)))
+    clauses = draw(st.lists(st.lists(literal, min_size=1, max_size=3).map(tuple),
+                            max_size=10 if n else 0))
+    return compiler.CnfFormula(clauses=tuple(clauses), atoms=atoms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(layered_cnfs())
+# f at 0 leaves layer 1 no slice, and g reads no clause
+@example(compiler.CnfFormula(clauses=((-2, 1), (-2, -1)), atoms=(
+    ("holds", "f", 1), ("holds", "f", 0), ("holds", "g", 0))))
+def test_layer_walk_lists_the_models_of_one_search(cnf):
+    search = compiler._time_major(cnf)
+    want = [model_atoms(m, search)
+            for m in sat.enumerate_models(search.clauses, search.variable_count)]
+    walked = list(compiler.iter_answer_set_layers([], cnf))
+    assert [frozenset(a for layer in layers for a in layer.atoms)
+            for layers in walked] == want
+    assert [compiler.atoms_of_key(sum(layer.key for layer in layers), cnf.atoms)
+            for layers in walked] == want
 
 
 # a probability-family rule `state(1) : U <- state(0) : U, occ(a, 0)`

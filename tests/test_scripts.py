@@ -55,11 +55,12 @@ def test_count_work_counts_the_answer_sets_firings_and_layers(tmp_path):
     result = measure_tiger(tmp_path)
     assert 0 < result["search_s"] <= result["answer_sets_s"]
     # 16 answer sets; layer 0 is decided first, so it is derived once per
-    # initial state (2) and layer 1 once per answer set (16)
-    assert {k: result[k] for k in ("command", "count_exit_code", "models", "firings",
-                                   "layers")} == {
+    # initial state (2) and layer 1 once per answer set (16); layer 0 is
+    # searched once and layer 1 once per initial state
+    assert {k: result[k] for k in ("command", "count_exit_code", "models", "searches",
+                                   "firings", "layers")} == {
         "command": ["policy", TIGER, "--horizon", "1"], "count_exit_code": 0,
-        "models": 16, "firings": 28, "layers": 18}
+        "models": 16, "searches": 3, "firings": 28, "layers": 18}
 
 
 def _measure_cli():
